@@ -43,7 +43,7 @@ from .obfuscation import (
     RunTrace,
     SplitPlan,
     approximation_ratio,
-    layer_sweep,
+    dispatch,
     make_split_plan,
     optimize,
     prune,
@@ -67,7 +67,7 @@ __all__ = [
     "BackendProfile", "NoiseModel", "ShotResult", "exact_expectation",
     "expectation_full_cost", "load_backend_profiles", "run_shots", "run_statevector",
     "OptimizerConfig", "PrunedFlavor", "RunTrace", "SplitPlan",
-    "approximation_ratio", "layer_sweep", "make_split_plan", "optimize", "prune",
+    "approximation_ratio", "dispatch", "make_split_plan", "optimize", "prune",
     "EffortEstimate", "ExtractionReport", "cross_provider_merge", "effort", "extract_graph",
     "ExperimentSpec", "run_experiment", "overhead",
 ]

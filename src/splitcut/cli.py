@@ -2,7 +2,9 @@
 
 Subcommands: graph gen|show, run, sweep, adversary extract|effort|merge,
 overhead. Experiment subcommands read one JSON spec file; the exit code is
-nonzero iff an invariant assertion failed during the run.
+1 iff an invariant assertion failed during the run. Bad input (a missing
+file, malformed JSON, a missing key, a rejected value) prints one
+``splitcut: <message>`` line on stderr and exits with code 2.
 """
 from __future__ import annotations
 
@@ -116,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_graph = sub.add_parser("graph", help="generate or inspect problem graphs")
+    p_graph.set_defaults(fn=_cmd_graph)
     graph_sub = p_graph.add_subparsers(dest="action", required=True)
     p_gen = graph_sub.add_parser("gen", help="write a named benchmark graph")
     p_gen.add_argument("--id", required=True, help="cycle3|cycle4|...|cycle(n)|complete(n)")
@@ -138,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_over.set_defaults(fn=_cmd_overhead)
 
     p_adv = sub.add_parser("adversary", help="reverse-engineering tools")
+    p_adv.set_defaults(fn=_cmd_adversary)
     adv_sub = p_adv.add_subparsers(dest="action", required=True)
     p_ext = adv_sub.add_parser("extract", help="recover the graph from a circuit file")
     p_ext.add_argument("--circuit", required=True)
@@ -149,18 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_mrg = adv_sub.add_parser("merge", help="union of extraction reports (collusion)")
     p_mrg.add_argument("reports", nargs="+")
     p_mrg.add_argument("--out")
-
-    parser.set_defaults(fn=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "graph":
-        return _cmd_graph(args)
-    if args.command == "adversary":
-        return _cmd_adversary(args)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KeyError as exc:
+        print(f"splitcut: missing key {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"splitcut: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -65,9 +65,6 @@ class Graph:
             raise ValueError("duplicate edges")
         return cls(n, tuple(sorted(normalized)))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in set(self.edges)
-
 
 def _as_bits(a: Sequence[int] | str, n: int) -> tuple[int, ...]:
     bits = tuple(int(b) for b in a)

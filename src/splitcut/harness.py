@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import cross_provider_merge, extract_graph
-from .circuit import ParamVector, build_qaoa, serialize, transpile
+from .circuit import ParamVector, serialize
 from .graph import Graph, benchmark_graph, load_graph
 from .obfuscation import (
     OptimizerConfig,
     PrunedFlavor,
     RunTrace,
     SplitPlan,
+    dispatch,
     make_split_plan,
     optimize,
 )
@@ -115,13 +116,23 @@ def _plan_for_seed(g: Graph, spec: ExperimentSpec, backends, seed: int) -> Split
         flavors = tuple(
             PrunedFlavor(rs, b) for rs, b in zip(spec.removed_sets, backends[: spec.k])
         )
-        plan = SplitPlan(flavors, total_iterations=spec.iterations)
+        plan = SplitPlan(flavors)
         plan.validate(g)
         return plan
     return make_split_plan(
-        g, spec.k, spec.edges_per_flavor, backends[: spec.k],
-        seed=_plan_seed(seed), total_iterations=spec.iterations,
+        g, spec.k, spec.edges_per_flavor, backends[: spec.k], seed=_plan_seed(seed)
     )
+
+
+def _arm_flavors(
+    g: Graph, spec: ExperimentSpec, backends, arm: str, seed: int
+) -> tuple[PrunedFlavor, ...]:
+    """The flavors an arm dispatches for one seed: the unpruned circuit,
+    the seed's first split flavor alone, or the seed's whole split plan."""
+    if arm == "original":
+        return (PrunedFlavor((), backends[0]),)
+    plan = _plan_for_seed(g, spec, backends, seed)
+    return plan.flavors[:1] if arm == "pruned_only" else plan.flavors
 
 
 def _spec_label(spec: ExperimentSpec, arm: str) -> str:
@@ -165,31 +176,17 @@ class ExperimentResult:
         return not any(f["kind"] == "invariant" for f in self.failures)
 
 
-def _circuit_stats(g: Graph, p: int, backend: BackendProfile) -> dict:
+def _circuit_stats(g: Graph, flavor: PrunedFlavor, p: int) -> dict:
     # Angles do not change gate counts; build at zero angles.
-    params = ParamVector((0.0,) * p, (0.0,) * p)
-    circ = build_qaoa(g, params)
-    swaps = 0
-    if backend.coupling is not None:
-        routed = transpile(circ, backend.coupling)
-        swaps = routed.swap_count
-        circ = routed.circuit
-    counts = circ.gate_counts()
+    routed = dispatch(g, flavor, ParamVector((0.0,) * p, (0.0,) * p))
+    counts = routed.circuit.gate_counts()
     return {
-        "backend": backend.name,
+        "backend": flavor.backend.name,
         "gates_1q": counts["1q"],
         "gates_2q": counts["2q"],
-        "swap_added_2q": 3 * swaps,
-        "depth": circ.depth(),
+        "swap_added_2q": 3 * routed.swap_count,
+        "depth": routed.circuit.depth(),
     }
-
-
-def _arm_flavor_graphs(g: Graph, arm: str, plan: SplitPlan) -> list[tuple[Graph, BackendProfile]]:
-    if arm == "original":
-        return [(g, plan.flavors[0].backend)]
-    if arm == "pruned_only":
-        return [(plan.flavors[0].pruned_graph(g), plan.flavors[0].backend)]
-    return [(f.pruned_graph(g), f.backend) for f in plan.flavors]
 
 
 def compute_overhead(
@@ -198,7 +195,8 @@ def compute_overhead(
     backends: list[BackendProfile],
     evaluations: dict[tuple[str, int], dict[str, int]] | None = None,
 ) -> OverheadReport:
-    """Overhead accounting for every (arm, p) in the spec.
+    """Overhead accounting for every (arm, p) in the spec, on the flavors
+    of the spec's first seed.
 
     ``evaluations`` maps (arm, p) to per-backend optimizer evaluation
     counts; when absent they are derived statically (SPSA does exactly two
@@ -209,25 +207,18 @@ def compute_overhead(
     """
     plan = _plan_for_seed(g, spec, backends, spec.seeds[0])
 
-    def static_evals(arm: str) -> dict[str, int]:
-        if spec.optimizer != "spsa":
-            return {}
-        per_iter = 2
-        if arm == "split":
-            out = {}
-            for i, f in enumerate(plan.flavors):
-                n_iter = len(range(i, spec.iterations, plan.k))
-                out[f.backend.name] = per_iter * n_iter
-            return out
-        return {backends[0].name: per_iter * spec.iterations}
-
     def arm_entry(arm: str, p: int) -> dict:
+        flavors = _arm_flavors(g, spec, backends, arm, spec.seeds[0])
+        static_evals = {
+            f.backend.name: 2 * len(range(i, spec.iterations, len(flavors)))
+            for i, f in enumerate(flavors)
+        } if spec.optimizer == "spsa" else {}
+        evals_map = (evaluations or {}).get((arm, p)) or static_evals
         per_backend = []
         work = 0
-        evals_map = (evaluations or {}).get((arm, p)) or static_evals(arm)
-        for fg, backend in _arm_flavor_graphs(g, arm, plan):
-            stats = _circuit_stats(fg, p, backend)
-            stats["evaluations"] = evals_map.get(backend.name)
+        for f in flavors:
+            stats = _circuit_stats(g, f, p)
+            stats["evaluations"] = evals_map.get(f.backend.name)
             per_backend.append(stats)
             if stats["evaluations"] is not None:
                 work += stats["gates_2q"] * stats["evaluations"]
@@ -240,7 +231,7 @@ def compute_overhead(
             "work_2q_x_evals": work if evals_map else None,
         }
 
-    baseline_stats = _circuit_stats(plan.flavors[0].pruned_graph(g), 1, backends[0])
+    baseline_stats = _circuit_stats(g, plan.flavors[0], 1)
     baseline_evals = 2 * spec.iterations if spec.optimizer == "spsa" else None
     baseline_work = (
         baseline_stats["gates_2q"] * baseline_evals if baseline_evals is not None else None
@@ -266,17 +257,12 @@ def overhead(spec: ExperimentSpec) -> OverheadReport:
     return compute_overhead(spec, g, backends)
 
 
-def _check_partial_knowledge(g: Graph, plan: SplitPlan, trace: RunTrace) -> list[dict]:
-    """Extract each flavor's wire circuit; assert every provider sees a
-    strict subgraph and that only collusion recovers the full graph."""
-    reports = []
-    for f in plan.flavors:
-        circ = build_qaoa(f.pruned_graph(g), trace.best_params)
-        if f.backend.coupling is not None:
-            circ = transpile(circ, f.backend.coupling).circuit
-        reports.append(extract_graph(serialize(circ)))
+def _check_partial_knowledge(g: Graph, flavors, texts: list[str]) -> list[dict]:
+    """Extract each flavor's wire text; assert every provider sees a strict
+    subgraph and that only collusion recovers the full graph."""
+    reports = [extract_graph(text) for text in texts]
     full = set(g.edges)
-    for f, rep in zip(plan.flavors, reports):
+    for f, rep in zip(flavors, reports):
         seen = set(rep.recovered_graph.edges)
         if not seen < full:
             raise AssertionError(
@@ -293,6 +279,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
 
     A failing cell marks its row rather than aborting the sweep; adversary
     partial-knowledge violations in split arms are recorded as failures.
+    The first seed's wire texts go to circuits/, and its counted
+    evaluations to the overhead report.
     """
     label, g = resolve_graph(spec)
     backends = resolve_backends(spec)
@@ -303,12 +291,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     adversary_reports: dict[str, list[dict]] = {}
     circuits: dict[str, str] = {}
     evaluations: dict[tuple[str, int], dict[str, int]] = {}
-
-    def wire_text(flavor_graph: Graph, backend: BackendProfile, params) -> str:
-        circ = build_qaoa(flavor_graph, params)
-        if backend.coupling is not None:
-            circ = transpile(circ, backend.coupling).circuit
-        return serialize(circ)
 
     for arm in spec.arms:
         arm_backends = backends if arm == "split" else backends[:1]
@@ -323,19 +305,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                     seed=seed,
                 )
                 try:
-                    plan = None
-                    if arm == "original":
-                        trace = optimize(g, None, cfg, backend=backends[0])
-                    else:
-                        plan = _plan_for_seed(g, spec, backends, seed)
-                        if arm == "pruned_only":
-                            flavor = PrunedFlavor(plan.flavors[0].removed_edges, backends[0])
-                            trace = optimize(g, flavor, cfg)
-                        else:
-                            trace = optimize(g, plan, cfg)
-                            reports = _check_partial_knowledge(g, plan, trace)
-                            if seed == spec.seeds[0]:
-                                adversary_reports[f"split_p{p}"] = reports
+                    flavors = _arm_flavors(g, spec, backends, arm, seed)
+                    trace = optimize(g, flavors, cfg)
+                    # the wire artifacts the provider(s) receive
+                    texts = [serialize(dispatch(g, f, trace.best_params).circuit) for f in flavors]
+                    if len(flavors) > 1:
+                        reports = _check_partial_knowledge(g, flavors, texts)
                 except AssertionError as exc:  # invariant violation: poisons the run
                     failures.append({"arm": arm, "p": p, "seed": seed,
                                      "kind": "invariant", "error": str(exc)})
@@ -345,25 +320,18 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                                      "kind": "cell", "error": str(exc)})
                     continue
                 if seed == spec.seeds[0]:
-                    # the wire artifacts the provider(s) would receive
-                    if arm == "original":
-                        circuits[f"original_p{p}.txt"] = wire_text(g, backends[0], trace.best_params)
-                    elif arm == "pruned_only":
-                        circuits[f"pruned_only_p{p}.txt"] = wire_text(
-                            plan.flavors[0].pruned_graph(g), backends[0], trace.best_params)
+                    if len(flavors) > 1:
+                        adversary_reports[f"{arm}_p{p}"] = reports
+                        for i, text in enumerate(texts):
+                            circuits[f"{arm}_p{p}_flavor{i}.txt"] = text
                     else:
-                        for i, fl in enumerate(plan.flavors):
-                            circuits[f"split_p{p}_flavor{i}.txt"] = wire_text(
-                                fl.pruned_graph(g), fl.backend, trace.best_params)
+                        circuits[f"{arm}_p{p}.txt"] = texts[0]
+                    counted: dict[str, int] = {}
+                    for e in trace.entries:
+                        counted[e.backend] = counted.get(e.backend, 0) + e.evaluations
+                    evaluations[(arm, p)] = counted
                 traces[(arm, p, seed)] = trace
                 finals.append(trace.final_ar)
-                if spec.optimizer == "spsa":
-                    per_backend: dict[str, int] = {}
-                    for e in trace.entries:
-                        per_backend[e.backend] = per_backend.get(e.backend, 0) + 1
-                    evaluations[(arm, p)] = {b: n * 2 for b, n in per_backend.items()}
-                else:
-                    evaluations[(arm, p)] = _nm_eval_counts(trace)
             mean = float(np.mean(finals)) if finals else float("nan")
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
             if not finals:
@@ -387,20 +355,6 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     if out_dir is not None:
         _write_outputs(result, adversary_reports, circuits, out_dir)
     return result
-
-
-def _nm_eval_counts(trace: RunTrace) -> dict[str, int]:
-    # Nelder-Mead evaluation counts per backend are not static; attribute
-    # the run's actual evaluations (minus the final audit) proportionally
-    # to iterations per backend.
-    per_backend: dict[str, int] = {}
-    for e in trace.entries:
-        per_backend[e.backend] = per_backend.get(e.backend, 0) + 1
-    total_iters = len(trace.entries)
-    optimizer_evals = trace.evaluations - 1
-    return {
-        b: round(optimizer_evals * n / total_iters) for b, n in sorted(per_backend.items())
-    }
 
 
 def results_to_csv(rows: list[dict]) -> str:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import ParamVector, build_qaoa, transpile
+from .circuit import ParamVector, TranspiledCircuit, build_qaoa, transpile
 from .errors import DivergenceError, MetricError, PlanError
 from .graph import Edge, Graph, max_cut_bruteforce
 from .optimizers import NelderMead, Spsa
@@ -46,7 +46,8 @@ def prune(g: Graph, removed: Sequence[Edge]) -> Graph:
 
 @dataclass(frozen=True)
 class PrunedFlavor:
-    """One pruned circuit variant and the backend it is dispatched to."""
+    """One circuit variant and the backend it is dispatched to. An empty
+    removed set is the unpruned circuit; an arm is a tuple of flavors."""
 
     removed_edges: tuple[Edge, ...]
     backend: BackendProfile
@@ -54,8 +55,6 @@ class PrunedFlavor:
     def __post_init__(self):
         normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in self.removed_edges))
         object.__setattr__(self, "removed_edges", normalized)
-        if not normalized:
-            raise PlanError("a flavor must remove at least one edge")
 
     def validate_against(self, g: Graph) -> None:
         removed = set(self.removed_edges)
@@ -65,12 +64,13 @@ class PrunedFlavor:
             raise PlanError("flavor must leave at least one edge in the circuit")
 
     def pruned_graph(self, g: Graph) -> Graph:
-        return prune(g, self.removed_edges)
+        return prune(g, self.removed_edges) if self.removed_edges else g
 
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """k >= 2 flavors with distinct removed sets, alternated round-robin.
+    """k >= 2 flavors with distinct, nonempty removed sets, alternated
+    round-robin.
 
     Union rule: no edge is removed by every flavor, so the union of the
     circuits the providers see covers the full graph, while each single
@@ -78,14 +78,12 @@ class SplitPlan:
     """
 
     flavors: tuple[PrunedFlavor, ...]
-    schedule: str = "round_robin"
-    total_iterations: int = 50
 
     def __post_init__(self):
         if len(self.flavors) < 2:
             raise PlanError("a split plan needs at least 2 flavors")
-        if self.schedule != "round_robin":
-            raise PlanError(f"unknown schedule {self.schedule!r}")
+        if not all(f.removed_edges for f in self.flavors):
+            raise PlanError("every split flavor must remove at least one edge")
         removed_sets = [frozenset(f.removed_edges) for f in self.flavors]
         if len(set(removed_sets)) != len(removed_sets):
             raise PlanError("flavors must have distinct removed sets")
@@ -117,7 +115,6 @@ def make_split_plan(
     edges_per_flavor: int,
     backends: Sequence[BackendProfile],
     seed: int,
-    total_iterations: int = 50,
 ) -> SplitPlan:
     """Sample k distinct removed-edge sets uniformly under the union rule.
 
@@ -142,7 +139,7 @@ def make_split_plan(
         if frozenset.intersection(*(frozenset(p) for p in picks)):
             continue
         flavors = tuple(PrunedFlavor(p, b) for p, b in zip(picks, backends))
-        plan = SplitPlan(flavors, total_iterations=total_iterations)
+        plan = SplitPlan(flavors)
         plan.validate(g)
         return plan
     raise PlanError("could not satisfy the union rule; graph too small for this plan")
@@ -181,9 +178,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One optimizer iteration: the flavor it ran, how many shot
+    evaluations it made there, and where the parameters ended up."""
+
     iteration: int
     backend: str
     flavor: int
+    evaluations: int
     params: ParamVector
     expectation: float
     ar: float
@@ -211,6 +212,7 @@ class RunTrace:
                 "iteration": e.iteration,
                 "backend": e.backend,
                 "flavor": e.flavor,
+                "evaluations": e.evaluations,
                 "gammas": list(e.params.gammas),
                 "betas": list(e.params.betas),
                 "expectation": e.expectation,
@@ -241,6 +243,7 @@ class RunTrace:
                 iteration=e["iteration"],
                 backend=e["backend"],
                 flavor=e["flavor"],
+                evaluations=e["evaluations"],
                 params=ParamVector(tuple(e["gammas"]), tuple(e["betas"])),
                 expectation=e["expectation"],
                 ar=e["ar"],
@@ -278,41 +281,25 @@ def approximation_ratio(expectation: float, cmax: int) -> float:
     return min(max(r, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class _ResolvedFlavor:
-    # Internal: the baseline arm is a pseudo-flavor with nothing removed.
-    index: int
-    removed: tuple[Edge, ...]
-    backend: BackendProfile
-    graph: Graph
+def dispatch(g_full: Graph, flavor: PrunedFlavor, params: ParamVector) -> TranspiledCircuit:
+    """The circuit that leaves the client for ``flavor``'s backend.
+
+    Built on the flavor's graph and routed onto the backend's coupling map
+    when it has one; an unrouted circuit carries identity layouts.
+    ``serialize(dispatch(...).circuit)`` is the wire text.
+    """
+    circ = build_qaoa(flavor.pruned_graph(g_full), params)
+    if flavor.backend.coupling is not None:
+        return transpile(circ, flavor.backend.coupling)
+    identity = tuple(range(circ.num_qubits))
+    return TranspiledCircuit(circ, identity, identity, 0)
 
 
-def _resolve_flavors(g_full, plan, backend) -> list[_ResolvedFlavor]:
-    if plan is None:
-        if backend is None:
-            raise ValueError("plan=None (baseline) requires an explicit backend")
-        return [_ResolvedFlavor(0, (), backend, g_full)]
-    if isinstance(plan, PrunedFlavor):
-        plan.validate_against(g_full)
-        return [_ResolvedFlavor(0, plan.removed_edges, plan.backend, plan.pruned_graph(g_full))]
-    if isinstance(plan, SplitPlan):
-        plan.validate(g_full)
-        return [
-            _ResolvedFlavor(i, f.removed_edges, f.backend, f.pruned_graph(g_full))
-            for i, f in enumerate(plan.flavors)
-        ]
-    raise TypeError(f"plan must be SplitPlan, PrunedFlavor, or None, got {type(plan)}")
-
-
-def _run_expectation(g_full: Graph, fl: _ResolvedFlavor, params: ParamVector, shots: int) -> float:
-    circ = build_qaoa(fl.graph, params)
-    if fl.backend.coupling is not None:
-        routed = transpile(circ, fl.backend.coupling)
-        raw = run_shots(routed.circuit, fl.backend, shots)
-        counts = remap_counts(raw.counts, routed.final_layout)
-        result = ShotResult(counts=counts, shots=shots)
-    else:
-        result = run_shots(circ, fl.backend, shots)
+def _run_expectation(g_full: Graph, flavor: PrunedFlavor, params: ParamVector, shots: int) -> float:
+    routed = dispatch(g_full, flavor, params)
+    result = run_shots(routed.circuit, flavor.backend, shots)
+    if flavor.backend.coupling is not None:
+        result = ShotResult(remap_counts(result.counts, routed.final_layout), shots)
     return expectation_full_cost(g_full, result)
 
 
@@ -325,27 +312,24 @@ def _init_params(cfg: OptimizerConfig) -> ParamVector:
     return ParamVector(tuple(gammas), tuple(betas))
 
 
-def optimize(
-    g_full: Graph,
-    plan: SplitPlan | PrunedFlavor | None,
-    cfg: OptimizerConfig,
-    backend: BackendProfile | None = None,
-) -> RunTrace:
+def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfig) -> RunTrace:
     """Run the (possibly alternating) shot-based optimization loop.
 
-    ``plan`` selects the arm: None is the unobfuscated baseline on
-    ``backend``, a single PrunedFlavor is the pruned-only arm, a SplitPlan
-    alternates flavors round-robin per optimizer iteration, so every
-    evaluation inside one iteration lands on one backend. cfg.total_iterations
-    governs the loop regardless of the plan's declared budget.
+    Iteration t runs on ``flavors[t % k]``, so every evaluation inside one
+    iteration lands on one backend. One flavor with nothing removed is the
+    unobfuscated baseline, one pruned flavor the pruned-only arm, and a
+    split plan's flavors the split arm.
 
     Final quality is the best-observed parameters re-evaluated with a fresh
     16384-shot run on the run's primary flavor (index 0): the same circuit
     family and backend the client would keep using, which removes the
     winner's-curse bias of picking the luckiest noisy trace entry.
     """
-    flavors = _resolve_flavors(g_full, plan, backend)
     k = len(flavors)
+    if k == 0:
+        raise ValueError("need at least one flavor")
+    for f in flavors:
+        f.validate_against(g_full)
     if cfg.total_iterations < 2 * k and k > 1:
         raise ValueError(f"total_iterations must be >= {2 * k} for a {k}-flavor plan")
     cmax, _ = max_cut_bruteforce(g_full)
@@ -391,7 +375,8 @@ def optimize(
         entries.append(TraceEntry(
             iteration=t,
             backend=fl.backend.name,
-            flavor=fl.index,
+            flavor=t % k,
+            evaluations=len(evals),
             params=ParamVector.from_array(opt.x),
             expectation=mean_f,
             ar=approximation_ratio(mean_f, cmax),
@@ -413,18 +398,3 @@ def optimize(
         shots=cfg.shots,
     )
 
-
-def layer_sweep(
-    g: Graph,
-    plan: SplitPlan | PrunedFlavor | None,
-    p_values: Sequence[int],
-    cfg: OptimizerConfig,
-    backend: BackendProfile | None = None,
-) -> list[RunTrace]:
-    """One optimize run per layer count. Runs are independent: the layer
-    count feeds the RNG derivation, so each p gets its own streams."""
-    if not p_values:
-        raise ValueError("p_values must be nonempty")
-    if any(p < 1 for p in p_values):
-        raise ValueError("layer counts must be >= 1")
-    return [optimize(g, plan, replace(cfg, p_layers=int(p)), backend=backend) for p in p_values]

@@ -176,16 +176,11 @@ def run_statevector(c: Circuit, check_norm: bool = False) -> np.ndarray:
     return state.reshape(-1)
 
 
-def state_probabilities(c: Circuit) -> np.ndarray:
-    amps = run_statevector(c)
-    return np.abs(amps) ** 2
-
-
 def exact_expectation(g: Graph, c: Circuit) -> float:
     """Exact cut expectation of the circuit's output distribution under g's cost."""
     if c.num_qubits != g.n:
         raise ValueError(f"circuit width {c.num_qubits} != node count {g.n}")
-    return float(state_probabilities(c) @ cut_values_vector(g))
+    return float(np.abs(run_statevector(c)) ** 2 @ cut_values_vector(g))
 
 
 def _shot_rng(backend: BackendProfile, c: Circuit, shots: int) -> np.random.Generator:
@@ -300,8 +295,8 @@ def expectation_full_cost(g_full: Graph, result: ShotResult) -> float:
     """
     total = 0
     for bits, cnt in result.counts.items():
-        if len(bits) != g_full.n:
-            raise ValueError(f"bitstring length {len(bits)} != node count {g_full.n}")
+        if len(bits) != g_full.n or bits.strip("01"):
+            raise ValueError(f"bitstring {bits!r} is not {g_full.n} binary digits")
         crossing = sum(1 for u, v in g_full.edges if bits[u] != bits[v])
         total += cnt * crossing
     return total / result.shots

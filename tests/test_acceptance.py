@@ -15,7 +15,9 @@ from splitcut.adversary import cross_provider_merge, effort, extract_graph
 from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize, transpile
 from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, cut_value, max_cut_bruteforce
 from splitcut.harness import ExperimentSpec, run_experiment
-from splitcut.obfuscation import FINAL_EVAL_SHOTS, OptimizerConfig, make_split_plan, optimize, prune
+from splitcut.obfuscation import (
+    FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, make_split_plan, optimize, prune,
+)
 from splitcut.simulator import exact_expectation
 
 from conftest import random_params
@@ -101,7 +103,7 @@ def test_criterion_2_ideal_qaoa_sanity(ideal_backend):
     finals = []
     for seed in SEEDS:
         cfg = OptimizerConfig(total_iterations=50, p_layers=1, shots=4096, seed=seed)
-        finals.append(optimize(g, None, cfg, backend=ideal_backend).final_ar)
+        finals.append(optimize(g, (PrunedFlavor((), ideal_backend),), cfg).final_ar)
     hits = sum(1 for ar in finals if ar >= 0.70)
     ok = abs(grid_ar - 0.75) <= 0.01 and hits >= 8
     assert report(2, ok, f"grid AR={grid_ar:.4f} (want 0.75 +/- 0.01); "

@@ -119,11 +119,19 @@ class TestRunExperiment:
         assert first == ",".join(CSV_HEADER)
 
     def test_adversary_report_strict_subsets(self, small_result):
+        from splitcut.adversary import extract_graph
+
         _, out = small_result
         payload = json.loads((out / "adversary.json").read_text())
         g = benchmark_graph("cycle4")
         for rep in payload["split_p1"]:
             assert len(rep["edges"]) < len(g.edges)
+        # the gate audits exactly the circuits that were written out
+        written = [
+            extract_graph((out / "circuits" / f"split_p1_flavor{i}.txt").read_text()).to_dict()
+            for i in range(2)
+        ]
+        assert payload["split_p1"] == written
 
     def test_bit_exact_reproduction(self, tmp_path):
         spec = ExperimentSpec.from_dict(SMALL_SPEC)
@@ -204,6 +212,22 @@ class TestOverhead:
         split_evals = {b["backend"]: b["evaluations"] for b in entries["split"]["per_backend"]}
         assert split_evals == {"ideal1": 8, "ideal2": 8}
 
+    def test_counted_evaluations_come_from_the_first_seed(self, tmp_path):
+        # Nelder-Mead makes a varying number of evaluations per iteration and
+        # per seed; the report counts the first seed's, per backend
+        spec = ExperimentSpec.from_dict(dict(
+            SMALL_SPEC, arms=["original", "split"], seeds=[0, 1, 2], optimizer="nelder_mead",
+        ))
+        result = run_experiment(spec, out_dir=tmp_path)
+        written = json.loads((tmp_path / "overhead.json").read_text())
+        for entry in written["arms"]:
+            trace = result.traces[(entry["arm"], 1, 0)]
+            counted: dict[str, int] = {}
+            for e in trace.entries:
+                counted[e.backend] = counted.get(e.backend, 0) + e.evaluations
+            assert {b["backend"]: b["evaluations"] for b in entry["per_backend"]} == counted
+            assert entry["total_shot_evaluations"] == trace.evaluations
+
 
 class TestCli:
     def test_graph_gen_and_show(self, tmp_path, capsys):
@@ -258,6 +282,23 @@ class TestCli:
         assert main(["overhead", "--config", str(config)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "baseline" in payload
+
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        no_graph = tmp_path / "no_graph.json"
+        no_graph.write_text(json.dumps({"arms": ["original"]}))
+        bad_arm = tmp_path / "bad_arm.json"
+        bad_arm.write_text(json.dumps(dict(SMALL_SPEC, arms=["originale"])))
+        for argv in (["run", "--config", str(tmp_path / "missing.json")],
+                     ["run", "--config", str(bad_json)],
+                     ["overhead", "--config", str(no_graph)],
+                     ["sweep", "--config", str(bad_arm)],
+                     ["adversary", "extract", "--circuit", str(bad_json)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("splitcut: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
     def test_sweep_command_overrides_p(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

@@ -11,12 +11,16 @@ from splitcut.obfuscation import (
     PrunedFlavor,
     SplitPlan,
     approximation_ratio,
-    layer_sweep,
     make_split_plan,
     optimize,
     prune,
 )
 from splitcut.simulator import BackendProfile
+
+
+def unpruned(backend):
+    """The baseline arm: one flavor that removes nothing."""
+    return (PrunedFlavor((), backend),)
 
 
 class TestPrune:
@@ -69,11 +73,15 @@ class TestPlans:
         with pytest.raises(PlanError):
             SplitPlan((PrunedFlavor(((0, 1),), ideal_backend),))
 
-    def test_flavor_must_leave_an_edge(self, ideal_backend):
+    def test_flavor_must_leave_an_edge(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle3")
         flavor = PrunedFlavor(tuple(g.edges), ideal_backend)
         with pytest.raises(PlanError):
             flavor.validate_against(g)
+        # the unpruned flavor is valid alone, but never inside a split plan
+        PrunedFlavor((), ideal_backend).validate_against(g)
+        with pytest.raises(PlanError):
+            SplitPlan((PrunedFlavor((), ideal_backend), PrunedFlavor(((0, 1),), ideal_backend_2)))
 
     def test_make_split_plan_cycle4(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
@@ -135,17 +143,18 @@ class TestOptimize:
         base.update(kw)
         return OptimizerConfig(**base)
 
-    def test_baseline_requires_backend(self):
+    def test_empty_flavor_tuple_rejected(self):
         with pytest.raises(ValueError):
-            optimize(benchmark_graph("cycle4"), None, self.cfg())
+            optimize(benchmark_graph("cycle4"), (), self.cfg())
 
     def test_trace_shape_and_determinism(self, ideal_backend):
         g = benchmark_graph("cycle4")
-        t1 = optimize(g, None, self.cfg(), backend=ideal_backend)
-        t2 = optimize(g, None, self.cfg(), backend=ideal_backend)
+        t1 = optimize(g, unpruned(ideal_backend), self.cfg())
+        t2 = optimize(g, unpruned(ideal_backend), self.cfg())
         assert t1 == t2
         assert len(t1.entries) == 10
         assert t1.evaluations == 21  # 2 per iteration + final audit
+        assert sum(e.evaluations for e in t1.entries) + 1 == t1.evaluations
         assert t1.cmax == 4
         assert all(0.0 <= e.ar <= 1.0 for e in t1.entries)
         assert 0.0 <= t1.final_ar <= 1.0
@@ -153,7 +162,7 @@ class TestOptimize:
     def test_round_robin_alternation(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
         plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
-        trace = optimize(g, plan, self.cfg())
+        trace = optimize(g, plan.flavors, self.cfg())
         backends = [e.backend for e in trace.entries]
         assert backends[::2] == ["ideal1"] * 5
         assert backends[1::2] == ["ideal2"] * 5
@@ -163,7 +172,7 @@ class TestOptimize:
     def test_pruned_only_single_flavor(self, ideal_backend):
         g = benchmark_graph("cycle4")
         flavor = PrunedFlavor(((0, 1),), ideal_backend)
-        trace = optimize(g, flavor, self.cfg())
+        trace = optimize(g, (flavor,), self.cfg())
         assert {e.backend for e in trace.entries} == {"ideal1"}
         assert {e.flavor for e in trace.entries} == {0}
 
@@ -171,7 +180,7 @@ class TestOptimize:
         g = benchmark_graph("cycle4")
         plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
         with pytest.raises(ValueError):
-            optimize(g, plan, self.cfg(total_iterations=3))
+            optimize(g, plan.flavors, self.cfg(total_iterations=3))
 
     def test_qubit_header_hides_pruning(self, ideal_backend):
         g = benchmark_graph("cycle4")
@@ -191,10 +200,11 @@ class TestOptimize:
 
     def test_nelder_mead_runs(self, ideal_backend):
         g = benchmark_graph("cycle4")
-        trace = optimize(g, None, self.cfg(method="nelder_mead", total_iterations=15),
-                         backend=ideal_backend)
+        cfg = self.cfg(method="nelder_mead", total_iterations=15)
+        trace = optimize(g, unpruned(ideal_backend), cfg)
         assert len(trace.entries) == 15
         assert trace.evaluations > 15
+        assert sum(e.evaluations for e in trace.entries) + 1 == trace.evaluations
 
     def test_init_params_ranges(self):
         from splitcut.obfuscation import _init_params
@@ -207,18 +217,18 @@ class TestOptimize:
     def test_explicit_init_params_respected(self, ideal_backend):
         g = benchmark_graph("cycle4")
         pv = ParamVector((0.5,), (0.25,))
-        trace = optimize(g, None, self.cfg(init_params=pv), backend=ideal_backend)
+        trace = optimize(g, unpruned(ideal_backend), self.cfg(init_params=pv))
         assert trace is not None
         with pytest.raises(ValueError):
             OptimizerConfig(p_layers=2, init_params=pv)
 
     def test_trace_jsonl_round_trip(self, ideal_backend):
         g = benchmark_graph("cycle3")
-        trace = optimize(g, None, self.cfg(total_iterations=3), backend=ideal_backend)
+        trace = optimize(g, unpruned(ideal_backend), self.cfg(total_iterations=3))
         lines = trace.to_jsonl().strip().split("\n")
         assert len(lines) == 4
         entry = json.loads(lines[0])
-        assert set(entry) == {"iteration", "backend", "flavor", "gammas", "betas",
+        assert set(entry) == {"iteration", "backend", "flavor", "evaluations", "gammas", "betas",
                               "expectation", "ar"}
         summary = json.loads(lines[-1])["summary"]
         assert summary["rng_algorithm"] == "numpy-pcg64"
@@ -227,33 +237,18 @@ class TestOptimize:
 
         assert RunTrace.from_jsonl(trace.to_jsonl()) == trace
 
-    def test_layer_sweep_matches_single_optimize(self, ideal_backend):
-        g = benchmark_graph("cycle4")
-        cfg = self.cfg(p_layers=1)
-        sweep = layer_sweep(g, None, [1], cfg, backend=ideal_backend)
-        assert len(sweep) == 1
-        assert sweep[0] == optimize(g, None, cfg, backend=ideal_backend)
-
-    def test_layer_sweep_validates_input(self, ideal_backend):
-        g = benchmark_graph("cycle4")
-        with pytest.raises(ValueError):
-            layer_sweep(g, None, [], self.cfg(), backend=ideal_backend)
-        with pytest.raises(ValueError):
-            layer_sweep(g, None, [0], self.cfg(), backend=ideal_backend)
-
     def test_divergence_aborts_with_partial_trace(self, ideal_backend):
         from splitcut.errors import DivergenceError
 
         g = benchmark_graph("cycle4")
         with pytest.raises(DivergenceError) as err:
-            optimize(g, None, self.cfg(spsa_a=float("inf"), total_iterations=10),
-                     backend=ideal_backend)
+            optimize(g, unpruned(ideal_backend), self.cfg(spsa_a=float("inf"), total_iterations=10))
         assert err.value.trace is not None  # diagnostic trace of completed iterations
 
     def test_transpiles_for_coupled_backend(self):
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
-        trace = optimize(g, None, self.cfg(total_iterations=4), backend=backend)
+        trace = optimize(g, unpruned(backend), self.cfg(total_iterations=4))
         assert len(trace.entries) == 4
 
     def test_routed_run_reaches_unrouted_quality(self):
@@ -262,12 +257,12 @@ class TestOptimize:
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
         cfg = self.cfg(total_iterations=30, shots=2048, seed=0)
-        assert optimize(g, None, cfg, backend=backend).final_ar >= 0.85
+        assert optimize(g, unpruned(backend), cfg).final_ar >= 0.85
 
     def test_three_flavor_round_robin(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
         plan = make_split_plan(
             g, 3, 1, [ideal_backend, ideal_backend_2, noisy_backend], seed=2
         )
-        trace = optimize(g, plan, self.cfg(total_iterations=6))
+        trace = optimize(g, plan.flavors, self.cfg(total_iterations=6))
         assert [e.flavor for e in trace.entries] == [0, 1, 2, 0, 1, 2]

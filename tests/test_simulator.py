@@ -190,6 +190,12 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation_full_cost(g, ShotResult(counts={"010": 1}, shots=1))
 
+    def test_non_binary_bitstring_rejected(self):
+        g = benchmark_graph("cycle3")
+        for bits in ("2x0", "01 ", "1.0"):
+            with pytest.raises(ValueError):
+                expectation_full_cost(g, ShotResult(counts={bits: 4}, shots=4))
+
     def test_uniform_average_is_half_edges_every_benchmark(self, benchmarks):
         # closed form: every edge crosses for exactly half the assignments
         for g in benchmarks.values():
