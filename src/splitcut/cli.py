@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: graph gen|show, run, sweep, adversary extract|effort|merge,
+Subcommands: graph gen|show, run, adversary extract|effort|merge,
 overhead. Experiment subcommands read one JSON spec file; the exit code is
 1 iff an invariant assertion failed during the run. Bad input (a missing
 file, malformed JSON, a missing key, a rejected value) prints one
@@ -35,30 +35,17 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _load_spec(args) -> ExperimentSpec:
+def _cmd_run(args) -> int:
     spec = ExperimentSpec.from_json_file(args.config)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seeds=(args.seed,))
-    return spec
-
-
-def _cmd_run(args) -> int:
-    spec = _load_spec(args)
+    if args.p:
+        spec = dataclasses.replace(spec, p_layers=tuple(int(x) for x in args.p.split(",")))
     result = run_experiment(spec, out_dir=args.out)
     _print_rows(result.rows)
     for failure in result.failures:
         print(f"FAILED cell {failure['arm']} p={failure['p']} seed={failure['seed']}: "
               f"{failure['error']}", file=sys.stderr)
-    return 0 if result.ok else 1
-
-
-def _cmd_sweep(args) -> int:
-    spec = _load_spec(args)
-    if args.p:
-        p_values = tuple(int(x) for x in args.p.split(","))
-        spec = dataclasses.replace(spec, p_layers=p_values)
-    result = run_experiment(spec, out_dir=args.out)
-    _print_rows(result.rows)
     return 0 if result.ok else 1
 
 
@@ -126,14 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_show = graph_sub.add_parser("show", help="print nodes, edges and exact max cut")
     p_show.add_argument("file", help="graph file or benchmark id")
 
-    for name, fn in (("run", _cmd_run), ("sweep", _cmd_sweep)):
-        p_cmd = sub.add_parser(name, help=f"{name} an experiment spec")
-        p_cmd.add_argument("--config", required=True, help="experiment spec JSON")
-        p_cmd.add_argument("--out", help="output directory")
-        p_cmd.add_argument("--seed", type=int, help="run a single seed instead of the spec's list")
-        if name == "sweep":
-            p_cmd.add_argument("--p", help="comma-separated layer counts overriding the spec")
-        p_cmd.set_defaults(fn=fn)
+    p_run = sub.add_parser("run", help="run an experiment spec")
+    p_run.add_argument("--config", required=True, help="experiment spec JSON")
+    p_run.add_argument("--out", help="output directory")
+    p_run.add_argument("--seed", type=int, help="run a single seed instead of the spec's list")
+    p_run.add_argument("--p", help="comma-separated layer counts overriding the spec")
+    p_run.set_defaults(fn=_cmd_run)
 
     p_over = sub.add_parser("overhead", help="static gate/evaluation cost report")
     p_over.add_argument("--config", required=True)

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"experiment spec must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment spec keys: {unknown}")
         removed = d.get("removed_sets")
         if removed is not None:
             removed = tuple(tuple((int(u), int(v)) for u, v in flavor) for flavor in removed)
@@ -143,10 +148,6 @@ def _spec_label(spec: ExperimentSpec, arm: str) -> str:
         return "-".join("+".join(f"{u}.{v}" for u, v in rs) for rs in sets)
     k = spec.k if arm == "split" else 1
     return f"rand:{k}x{spec.edges_per_flavor}"
-
-
-def _sim_kind(backends: list[BackendProfile]) -> str:
-    return "noisy" if any(b.is_noisy for b in backends) else "ideal"
 
 
 @dataclass
@@ -293,9 +294,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     evaluations: dict[tuple[str, int], dict[str, int]] = {}
 
     for arm in spec.arms:
-        arm_backends = backends if arm == "split" else backends[:1]
         for p in spec.p_layers:
             finals: list[float] = []
+            noisy = False  # any dispatched flavor ran on a noisy backend
             for seed in spec.seeds:
                 cfg = OptimizerConfig(
                     method=spec.optimizer,
@@ -306,6 +307,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 )
                 try:
                     flavors = _arm_flavors(g, spec, backends, arm, seed)
+                    noisy = noisy or any(f.backend.is_noisy for f in flavors)
                     trace = optimize(g, flavors, cfg)
                     # the wire artifacts the provider(s) receive
                     texts = [serialize(dispatch(g, f, trace.best_params).circuit) for f in flavors]
@@ -339,7 +341,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             rows.append({
                 "graph": label,
                 "spec": _spec_label(spec, arm),
-                "sim": _sim_kind(arm_backends),
+                "sim": "noisy" if noisy else "ideal",
                 "arm": arm,
                 "p": p,
                 "mean_ar": mean,

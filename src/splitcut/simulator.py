@@ -1,21 +1,27 @@
-"""Dense statevector simulation with shot sampling and trajectory noise.
+"""Dense statevector and density-matrix simulation with shot sampling.
 
 State indexing convention: qubit 0 is the most significant bit of the flat
 state index, so index k corresponds to bitstring ``format(k, '0nb')`` whose
 character i is qubit i. Count dictionaries use those bitstrings as keys.
 
-Noise is a stochastic unravelling of the depolarizing channel: after each
-gate, each touched qubit independently suffers (with probability p1 for
-1-qubit gates, p2 for cx) a uniformly random Pauli X/Y/Z. Readout flips each
-measured bit independently. Shots that sampled the same error pattern share
-one statevector evolution, so light noise stays cheap.
+``run_shots`` draws every shot from the exact output distribution of the
+circuit on the backend (``outcome_probabilities``). Gate noise is the
+depolarizing channel: after each gate, each touched qubit goes through
+rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z), with p = p1 for
+1-qubit gates and p2 for cx, evolved exactly on the density matrix. That
+limits gate-noise circuits to ``MAX_DENSITY_QUBITS`` (10) qubits; wider ones
+raise ``CapacityError``. Without gate noise the distribution is |psi|^2 of
+the statevector (up to ``MAX_QUBITS``). Readout flips each measured bit
+independently, applied as a per-bit stochastic map on the distribution.
 
 Reproducibility: ``run_shots`` derives its whole random stream from
 (backend.seed, shots, sha256 of the serialized circuit) through numpy's
 PCG64. Identical inputs give bit-identical counts on any platform; the
-generator is recorded in run traces as ``numpy-pcg64``. Draw order is:
-error-site fires, Pauli choices, per-trajectory measurement outcomes
-(first-occurrence order), readout flips.
+generator is recorded in run traces as ``numpy-pcg64``. The stream is used
+for exactly one draw: ``choice(2^n, size=shots, p=probs)`` over the clipped,
+normalized distribution. On noiseless backends this is the draw the
+earlier per-shot trajectory sampler made, so ideal counts reproduce across
+that change.
 
 A single run owns its state and is single-threaded; independent runs can
 execute concurrently.
@@ -30,15 +36,15 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import Circuit, CouplingMap, serialize
+from .circuit import Circuit, CouplingMap, Gate, serialize
 from .errors import CapacityError, RoutingError
 from .graph import Graph, cut_values_vector
 
 MAX_QUBITS = 20
 RNG_ALGORITHM = "numpy-pcg64"
 
-# Trajectory batches are chunked so batch memory stays near 2^22 amplitudes.
-_CHUNK_AMPLITUDES = 1 << 22
+# A density matrix of this width holds 4^10 amplitudes (16 MiB).
+MAX_DENSITY_QUBITS = 10
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
@@ -135,23 +141,6 @@ def _apply_gate(arr: np.ndarray, gate, n: int) -> None:
     # measure is handled by the sampling layer
 
 
-def _apply_pauli_rows(arr: np.ndarray, rows: np.ndarray, pauli: int, q: int, n: int) -> None:
-    # Pauli codes: 0 = X, 1 = Y, 2 = Z, applied only to the given trajectory rows.
-    sub = arr[rows]
-    i0, i1 = _index(n, {q: 0}), _index(n, {q: 1})
-    if pauli == 0:
-        tmp = sub[i0].copy()
-        sub[i0] = sub[i1]
-        sub[i1] = tmp
-    elif pauli == 1:
-        tmp = sub[i0].copy()
-        sub[i0] = -1j * sub[i1]
-        sub[i1] = 1j * tmp
-    else:
-        sub[i1] = -sub[i1]
-    arr[rows] = sub
-
-
 def _check_capacity(c: Circuit) -> None:
     if c.num_qubits > MAX_QUBITS:
         raise CapacityError(f"statevector limited to {MAX_QUBITS} qubits, got {c.num_qubits}")
@@ -190,24 +179,67 @@ def _shot_rng(backend: BackendProfile, c: Circuit, shots: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _error_sites(c: Circuit, noise: NoiseModel) -> list[tuple[int, int, float]]:
-    # One site per (gate, touched qubit) with nonzero error probability.
-    sites = []
-    for gi, g in enumerate(c.gates):
-        if g.name == "measure":
-            continue
-        p = noise.p2 if g.name == "cx" else noise.p1
+def _density_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
+    # rho is a 2n-qubit tensor: axis q is the row index of qubit q, axis
+    # q + n its column index. U rho U^dagger applies U to the rows and the
+    # complex conjugate of U to the columns; h and cx are real, and the
+    # conjugate of rx/rz is the same gate at the negated angle.
+    n = c.num_qubits
+    rho = np.zeros((1,) + (2,) * (2 * n), dtype=complex)
+    rho.flat[0] = 1.0
+    for gate in c.gates:
+        _apply_gate(rho, gate, 2 * n)
+        angle = None if gate.angle is None else -gate.angle
+        _apply_gate(rho, Gate(gate.name, tuple(q + n for q in gate.qubits), angle), 2 * n)
+        p = noise.p2 if gate.name == "cx" else noise.p1
         if p > 0.0:
-            for q in g.qubits:
-                sites.append((gi, q, p))
-    return sites
+            for q in gate.qubits:
+                _depolarize(rho, p, q, n)
+    return np.diagonal(rho.reshape(1 << n, 1 << n)).real.copy()
+
+
+def _depolarize(rho: np.ndarray, p: float, q: int, n: int) -> None:
+    # (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
+    #   = (1 - 4p/3) rho + (2p/3) Tr_q(rho) (x) I
+    i00 = _index(2 * n, {q: 0, q + n: 0})
+    i11 = _index(2 * n, {q: 1, q + n: 1})
+    mixed = (2.0 * p / 3.0) * (rho[i00] + rho[i11])
+    rho *= 1.0 - 4.0 * p / 3.0
+    rho[i00] += mixed
+    rho[i11] += mixed
+
+
+def outcome_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """Exact distribution of the measured bitstrings, indexed like the state.
+
+    Gate noise evolves the density matrix (at most ``MAX_DENSITY_QUBITS``
+    wide); without it the probabilities are ``|run_statevector(c)|^2``.
+    Readout flips then act on each bit as a 2x2 stochastic map.
+    """
+    _check_capacity(c)
+    noise = noise if noise is not None else NoiseModel()
+    n = c.num_qubits
+    if noise.p1 > 0.0 or noise.p2 > 0.0:
+        if n > MAX_DENSITY_QUBITS:
+            raise CapacityError(
+                f"gate noise is simulated up to {MAX_DENSITY_QUBITS} qubits, got {n}"
+            )
+        probs = _density_probabilities(c, noise)
+    else:
+        probs = np.abs(run_statevector(c)) ** 2
+    f = noise.readout_flip
+    if f > 0.0:
+        t = probs.reshape((2,) * n)
+        for q in range(n):
+            t = (1.0 - f) * t + f * np.flip(t, axis=q)
+        probs = t.reshape(-1)
+    return probs
 
 
 def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> ShotResult:
     """Sample measurement counts for the circuit on the given backend."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    _check_capacity(c)
     if backend.coupling is not None:
         for g in c.gates:
             if g.name == "cx" and not backend.coupling.allows(*g.qubits):
@@ -215,75 +247,11 @@ def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> ShotResult:
                     f"cx{g.qubits} violates the coupling map; transpile before run_shots"
                 )
     n = c.num_qubits
-    dim = 1 << n
-    noise = backend.noise if backend.noise is not None else NoiseModel()
-    rng = _shot_rng(backend, c, shots)
-
-    sites = _error_sites(c, noise)
-    if sites:
-        probs = np.array([p for _, _, p in sites])
-        fires = rng.random((shots, len(sites))) < probs
-        paulis = rng.integers(0, 3, size=(shots, len(sites)), dtype=np.int8)
-        pattern_of_shot = np.zeros(shots, dtype=np.int64)
-        patterns: dict[tuple, int] = {}
-        pattern_list: list[tuple] = []
-        for s in range(shots):
-            fired = np.nonzero(fires[s])[0]
-            key = tuple((int(f), int(paulis[s, f])) for f in fired)
-            u = patterns.get(key)
-            if u is None:
-                u = len(pattern_list)
-                patterns[key] = u
-                pattern_list.append(key)
-            pattern_of_shot[s] = u
-    else:
-        pattern_of_shot = np.zeros(shots, dtype=np.int64)
-        pattern_list = [()]
-
-    shots_per_pattern = np.bincount(pattern_of_shot, minlength=len(pattern_list))
-    outcomes = np.zeros(shots, dtype=np.int64)
-    chunk_rows = max(1, _CHUNK_AMPLITUDES // dim)
-
-    for start in range(0, len(pattern_list), chunk_rows):
-        chunk = pattern_list[start : start + chunk_rows]
-        t = len(chunk)
-        state = np.zeros((t, dim), dtype=complex)
-        state[:, 0] = 1.0
-        arr = state.reshape((t,) + (2,) * n)
-        # site events for this chunk: site index -> {pauli: rows}
-        events: dict[int, dict[int, list[int]]] = {}
-        for row, key in enumerate(chunk):
-            for site_idx, pauli in key:
-                events.setdefault(site_idx, {}).setdefault(pauli, []).append(row)
-        site_at_gate: dict[int, list[int]] = {}
-        for site_idx, (gi, _, _) in enumerate(sites):
-            if site_idx in events:
-                site_at_gate.setdefault(gi, []).append(site_idx)
-        for gi, gate in enumerate(c.gates):
-            _apply_gate(arr, gate, n)
-            for site_idx in site_at_gate.get(gi, ()):
-                q = sites[site_idx][1]
-                for pauli in sorted(events[site_idx]):
-                    rows = np.array(events[site_idx][pauli], dtype=np.int64)
-                    _apply_pauli_rows(arr, rows, pauli, q, n)
-        probs_chunk = np.abs(state) ** 2
-        for row in range(t):
-            u = start + row
-            m = int(shots_per_pattern[u])
-            if m == 0:
-                continue
-            pk = probs_chunk[row]
-            pk = pk / pk.sum()
-            drawn = rng.choice(dim, size=m, p=pk)
-            outcomes[pattern_of_shot == u] = drawn
-
-    if noise.readout_flip > 0.0:
-        flips = rng.random((shots, n)) < noise.readout_flip
-        weights = np.array([1 << (n - 1 - q) for q in range(n)], dtype=np.int64)
-        outcomes ^= flips @ weights
-
-    values, cnts = np.unique(outcomes, return_counts=True)
-    counts = {format(int(v), f"0{n}b"): int(cn) for v, cn in zip(values, cnts)}
+    probs = np.maximum(outcome_probabilities(c, backend.noise), 0.0)
+    probs = probs / probs.sum()
+    outcomes = _shot_rng(backend, c, shots).choice(1 << n, size=shots, p=probs)
+    tally = np.bincount(outcomes)
+    counts = {format(int(v), f"0{n}b"): int(tally[v]) for v in np.flatnonzero(tally)}
     return ShotResult(counts=counts, shots=shots)
 
 
@@ -318,7 +286,15 @@ def remap_counts(counts: dict[str, int], final_layout: tuple[int, ...]) -> dict[
 # -- backend profile config ------------------------------------------------
 
 
+_PROFILE_KEYS = frozenset({"name", "p1", "p2", "readout_flip", "coupling", "num_physical", "seed"})
+
+
 def backend_from_dict(d: dict) -> BackendProfile:
+    if not isinstance(d, dict):
+        raise ValueError(f"backend profile must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - _PROFILE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown backend profile keys: {unknown}")
     noise = None
     if any(d.get(k) for k in ("p1", "p2", "readout_flip")):
         noise = NoiseModel(
@@ -346,6 +322,8 @@ def load_backend_profiles(path=None) -> dict[str, BackendProfile]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise ValueError(f"backend profiles must be a JSON list, got {type(entries).__name__}")
     profiles = {}
     for d in entries:
         b = backend_from_dict(d)

@@ -175,6 +175,15 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert result.rows[0]["sim"] == "noisy"
 
+    def test_sim_column_follows_dispatched_backends(self):
+        # k=2 dispatches to ideal1/ideal2 only; the unused noisy hw1 does not count
+        spec = ExperimentSpec.from_dict(dict(
+            SMALL_SPEC, arms=["original", "split"], backends=["ideal1", "ideal2", "hw1"],
+            seeds=[0], iterations=2, shots=64,
+        ))
+        result = run_experiment(spec)
+        assert [r["sim"] for r in result.rows] == ["ideal", "ideal"]
+
 
 class TestOverhead:
     def test_two_layer_doubles_problem_two_qubit_gates(self):
@@ -290,21 +299,41 @@ class TestCli:
         no_graph.write_text(json.dumps({"arms": ["original"]}))
         bad_arm = tmp_path / "bad_arm.json"
         bad_arm.write_text(json.dumps(dict(SMALL_SPEC, arms=["originale"])))
+        unknown_key = tmp_path / "unknown_key.json"
+        unknown_key.write_text(json.dumps({"graph": "cycle4", "seed": [0]}))
+        not_object = tmp_path / "not_object.json"
+        not_object.write_text("[]")
+        bad_profile = tmp_path / "bad_profile.json"
+        bad_profile.write_text(json.dumps([{"name": "x", "readout": 0.1}]))
+        profile_key = tmp_path / "profile_key.json"
+        profile_key.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(bad_profile),
+                                               backends=["x"])))
+        names_only = tmp_path / "names_only.json"
+        names_only.write_text(json.dumps(["ideal1"]))
+        profile_list = tmp_path / "profile_list.json"
+        profile_list.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(names_only))))
+        profile_object = tmp_path / "profile_object.json"
+        profile_object.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(unknown_key))))
         for argv in (["run", "--config", str(tmp_path / "missing.json")],
                      ["run", "--config", str(bad_json)],
                      ["overhead", "--config", str(no_graph)],
-                     ["sweep", "--config", str(bad_arm)],
+                     ["run", "--config", str(bad_arm), "--p", "1,2"],
+                     ["run", "--config", str(unknown_key)],
+                     ["run", "--config", str(not_object)],
+                     ["run", "--config", str(profile_key)],
+                     ["overhead", "--config", str(profile_list)],
+                     ["overhead", "--config", str(profile_object)],
                      ["adversary", "extract", "--circuit", str(bad_json)]):
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("splitcut: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
-    def test_sweep_command_overrides_p(self, tmp_path, capsys):
+    def test_run_command_overrides_p(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
         config.write_text(json.dumps(dict(
             SMALL_SPEC, arms=["split"], seeds=[0], iterations=4, shots=128,
         )))
-        assert main(["sweep", "--config", str(config), "--p", "1,2"]) == 0
+        assert main(["run", "--config", str(config), "--p", "1,2"]) == 0
         printed = capsys.readouterr().out
         assert "p=1" in printed and "p=2" in printed

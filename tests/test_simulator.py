@@ -15,6 +15,7 @@ from splitcut.simulator import (
     exact_expectation,
     expectation_full_cost,
     load_backend_profiles,
+    outcome_probabilities,
     remap_counts,
     run_shots,
     run_statevector,
@@ -23,6 +24,50 @@ from splitcut.simulator import (
 from conftest import random_params
 
 BELL = Circuit(2, (h(0), cx(0, 1), measure_all()))
+
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def _on_qubits(mats: dict[int, np.ndarray], n: int) -> np.ndarray:
+    # Kronecker product with qubit 0 as the most significant factor.
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, mats.get(q, np.eye(2)))
+    return out
+
+
+def _gate_unitary(gate, n: int) -> np.ndarray:
+    if gate.name == "h":
+        return _on_qubits({gate.qubits[0]: np.array([[1, 1], [1, -1]]) / math.sqrt(2)}, n)
+    if gate.name in ("rx", "rz"):
+        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+        mat = (np.array([[c, -1j * s], [-1j * s, c]]) if gate.name == "rx"
+               else np.diag([c - 1j * s, c + 1j * s]))
+        return _on_qubits({gate.qubits[0]: mat}, n)
+    control, target = gate.qubits
+    zero, one = np.diag([1, 0]), np.diag([0, 1])
+    return (_on_qubits({control: zero}, n)
+            + _on_qubits({control: one, target: PAULIS[0]}, n))
+
+
+def kraus_reference(c: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Dense reference: full unitaries, the depolarizing Kraus sum on every
+    touched qubit after each gate, then a readout confusion matrix."""
+    n = c.num_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in c.gates:
+        if gate.name == "measure":
+            continue
+        u = _gate_unitary(gate, n)
+        rho = u @ rho @ u.conj().T
+        p = noise.p2 if gate.name == "cx" else noise.p1
+        for q in gate.qubits:
+            kicks = [_on_qubits({q: pauli}, n) for pauli in PAULIS]
+            rho = (1 - p) * rho + (p / 3) * sum(k @ rho @ k.conj().T for k in kicks)
+    f = noise.readout_flip
+    confusion = _on_qubits({q: np.array([[1 - f, f], [f, 1 - f]]) for q in range(n)}, n)
+    return confusion @ np.diag(rho).real
 
 
 class TestStatevector:
@@ -160,6 +205,27 @@ class TestRunShots:
         res = run_shots(bare, ideal_backend, 2048)
         assert set(res.counts) <= {"00", "11"}
 
+    def test_ideal_counts_pinned(self, ideal_backend):
+        # the draw order for noiseless backends: one choice() over |psi|^2;
+        # these counts must not move when the sampler changes
+        c = build_qaoa(benchmark_graph("cycle4"), ParamVector((0.4,), (0.3,)))
+        assert run_shots(c, ideal_backend, 64).counts == {
+            "0000": 20, "0011": 4, "0110": 5, "0111": 2, "1000": 1, "1001": 2,
+            "1010": 1, "1011": 1, "1100": 5, "1101": 2, "1111": 21,
+        }
+
+    def test_noisy_counts_fit_exact_distribution(self):
+        hw1 = load_backend_profiles()["hw1"]
+        c = build_qaoa(benchmark_graph("graph5"), ParamVector((0.5, 0.9), (0.6, 0.3)))
+        probs = outcome_probabilities(c, hw1.noise)
+        res = run_shots(c, hw1, 20000)
+        observed = [res.counts.get(format(i, "05b"), 0) for i in range(32)]
+        assert stats.chisquare(observed, 20000 * probs).pvalue > 1e-3
+
+    def test_gate_noise_width_capped(self, noisy_backend):
+        with pytest.raises(CapacityError):
+            run_shots(Circuit(11, (h(0),)), noisy_backend, 16)
+
     def test_ten_qubit_ring_samples_sanely(self, ideal_backend):
         g = benchmark_graph("cycle(10)")
         c = build_qaoa(g, ParamVector((0.0,), (0.0,)))  # uniform superposition
@@ -167,6 +233,21 @@ class TestRunShots:
         assert all(len(bits) == 10 for bits in res.counts)
         sampled = expectation_full_cost(g, res)
         assert sampled == pytest.approx(len(g.edges) / 2, abs=0.15)
+
+
+class TestExactDistribution:
+    @pytest.mark.parametrize("name", ["cycle3", "cycle4", "graph5"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("backend", ["hw1", "hw2"])
+    def test_matches_kraus_reference(self, name, p, backend):
+        noise = load_backend_profiles()[backend].noise
+        c = build_qaoa(benchmark_graph(name), random_params(np.random.default_rng(p), p))
+        probs = outcome_probabilities(c, noise)
+        assert np.abs(probs - kraus_reference(c, noise)).max() < 1e-12
+
+    def test_noiseless_is_statevector_squared(self):
+        c = build_qaoa(benchmark_graph("graph5"), ParamVector((0.5,), (0.6,)))
+        assert np.array_equal(outcome_probabilities(c), np.abs(run_statevector(c)) ** 2)
 
 
 class TestExpectation:
