@@ -36,7 +36,7 @@ def main():
         print(f"  completion search: {est.candidate_edges} candidate edges, "
               f"{est.worst_case_trials} worst-case trials")
 
-    merged = cross_provider_merge(reports)
+    merged = cross_provider_merge([r.recovered_graph for r in reports])
     print(f"\ncollusion union: {' '.join(f'{u}-{v}' for u, v in merged.edges)} "
           f"(full graph recovered: {merged == g})")
 

@@ -134,18 +134,19 @@ def average_case_trials(n: int) -> tuple[Fraction, float]:
     return exponent, 2.0 ** float(exponent)
 
 
-def cross_provider_merge(reports: list[ExtractionReport]) -> Graph:
-    """Union of the recovered edge sets: what colluding providers learn.
+def cross_provider_merge(graphs: list[Graph]) -> Graph:
+    """Union of the recovered graphs' edge sets: what colluding providers
+    learn.
 
     By the split plan's union rule this is the full graph, while each
-    single report stays strictly partial.
+    single provider's recovered graph stays strictly partial.
     """
-    if not reports:
-        raise ValueError("need at least one report")
-    n = reports[0].recovered_graph.n
-    if any(r.recovered_graph.n != n for r in reports):
-        raise ValueError("reports disagree on node count")
+    if not graphs:
+        raise ValueError("need at least one graph")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs disagree on node count")
     merged: set[tuple[int, int]] = set()
-    for r in reports:
-        merged |= set(r.recovered_graph.edges)
+    for g in graphs:
+        merged |= set(g.edges)
     return Graph.make(n, sorted(merged))

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import ExtractionReport, cross_provider_merge, effort, extract_graph
+from .adversary import cross_provider_merge, effort, extract_graph
 from .graph import Graph, benchmark_graph, graph_to_text, load_graph, max_cut_bruteforce, save_graph
 from .harness import ExperimentSpec, overhead, run_experiment
 
@@ -81,16 +81,11 @@ def _cmd_adversary(args) -> int:
     elif args.action == "effort":
         payload = effort(args.nodes, args.observed).to_dict()
     else:
-        reports = []
+        graphs = []
         for path in args.reports:
             d = json.loads(Path(path).read_text(encoding="utf-8"))
-            reports.append(ExtractionReport(
-                recovered_graph=Graph.make(d["nodes"], d["edges"]),
-                swap_count=d.get("swap_count", 0),
-                final_mapping=tuple(d.get("final_mapping", range(d["nodes"]))),
-                unmatched_gates=d.get("unmatched_gates", 0),
-            ))
-        merged = cross_provider_merge(reports)
+            graphs.append(Graph.make(d["nodes"], d["edges"]))
+        merged = cross_provider_merge(graphs)
         payload = {"nodes": merged.n, "edges": [list(e) for e in merged.edges]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):

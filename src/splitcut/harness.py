@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ from .obfuscation import (
     make_split_plan,
     optimize,
 )
+from .optimizers import Spsa
+from .records import read_record, record_fields
 from .simulator import BackendProfile, load_backend_profiles
 
 ARMS = ("original", "pruned_only", "split")
@@ -69,28 +71,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"experiment spec must be a JSON object, got {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown experiment spec keys: {unknown}")
-        removed = d.get("removed_sets")
-        if removed is not None:
-            removed = tuple(tuple((int(u), int(v)) for u, v in flavor) for flavor in removed)
-        return cls(
-            graph=d["graph"],
-            arms=tuple(d.get("arms", ("original", "pruned_only", "split"))),
-            k=int(d.get("k", 2)),
-            edges_per_flavor=int(d.get("edges_per_flavor", 1)),
-            removed_sets=removed,
-            p_layers=tuple(int(p) for p in d.get("p_layers", (1,))),
-            seeds=tuple(int(s) for s in d.get("seeds", range(10))),
-            backends=tuple(d.get("backends", ("ideal1", "ideal2"))),
-            profiles_file=d.get("profiles_file"),
-            shots=int(d.get("shots", 4096)),
-            iterations=int(d.get("iterations", 50)),
-            optimizer=d.get("optimizer", "spsa"),
-        )
+        """The spec in a decoded JSON object; absent keys take the field
+        defaults, and a wrong value type raises ValueError naming the key."""
+        return cls(**read_record(d, "experiment spec", record_fields(cls)))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentSpec":
@@ -200,18 +183,18 @@ def compute_overhead(
     of the spec's first seed.
 
     ``evaluations`` maps (arm, p) to per-backend optimizer evaluation
-    counts; when absent they are derived statically (SPSA does exactly two
-    per iteration). The relative cost is sum(2q x evals) over an arm's
-    backends divided by the same product for the single-layer pruned-only
-    baseline; the one final audit evaluation is reported but kept out of
-    the ratio.
+    counts; when absent they are derived statically (SPSA makes
+    ``Spsa.EVALS_PER_STEP`` per iteration). The relative cost is
+    sum(2q x evals) over an arm's backends divided by the same product for
+    the single-layer pruned-only baseline; the one final audit evaluation
+    is reported but kept out of the ratio.
     """
     plan = _plan_for_seed(g, spec, backends, spec.seeds[0])
 
     def arm_entry(arm: str, p: int) -> dict:
         flavors = _arm_flavors(g, spec, backends, arm, spec.seeds[0])
         static_evals = {
-            f.backend.name: 2 * len(range(i, spec.iterations, len(flavors)))
+            f.backend.name: Spsa.EVALS_PER_STEP * len(range(i, spec.iterations, len(flavors)))
             for i, f in enumerate(flavors)
         } if spec.optimizer == "spsa" else {}
         evals_map = (evaluations or {}).get((arm, p)) or static_evals
@@ -233,7 +216,7 @@ def compute_overhead(
         }
 
     baseline_stats = _circuit_stats(g, plan.flavors[0], 1)
-    baseline_evals = 2 * spec.iterations if spec.optimizer == "spsa" else None
+    baseline_evals = Spsa.EVALS_PER_STEP * spec.iterations if spec.optimizer == "spsa" else None
     baseline_work = (
         baseline_stats["gates_2q"] * baseline_evals if baseline_evals is not None else None
     )
@@ -269,7 +252,7 @@ def _check_partial_knowledge(g: Graph, flavors, texts: list[str]) -> list[dict]:
             raise AssertionError(
                 f"backend {f.backend.name} sees {sorted(seen)}, not a strict subset of the graph"
             )
-    if set(cross_provider_merge(reports).edges) != full:
+    if set(cross_provider_merge([r.recovered_graph for r in reports]).edges) != full:
         raise AssertionError("union of flavors does not cover the full graph")
     return [r.to_dict() for r in reports]
 

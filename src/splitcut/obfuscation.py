@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .circuit import ParamVector, TranspiledCircuit, build_qaoa, transpile
 from .errors import DivergenceError, MetricError, PlanError
 from .graph import Edge, Graph, max_cut_bruteforce
 from .optimizers import NelderMead, Spsa
+from .records import read_record, record_fields
 from .simulator import (
     RNG_ALGORITHM,
     BackendProfile,
@@ -149,19 +150,13 @@ def make_split_plan(
 class OptimizerConfig:
     """Knobs for one optimization run. ``seed`` drives initialization and
     the SPSA perturbation stream; evaluation shot noise is governed by the
-    backend seeds."""
+    backend seeds. SPSA's gains are ``Spsa``'s defaults."""
 
     method: str = "spsa"  # or "nelder_mead"
     total_iterations: int = 50
     p_layers: int = 1
     shots: int = 4096
     seed: int = 0
-    spsa_a: float = 0.4
-    spsa_c: float = 0.1
-    spsa_A: float = 5.0
-    spsa_alpha: float = 0.602
-    spsa_gamma: float = 0.101
-    init_params: ParamVector | None = None
 
     def __post_init__(self):
         if self.method not in ("spsa", "nelder_mead"):
@@ -172,8 +167,6 @@ class OptimizerConfig:
             raise ValueError("p_layers must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.init_params is not None and self.init_params.p != self.p_layers:
-            raise ValueError("init_params layer count must match p_layers")
 
 
 @dataclass(frozen=True)
@@ -185,17 +178,25 @@ class TraceEntry:
     backend: str
     flavor: int
     evaluations: int
-    params: ParamVector
+    gammas: tuple[float, ...]
+    betas: tuple[float, ...]
     expectation: float
     ar: float
+
+    def __post_init__(self):
+        ParamVector(self.gammas, self.betas)  # rejects unequal-length or non-finite angles
 
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Everything one optimization run produced, trace plus summary."""
+    """Everything one optimization run produced, trace plus summary.
+
+    Written as JSON lines, one per entry with the entry's fields as keys,
+    then ``{"summary": ...}`` with every other field."""
 
     entries: tuple[TraceEntry, ...]
-    best_params: ParamVector
+    best_gammas: tuple[float, ...]
+    best_betas: tuple[float, ...]
     best_observed_expectation: float
     best_observed_ar: float
     final_expectation: float
@@ -205,62 +206,32 @@ class RunTrace:
     shots: int
     rng_algorithm: str = RNG_ALGORITHM
 
+    def __post_init__(self):
+        ParamVector(self.best_gammas, self.best_betas)  # rejects unequal-length or non-finite angles
+
+    @property
+    def best_params(self) -> ParamVector:
+        return ParamVector(self.best_gammas, self.best_betas)
+
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(json.dumps({
-                "iteration": e.iteration,
-                "backend": e.backend,
-                "flavor": e.flavor,
-                "evaluations": e.evaluations,
-                "gammas": list(e.params.gammas),
-                "betas": list(e.params.betas),
-                "expectation": e.expectation,
-                "ar": e.ar,
-            }, sort_keys=True))
-        lines.append(json.dumps({"summary": {
-            "best_gammas": list(self.best_params.gammas),
-            "best_betas": list(self.best_params.betas),
-            "best_observed_expectation": self.best_observed_expectation,
-            "best_observed_ar": self.best_observed_ar,
-            "final_expectation": self.final_expectation,
-            "final_ar": self.final_ar,
-            "cmax": self.cmax,
-            "evaluations": self.evaluations,
-            "shots": self.shots,
-            "rng_algorithm": self.rng_algorithm,
-        }}, sort_keys=True))
+        summary = asdict(self)
+        lines = [json.dumps(e, sort_keys=True) for e in summary.pop("entries")]
+        lines.append(json.dumps({"summary": summary}, sort_keys=True))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunTrace":
-        lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-        if not lines or "summary" not in lines[-1]:
+        """Read ``to_jsonl`` output back; ValueError names any unknown,
+        missing or mistyped key."""
+        *entries, last = [json.loads(line) for line in text.splitlines() if line.strip()] or [None]
+        if not isinstance(last, dict) or set(last) != {"summary"}:
             raise ValueError("trace text must end with a summary record")
-        summary = lines[-1]["summary"]
-        entries = tuple(
-            TraceEntry(
-                iteration=e["iteration"],
-                backend=e["backend"],
-                flavor=e["flavor"],
-                evaluations=e["evaluations"],
-                params=ParamVector(tuple(e["gammas"]), tuple(e["betas"])),
-                expectation=e["expectation"],
-                ar=e["ar"],
-            )
-            for e in lines[:-1]
-        )
+        entry_fields = record_fields(TraceEntry)
+        summary_fields = record_fields(cls)
+        del summary_fields["entries"]
         return cls(
-            entries=entries,
-            best_params=ParamVector(tuple(summary["best_gammas"]), tuple(summary["best_betas"])),
-            best_observed_expectation=summary["best_observed_expectation"],
-            best_observed_ar=summary["best_observed_ar"],
-            final_expectation=summary["final_expectation"],
-            final_ar=summary["final_ar"],
-            cmax=summary["cmax"],
-            evaluations=summary["evaluations"],
-            shots=summary["shots"],
-            rng_algorithm=summary["rng_algorithm"],
+            entries=tuple(TraceEntry(**read_record(e, "trace entry", entry_fields)) for e in entries),
+            **read_record(last["summary"], "trace summary", summary_fields),
         )
 
 
@@ -304,8 +275,6 @@ def _run_expectation(g_full: Graph, flavor: PrunedFlavor, params: ParamVector, s
 
 
 def _init_params(cfg: OptimizerConfig) -> ParamVector:
-    if cfg.init_params is not None:
-        return cfg.init_params
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cfg.p_layers, 101]))
     gammas = rng.uniform(0.0, math.pi, size=cfg.p_layers)
     betas = rng.uniform(0.0, math.pi / 2.0, size=cfg.p_layers)
@@ -339,11 +308,7 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
     x0 = np.array(_init_params(cfg).to_array())
     if cfg.method == "spsa":
         opt_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cfg.p_layers, 202]))
-        opt = Spsa(
-            x0, opt_rng,
-            a=cfg.spsa_a, c=cfg.spsa_c, A=cfg.spsa_A,
-            alpha=cfg.spsa_alpha, gamma=cfg.spsa_gamma,
-        )
+        opt = Spsa(x0, opt_rng)
     else:
         opt = NelderMead(x0)
 
@@ -372,12 +337,14 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
         if not np.all(np.isfinite(opt.x)):
             raise DivergenceError(f"parameters diverged at iteration {t}", trace=tuple(entries))
         mean_f = float(np.mean([fx for _, fx in evals]))
+        params = ParamVector.from_array(opt.x)
         entries.append(TraceEntry(
             iteration=t,
             backend=fl.backend.name,
             flavor=t % k,
             evaluations=len(evals),
-            params=ParamVector.from_array(opt.x),
+            gammas=params.gammas,
+            betas=params.betas,
             expectation=mean_f,
             ar=approximation_ratio(mean_f, cmax),
         ))
@@ -388,7 +355,8 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
 
     return RunTrace(
         entries=tuple(entries),
-        best_params=best_params,
+        best_gammas=best_params.gammas,
+        best_betas=best_params.betas,
         best_observed_expectation=best_f,
         best_observed_ar=approximation_ratio(best_f, cmax),
         final_expectation=final_expectation,

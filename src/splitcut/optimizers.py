@@ -19,6 +19,8 @@ class Spsa:
     step. Noise-robust, so it is the default for shot-sampled objectives.
     """
 
+    EVALS_PER_STEP = 2
+
     def __init__(
         self,
         x0,

@@ -19,9 +19,7 @@ Reproducibility: ``run_shots`` derives its whole random stream from
 PCG64. Identical inputs give bit-identical counts on any platform; the
 generator is recorded in run traces as ``numpy-pcg64``. The stream is used
 for exactly one draw: ``choice(2^n, size=shots, p=probs)`` over the clipped,
-normalized distribution. On noiseless backends this is the draw the
-earlier per-shot trajectory sampler made, so ideal counts reproduce across
-that change.
+normalized distribution.
 
 A single run owns its state and is single-threaded; independent runs can
 execute concurrently.
@@ -39,6 +37,7 @@ import numpy as np
 from .circuit import Circuit, CouplingMap, Gate, serialize
 from .errors import CapacityError, RoutingError
 from .graph import Graph, cut_values_vector
+from .records import read_record, record_fields
 
 MAX_QUBITS = 20
 RNG_ALGORITHM = "numpy-pcg64"
@@ -64,24 +63,20 @@ class NoiseModel:
             if not 0.0 <= v <= 0.5:
                 raise ValueError(f"{name} must be in [0, 0.5], got {v}")
 
-    @property
-    def is_null(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0 and self.readout_flip == 0.0
-
 
 @dataclass(frozen=True)
 class BackendProfile:
-    """A simulated hardware endpoint. Absent noise means ideal; absent
-    coupling means all-to-all connectivity."""
+    """A simulated hardware endpoint. The default ``NoiseModel`` (all
+    zeros) means ideal; absent coupling means all-to-all connectivity."""
 
     name: str
-    noise: NoiseModel | None = None
+    noise: NoiseModel = NoiseModel()
     coupling: CouplingMap | None = None
     seed: int = 0
 
     @property
     def is_noisy(self) -> bool:
-        return self.noise is not None and not self.noise.is_null
+        return self.noise != NoiseModel()
 
 
 @dataclass(frozen=True)
@@ -95,10 +90,10 @@ class ShotResult:
 
 
 def _index(n: int, fixed: dict[int, int]) -> tuple:
-    # Index tuple for a (T,)+(2,)*n tensor with given qubit axes pinned.
-    idx: list = [slice(None)] * (n + 1)
+    # Index tuple for a (2,)*n tensor with the given qubit axes pinned.
+    idx: list = [slice(None)] * n
     for q, v in fixed.items():
-        idx[1 + q] = v
+        idx[q] = v
     return tuple(idx)
 
 
@@ -146,23 +141,16 @@ def _check_capacity(c: Circuit) -> None:
         raise CapacityError(f"statevector limited to {MAX_QUBITS} qubits, got {c.num_qubits}")
 
 
-def run_statevector(c: Circuit, check_norm: bool = False) -> np.ndarray:
-    """Noiseless evolution of |0...0> through the circuit (measurement ignored).
-
-    ``check_norm`` asserts unit norm after every gate (test aid).
-    """
+def run_statevector(c: Circuit) -> np.ndarray:
+    """Noiseless evolution of |0...0> through the circuit (measurement ignored)."""
     _check_capacity(c)
     n = c.num_qubits
-    state = np.zeros((1, 1 << n), dtype=complex)
-    state[0, 0] = 1.0
-    arr = state.reshape((1,) + (2,) * n)
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    arr = state.reshape((2,) * n)
     for gate in c.gates:
         _apply_gate(arr, gate, n)
-        if check_norm:
-            norm = float(np.linalg.norm(state))
-            if abs(norm - 1.0) > 1e-10:
-                raise AssertionError(f"norm drifted to {norm} after {gate.name}")
-    return state.reshape(-1)
+    return state
 
 
 def exact_expectation(g: Graph, c: Circuit) -> float:
@@ -185,7 +173,7 @@ def _density_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     # complex conjugate of U to the columns; h and cx are real, and the
     # conjugate of rx/rz is the same gate at the negated angle.
     n = c.num_qubits
-    rho = np.zeros((1,) + (2,) * (2 * n), dtype=complex)
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
     rho.flat[0] = 1.0
     for gate in c.gates:
         _apply_gate(rho, gate, 2 * n)
@@ -209,7 +197,7 @@ def _depolarize(rho: np.ndarray, p: float, q: int, n: int) -> None:
     rho[i11] += mixed
 
 
-def outcome_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Exact distribution of the measured bitstrings, indexed like the state.
 
     Gate noise evolves the density matrix (at most ``MAX_DENSITY_QUBITS``
@@ -217,7 +205,6 @@ def outcome_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.nda
     Readout flips then act on each bit as a 2x2 stochastic map.
     """
     _check_capacity(c)
-    noise = noise if noise is not None else NoiseModel()
     n = c.num_qubits
     if noise.p1 > 0.0 or noise.p2 > 0.0:
         if n > MAX_DENSITY_QUBITS:
@@ -286,32 +273,23 @@ def remap_counts(counts: dict[str, int], final_layout: tuple[int, ...]) -> dict[
 # -- backend profile config ------------------------------------------------
 
 
-_PROFILE_KEYS = frozenset({"name", "p1", "p2", "readout_flip", "coupling", "num_physical", "seed"})
-
-
 def backend_from_dict(d: dict) -> BackendProfile:
-    if not isinstance(d, dict):
-        raise ValueError(f"backend profile must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - _PROFILE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown backend profile keys: {unknown}")
-    noise = None
-    if any(d.get(k) for k in ("p1", "p2", "readout_flip")):
-        noise = NoiseModel(
-            p1=float(d.get("p1", 0.0)),
-            p2=float(d.get("p2", 0.0)),
-            readout_flip=float(d.get("readout_flip", 0.0)),
-        )
+    """One profile entry: the ``BackendProfile`` and ``NoiseModel`` fields
+    by name, except that ``coupling`` lists physical-qubit pairs and
+    ``num_physical`` (default: one past the largest qubit in them) sizes
+    the coupling map. A wrong value type raises ValueError naming the key."""
+    noise_fields = record_fields(NoiseModel)
+    schema = {**record_fields(BackendProfile), **noise_fields,
+              "coupling": (tuple[tuple[int, int], ...], None), "num_physical": (int, None)}
+    del schema["noise"]
+    kwargs = read_record(d, "backend profile", schema)
+    noise = NoiseModel(**{k: kwargs.pop(k) for k in noise_fields if k in kwargs})
+    pairs = kwargs.pop("coupling", None)
+    num = kwargs.pop("num_physical", None)
     coupling = None
-    if d.get("coupling"):
-        num = d.get("num_physical") or (max(max(p) for p in d["coupling"]) + 1)
-        coupling = CouplingMap.from_edges(int(num), d["coupling"])
-    return BackendProfile(
-        name=str(d["name"]),
-        noise=noise,
-        coupling=coupling,
-        seed=int(d.get("seed", 0)),
-    )
+    if pairs:
+        coupling = CouplingMap.from_edges(num or max(max(p) for p in pairs) + 1, pairs)
+    return BackendProfile(noise=noise, coupling=coupling, **kwargs)
 
 
 def load_backend_profiles(path=None) -> dict[str, BackendProfile]:

@@ -264,7 +264,7 @@ def test_criterion_8_reverse_engineering_round_trip(ideal_backend, ideal_backend
                 rep = extract_graph(serialize(build_qaoa(flavor.pruned_graph(g), random_params(rng, 2))))
                 assert set(rep.recovered_graph.edges) < set(g.edges)
                 reports.append(rep)
-            assert cross_provider_merge(reports) == g
+            assert cross_provider_merge([r.recovered_graph for r in reports]) == g
     assert report(8, True, f"{trips} extraction round trips exact with unmatched_gates=0; "
                            f"split flavors strict subsets; collusion merge recovers full graphs", t0)
 

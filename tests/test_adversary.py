@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,18 +145,18 @@ class TestMerge:
     def test_two_flavor_collusion_recovers_cycle4(self):
         g = benchmark_graph("cycle4")
         params = ParamVector((0.3,), (0.1,))
-        reports = [
-            extract_graph(serialize(build_qaoa(prune(g, [edge]), params)))
+        seen = [
+            extract_graph(serialize(build_qaoa(prune(g, [edge]), params))).recovered_graph
             for edge in [(0, 3), (0, 1)]
         ]
-        assert cross_provider_merge(reports) == g
-        for rep in reports:
-            assert set(rep.recovered_graph.edges) < set(g.edges)
+        assert cross_provider_merge(seen) == g
+        for recovered in seen:
+            assert set(recovered.edges) < set(g.edges)
 
     def test_single_report_is_identity(self):
         g = benchmark_graph("cycle3")
         rep = extract_graph(serialize(build_qaoa(g, ParamVector((0.3,), (0.1,)))))
-        assert cross_provider_merge([rep]) == g
+        assert cross_provider_merge([rep.recovered_graph]) == g
 
     def test_three_disjoint_flavors_on_graph6(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
@@ -160,13 +164,13 @@ class TestMerge:
             g, 3, 1, [ideal_backend, ideal_backend_2, noisy_backend], seed=11
         )
         params = ParamVector((0.5,), (0.2,))
-        reports = [
-            extract_graph(serialize(build_qaoa(f.pruned_graph(g), params)))
+        seen = [
+            extract_graph(serialize(build_qaoa(f.pruned_graph(g), params))).recovered_graph
             for f in plan.flavors
         ]
-        assert cross_provider_merge(reports) == g
-        for rep in reports:
-            assert set(rep.recovered_graph.edges) < set(g.edges)
+        assert cross_provider_merge(seen) == g
+        for recovered in seen:
+            assert set(recovered.edges) < set(g.edges)
 
     def test_mismatched_node_counts_rejected(self):
         g3 = benchmark_graph("cycle3")
@@ -175,8 +179,17 @@ class TestMerge:
         r3 = extract_graph(serialize(build_qaoa(g3, params)))
         r4 = extract_graph(serialize(build_qaoa(g4, params)))
         with pytest.raises(ValueError):
-            cross_provider_merge([r3, r4])
+            cross_provider_merge([r3.recovered_graph, r4.recovered_graph])
 
     def test_empty_report_list_rejected(self):
         with pytest.raises(ValueError):
             cross_provider_merge([])
+
+    def test_adversary_demo_script_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, str(root / "scripts" / "adversary_demo.py")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "full graph recovered: True" in done.stdout

@@ -314,20 +314,34 @@ class TestCli:
         profile_list.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(names_only))))
         profile_object = tmp_path / "profile_object.json"
         profile_object.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(unknown_key))))
-        for argv in (["run", "--config", str(tmp_path / "missing.json")],
-                     ["run", "--config", str(bad_json)],
-                     ["overhead", "--config", str(no_graph)],
-                     ["run", "--config", str(bad_arm), "--p", "1,2"],
-                     ["run", "--config", str(unknown_key)],
-                     ["run", "--config", str(not_object)],
-                     ["run", "--config", str(profile_key)],
-                     ["overhead", "--config", str(profile_list)],
-                     ["overhead", "--config", str(profile_object)],
-                     ["adversary", "extract", "--circuit", str(bad_json)]):
+        cases = [(["run", "--config", str(tmp_path / "missing.json")], ""),
+                 (["run", "--config", str(bad_json)], ""),
+                 (["overhead", "--config", str(no_graph)], "'graph'"),
+                 (["run", "--config", str(bad_arm), "--p", "1,2"], ""),
+                 (["run", "--config", str(unknown_key)], "'seed'"),
+                 (["run", "--config", str(not_object)], ""),
+                 (["run", "--config", str(profile_key)], "'readout'"),
+                 (["overhead", "--config", str(profile_list)], ""),
+                 (["overhead", "--config", str(profile_object)], ""),
+                 (["adversary", "extract", "--circuit", str(bad_json)], "")]
+        # a value of the wrong JSON type names its key
+        for i, (key, value) in enumerate([("seeds", 5), ("graph", 5), ("arms", "split"),
+                                          ("shots", 4096.5), ("shots", True), ("k", None)]):
+            spec = tmp_path / f"typed_spec{i}.json"
+            spec.write_text(json.dumps(dict(SMALL_SPEC, **{key: value})))
+            cases.append((["overhead", "--config", str(spec)], repr(key)))
+        for i, (key, value) in enumerate([("coupling", 3), ("p1", "0.1")]):
+            profiles = tmp_path / f"typed_profile{i}.json"
+            profiles.write_text(json.dumps([{"name": "x", key: value}]))
+            spec = tmp_path / f"typed_profile_spec{i}.json"
+            spec.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(profiles), backends=["x"])))
+            cases.append((["overhead", "--config", str(spec)], repr(key)))
+        for argv, named in cases:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("splitcut: ") and err.count("\n") == 1
             assert "Traceback" not in err
+            assert named in err
 
     def test_run_command_overrides_p(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

@@ -214,14 +214,6 @@ class TestOptimize:
             assert all(0 <= gm < math.pi for gm in pv.gammas)
             assert all(0 <= bt < math.pi / 2 for bt in pv.betas)
 
-    def test_explicit_init_params_respected(self, ideal_backend):
-        g = benchmark_graph("cycle4")
-        pv = ParamVector((0.5,), (0.25,))
-        trace = optimize(g, unpruned(ideal_backend), self.cfg(init_params=pv))
-        assert trace is not None
-        with pytest.raises(ValueError):
-            OptimizerConfig(p_layers=2, init_params=pv)
-
     def test_trace_jsonl_round_trip(self, ideal_backend):
         g = benchmark_graph("cycle3")
         trace = optimize(g, unpruned(ideal_backend), self.cfg(total_iterations=3))
@@ -237,12 +229,31 @@ class TestOptimize:
 
         assert RunTrace.from_jsonl(trace.to_jsonl()) == trace
 
-    def test_divergence_aborts_with_partial_trace(self, ideal_backend):
-        from splitcut.errors import DivergenceError
+    def test_trace_reader_rejects_bad_records(self, ideal_backend):
+        from splitcut.obfuscation import RunTrace
 
+        trace = optimize(benchmark_graph("cycle3"), unpruned(ideal_backend), self.cfg(total_iterations=2))
+        entry, second, last = (json.loads(line) for line in trace.to_jsonl().splitlines())
+        unequal = dict(entry, betas=entry["betas"] + [0.1])
+        non_finite = {"summary": dict(last["summary"], best_gammas=[math.inf])}
+        unknown = dict(entry, note=1)
+        for lines, message in (([unequal, second, last], "equal length"),
+                               ([entry, second, non_finite], "finite"),
+                               ([entry, unknown, last], "note")):
+            with pytest.raises(ValueError, match=message):
+                RunTrace.from_jsonl("\n".join(json.dumps(line) for line in lines))
+
+    def test_divergence_aborts_with_partial_trace(self, ideal_backend, monkeypatch):
+        from functools import partial
+
+        from splitcut import obfuscation
+        from splitcut.errors import DivergenceError
+        from splitcut.optimizers import Spsa
+
+        monkeypatch.setattr(obfuscation, "Spsa", partial(Spsa, a=float("inf")))
         g = benchmark_graph("cycle4")
         with pytest.raises(DivergenceError) as err:
-            optimize(g, unpruned(ideal_backend), self.cfg(spsa_a=float("inf"), total_iterations=10))
+            optimize(g, unpruned(ideal_backend), self.cfg(total_iterations=10))
         assert err.value.trace is not None  # diagnostic trace of completed iterations
 
     def test_transpiles_for_coupled_backend(self):

@@ -90,7 +90,9 @@ class TestStatevector:
         rng = np.random.default_rng(2)
         for g in benchmarks.values():
             c = build_qaoa(g, random_params(rng, 2))
-            run_statevector(c, check_norm=True)  # raises on drift
+            for i in range(len(c.gates) + 1):
+                prefix = Circuit(c.num_qubits, c.gates[:i])
+                assert abs(np.linalg.norm(run_statevector(prefix)) - 1.0) <= 1e-10
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
