@@ -1,0 +1,135 @@
+"""Write ``BENCH_<label>.json`` at the repository root: one point of the
+bench trajectory.
+
+    python3 scripts/bench_snapshot.py --label mychange
+
+It records, for the checkout the script sits in:
+
+- the environment, as ``perfbench/run.py`` records it;
+- per ``perfbench`` workload, the median of each end-to-end metric over a
+  few seeds of ``perfbench/run.py --trace 0``, each run in its own process,
+  plus every run's value and first-round digest;
+- ``optimize`` on graph6 at p=2 (SPSA, the default 50 iterations and 4096
+  shots) on the noiseless ``ideal1`` and the noisy ``hw1`` profile, in
+  seconds and in ms per evaluation (median of a few runs in this process);
+- the Tier-1 test suite's wall time and pass count (``PYTHONPATH=src
+  python -m pytest -q --continue-on-collection-errors``).
+
+With three seeds per workload, each run as long as ``BENCHMARK.json``'s
+``run_seconds`` (30 s), it takes about seven minutes on a 2-vCPU machine.
+Run nothing else meanwhile: the numbers are wall times.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from statistics import median
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+SEEDS = (1, 2, 3)  # perfbench workload seeds
+OPTIMIZE_REPEATS = 5
+
+sys.path.insert(0, str(BENCH))
+import workloads  # noqa: E402  (perfbench's own helpers: thread pins, source path)
+
+
+def run_workload(name: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, str(BENCH / "run.py"), "--workload", name, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads((ROOT / ".perfbench_out" / f"{name}-seed{seed}-trace0.json").read_text())
+
+
+def workload_summary(records: list[dict]) -> dict:
+    names = records[0]["metrics"]
+    return {
+        "seeds": [r["seed"] for r in records],
+        "cells": [r["cells"] for r in records],
+        "first_round_sha256": [r["first_round_sha256"][:16] for r in records],
+        "metrics": {
+            name: {"median": median(r["metrics"][name]["value"] for r in records),
+                   "unit": records[0]["metrics"][name]["unit"],
+                   "runs": [r["metrics"][name]["value"] for r in records]}
+            for name in names
+        },
+    }
+
+
+def time_optimize(backend_name: str) -> dict:
+    from splitcut.graph import benchmark_graph
+    from splitcut.obfuscation import OptimizerConfig, PrunedFlavor, optimize
+    from splitcut.simulator import load_backend_profiles
+
+    g = benchmark_graph("graph6")
+    flavors = (PrunedFlavor((), load_backend_profiles()[backend_name]),)
+    cfg = OptimizerConfig(p_layers=2, seed=0)
+    times, evaluations = [], None
+    for _ in range(OPTIMIZE_REPEATS):
+        t0 = perf_counter()
+        trace = optimize(g, flavors, cfg)
+        times.append(perf_counter() - t0)
+        evaluations = trace.evaluations
+    s = median(times)
+    return {"backend": backend_name, "s": s, "s_first": times[0], "evaluations": evaluations,
+            "ms_per_eval": 1e3 * s / evaluations, "final_ar": trace.final_ar}
+
+
+def run_tier1() -> dict:
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-p", "no:cacheprovider"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    t0 = perf_counter()
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    wall = perf_counter() - t0
+    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (passed|failed|errors?|skipped)",
+                                                          tail)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0) + counts.get("errors", 0),
+            "skipped": counts.get("skipped", 0), "summary": tail, "command": " ".join(argv[1:])}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+    out: dict = {"label": args.label, "perfbench_seconds": seconds, "workloads": {}}
+    for name in workloads.WORKLOADS:
+        records = [run_workload(name, seed, seconds) for seed in SEEDS]
+        out.setdefault("environment", records[0]["environment"])
+        out["workloads"][name] = workload_summary(records)
+        print(f"{name}: " + ", ".join(f"{k}={v['median']:.4g}"
+                                      for k, v in out["workloads"][name]["metrics"].items()),
+              file=sys.stderr)
+
+    out["tier1"] = run_tier1()
+    print(f"tier-1: {out['tier1']['summary']} ({out['tier1']['wall_s']:.1f} s wall)",
+          file=sys.stderr)
+
+    # One thread, as perfbench runs; numpy is first imported after this.
+    workloads.pin_threads()
+    workloads.add_source_path()
+    out["optimize_graph6_p2"] = {b: time_optimize(b) for b in ("ideal1", "hw1")}
+    for b, m in out["optimize_graph6_p2"].items():
+        print(f"optimize graph6 p=2 {b}: {m['s']:.3f} s, {m['ms_per_eval']:.3f} ms/eval",
+              file=sys.stderr)
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

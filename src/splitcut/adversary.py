@@ -11,11 +11,12 @@ edge. Everything here is a pure function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
 
 from .circuit import parse
 from .graph import Graph
+from .records import read_record, record_fields
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,22 @@ class ExtractionReport:
             "final_mapping": list(self.final_mapping),
             "unmatched_gates": self.unmatched_gates,
         }
+
+
+def report_graph(d) -> Graph:
+    """The recovered graph of an extraction report read back from JSON.
+
+    The keys are the ``ExtractionReport`` fields as ``to_dict`` writes them,
+    plus the ``effort`` and ``summary`` that ``adversary extract`` adds.
+    Only ``nodes`` and ``edges`` are required, so a merged report reads
+    back too. A wrong value type raises ValueError naming the key.
+    """
+    schema = {key: (hint, None) for key, (hint, _) in record_fields(ExtractionReport).items()}
+    del schema["recovered_graph"]
+    schema.update(nodes=(int, MISSING), edges=(tuple[tuple[int, int], ...], MISSING),
+                  effort=(dict, None), summary=(str, None))
+    kwargs = read_record(d, "extraction report", schema)
+    return Graph.make(kwargs["nodes"], kwargs["edges"])
 
 
 def extract_graph(text: str) -> ExtractionReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CircuitParseError, RoutingError
@@ -176,9 +177,18 @@ class CouplingMap:
     def allows(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.allowed
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        # Built on first use and kept out of the fields, so equality and
+        # hashing still see only (num_physical, allowed).
+        adj: dict[int, list[int]] = {q: [] for q in range(self.num_physical)}
+        for u, v in self.allowed:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {q: tuple(sorted(nbs)) for q, nbs in adj.items()}
+
     def neighbors(self, q: int) -> list[int]:
-        out = [v for u, v in self.allowed if u == q] + [u for u, v in self.allowed if v == q]
-        return sorted(out)
+        return list(self._adjacency.get(q, ()))
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         """BFS shortest path from a to b; RoutingError if disconnected."""

@@ -14,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .adversary import cross_provider_merge, effort, extract_graph
-from .graph import Graph, benchmark_graph, graph_to_text, load_graph, max_cut_bruteforce, save_graph
+from .adversary import cross_provider_merge, effort, extract_graph, report_graph
+from .graph import benchmark_graph, graph_to_text, load_graph, max_cut_bruteforce, save_graph
 from .harness import ExperimentSpec, overhead, run_experiment
 
 
@@ -81,10 +81,8 @@ def _cmd_adversary(args) -> int:
     elif args.action == "effort":
         payload = effort(args.nodes, args.observed).to_dict()
     else:
-        graphs = []
-        for path in args.reports:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-            graphs.append(Graph.make(d["nodes"], d["edges"]))
+        graphs = [report_graph(json.loads(Path(path).read_text(encoding="utf-8")))
+                  for path in args.reports]
         merged = cross_provider_merge(graphs)
         payload = {"nodes": merged.n, "edges": [list(e) for e in merged.edges]}
     text = json.dumps(payload, indent=2, sort_keys=True)

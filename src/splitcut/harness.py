@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,22 @@ from .simulator import BackendProfile, load_backend_profiles
 
 ARMS = ("original", "pruned_only", "split")
 
-CSV_HEADER = ("graph", "spec", "sim", "arm", "p", "mean_ar", "std_ar", "n_seeds")
+
+@dataclass(frozen=True)
+class ResultRow:
+    """One line of results.csv: an arm at one layer count, over the seeds."""
+
+    graph: str
+    spec: str
+    sim: str  # "noisy" if any flavor ran on a noisy backend, else "ideal"
+    arm: str
+    p: int
+    mean_ar: float
+    std_ar: float
+    n_seeds: int
+
+
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -321,16 +336,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
             if not finals:
                 std = float("nan")
-            rows.append({
-                "graph": label,
-                "spec": _spec_label(spec, arm),
-                "sim": "noisy" if noisy else "ideal",
-                "arm": arm,
-                "p": p,
-                "mean_ar": mean,
-                "std_ar": std,
-                "n_seeds": len(finals),
-            })
+            rows.append(asdict(ResultRow(
+                graph=label, spec=_spec_label(spec, arm), sim="noisy" if noisy else "ideal",
+                arm=arm, p=p, mean_ar=mean, std_ar=std, n_seeds=len(finals),
+            )))
 
     report = compute_overhead(spec, g, backends, evaluations)
     result = ExperimentResult(
@@ -347,15 +356,14 @@ def results_to_csv(rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow([
-            r["graph"], r["spec"], r["sim"], r["arm"], r["p"],
-            _fmt(r["mean_ar"]), _fmt(r["std_ar"]), r["n_seeds"],
-        ])
+        writer.writerow([_fmt(r[name]) for name in CSV_HEADER])
     return buf.getvalue()
 
 
-def _fmt(x: float) -> str:
-    return "nan" if isinstance(x, float) and np.isnan(x) else f"{x:.6f}"
+def _fmt(x):
+    if not isinstance(x, float):
+        return x
+    return "nan" if np.isnan(x) else f"{x:.6f}"
 
 
 def read_results(path) -> list[dict]:
@@ -364,19 +372,9 @@ def read_results(path) -> list[dict]:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        rows = []
-        for rec in reader:
-            rows.append({
-                "graph": rec["graph"],
-                "spec": rec["spec"],
-                "sim": rec["sim"],
-                "arm": rec["arm"],
-                "p": int(rec["p"]),
-                "mean_ar": float(rec["mean_ar"]),
-                "std_ar": float(rec["std_ar"]),
-                "n_seeds": int(rec["n_seeds"]),
-            })
-        return rows
+        schema = record_fields(ResultRow)
+        return [asdict(ResultRow(**{key: hint(rec[key]) for key, (hint, _) in schema.items()}))
+                for rec in reader]
 
 
 def _write_outputs(result: ExperimentResult, adversary_reports: dict,

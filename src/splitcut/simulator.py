@@ -1,4 +1,4 @@
-"""Dense statevector and density-matrix simulation with shot sampling.
+"""Dense statevector and Pauli-transfer simulation with shot sampling.
 
 State indexing convention: qubit 0 is the most significant bit of the flat
 state index, so index k corresponds to bitstring ``format(k, '0nb')`` whose
@@ -8,11 +8,19 @@ character i is qubit i. Count dictionaries use those bitstrings as keys.
 circuit on the backend (``outcome_probabilities``). Gate noise is the
 depolarizing channel: after each gate, each touched qubit goes through
 rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z), with p = p1 for
-1-qubit gates and p2 for cx, evolved exactly on the density matrix. That
-limits gate-noise circuits to ``MAX_DENSITY_QUBITS`` (10) qubits; wider ones
-raise ``CapacityError``. Without gate noise the distribution is |psi|^2 of
-the statevector (up to ``MAX_QUBITS``). Readout flips each measured bit
-independently, applied as a per-bit stochastic map on the distribution.
+1-qubit gates and p2 for cx. It is evolved exactly in the Pauli-transfer
+form (Chow et al., PRL 109, 060501, 2012): the state is the 4^n real
+coefficients Tr(rho P) over the Pauli strings P, and consecutive gates on at
+most two qubits, with their depolarizing, fuse into one 4x4 or 16x16
+transfer matrix. Such a block holds at most one rotation and is stored as
+K0 + cos(theta) K1 + sin(theta) K2, so a circuit skeleton is compiled once
+per noise model (a small cache keeps one run's flavors) and each
+evaluation only fills in its angles. The measured distribution is read off
+the I/Z coefficients. Gate-noise circuits are limited to
+``MAX_DENSITY_QUBITS`` (10) qubits; wider ones raise ``CapacityError``.
+Without gate noise the distribution is |psi|^2 of the statevector (up to
+``MAX_QUBITS``). Readout flips each measured bit independently, applied as
+a per-bit stochastic map on the distribution.
 
 Reproducibility: ``run_shots`` derives its whole random stream from
 (backend.seed, shots, sha256 of the serialized circuit) through numpy's
@@ -26,6 +34,7 @@ execute concurrently.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -34,7 +43,7 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import Circuit, CouplingMap, Gate, serialize
+from .circuit import PARAMETRIC, Circuit, CouplingMap, serialize
 from .errors import CapacityError, RoutingError
 from .graph import Graph, cut_values_vector
 from .records import read_record, record_fields
@@ -42,7 +51,7 @@ from .records import read_record, record_fields
 MAX_QUBITS = 20
 RNG_ALGORITHM = "numpy-pcg64"
 
-# A density matrix of this width holds 4^10 amplitudes (16 MiB).
+# A Pauli-transfer state of this width holds 4^10 reals (8 MiB).
 MAX_DENSITY_QUBITS = 10
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -167,41 +176,152 @@ def _shot_rng(backend: BackendProfile, c: Circuit, shots: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _density_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
-    # rho is a 2n-qubit tensor: axis q is the row index of qubit q, axis
-    # q + n its column index. U rho U^dagger applies U to the rows and the
-    # complex conjugate of U to the columns; h and cx are real, and the
-    # conjugate of rx/rz is the same gate at the negated angle.
+# -- gate noise in the Pauli-transfer form ----------------------------------
+#
+# A state of n qubits is the real tensor r[P] = Tr(rho P) over the 4^n Pauli
+# strings P, one axis of length 4 (I, X, Y, Z) per qubit. A channel acts on
+# it by its Pauli transfer matrix R[P, Q] = Tr(P E(Q)) / 2^k. Depolarizing a
+# qubit scales its X, Y and Z coefficients by d = 1 - 4p/3, and a rotation
+# by theta has the transfer matrix K0 + cos(theta) K1 + sin(theta) K2.
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Kronecker products of (broadcast) stacks of square matrices.
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], a.shape[-1] * b.shape[-1], -1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+_PAULI_BASIS = {1: _PAULIS, 2: _kron(_PAULIS[:, None], _PAULIS).reshape(16, 4, 4)}
+# Measuring one qubit reads its I and Z coefficients: P(0) = (r_I + r_Z)/2
+# and P(1) = (r_I - r_Z)/2.
+_MEASURE = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5]])
+
+
+def _transfer(u: np.ndarray) -> np.ndarray:
+    # R[P, Q] = Tr(P U Q U^dagger) / 2^k. Every unitary passed here is a
+    # Clifford, so the entries are 0 or +-1 and rounding only strips the
+    # float error of the sums. These tables are built at import from tiny
+    # matrices, by elementwise products: np.kron and BLAS's complex kernels
+    # would cost more to load than the arithmetic.
+    basis = _PAULI_BASIS[u.shape[0].bit_length() - 1]
+    images = _matmul(_matmul(u, basis), u.conj().T)  # U Q U^dagger for every Q
+    return np.rint((basis.transpose(0, 2, 1)[:, None] * images).sum(axis=(2, 3)).real / len(u))
+
+
+def _rotation_parts(name: str) -> np.ndarray:
+    # (K0, K1, K2) from the transfer matrices at theta = 0, pi/2 and pi.
+    at = []
+    for c, s in ((1.0, 0.0), (_SQRT2_INV, _SQRT2_INV), (0.0, 1.0)):  # cos, sin of theta/2
+        u = (np.array([[c, -1j * s], [-1j * s, c]]) if name == "rx"
+             else np.diag([c - 1j * s, c + 1j * s]))
+        at.append(_transfer(u))
+    k0 = 0.5 * (at[0] + at[2])
+    return np.array([k0, 0.5 * (at[0] - at[2]), at[1] - k0])
+
+
+def _transfer_table() -> dict:
+    # (name, block width, gate's first qubit is the block's first) -> the gate's
+    # transfer matrices on the block, stacked as in ``_gate_transfer``.
+    eye = np.eye(4)
+    table = {("cx", 2, True): _transfer(np.eye(4)[[0, 1, 3, 2]])[None],
+             ("cx", 2, False): _transfer(np.eye(4)[[0, 3, 2, 1]])[None]}
+    for name, parts in (("h", _transfer(_H_MATRIX)[None]), ("rx", _rotation_parts("rx")),
+                        ("rz", _rotation_parts("rz"))):
+        table[name, 1, True] = parts
+        table[name, 2, True] = _kron(parts, eye)
+        table[name, 2, False] = _kron(eye, parts)
+    return table
+
+
+_TRANSFER = _transfer_table()
+
+
+def _gate_transfer(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
+                   noise: NoiseModel) -> np.ndarray:
+    """The gate followed by depolarizing on its qubits, as transfer matrices
+    on the block's qubits: shape (3, D, D) for (K0, K1, K2) of a rotation,
+    (1, D, D) otherwise, with D = 4^len(block)."""
+    d = 1.0 - 4.0 * (noise.p2 if name == "cx" else noise.p1) / 3.0
+    scale = [np.array([1.0, d, d, d]) if q in qubits else np.ones(4) for q in block]
+    diag = scale[0] if len(block) == 1 else np.outer(scale[0], scale[1]).ravel()
+    return diag[:, None] * _TRANSFER[name, len(block), qubits[0] == block[0]]
+
+
+def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
+    """Consecutive (name, qubits) gates grouped into blocks on at most two
+    qubits, each holding at most one rotation."""
+    blocks: list[tuple[tuple[int, ...], list]] = []
+    qubits: tuple[int, ...] = ()
+    gates: list = []
+    for name, gate_qubits in skeleton:
+        if name == "measure":
+            continue
+        joined = qubits + tuple(q for q in gate_qubits if q not in qubits)
+        second_rotation = name in PARAMETRIC and any(g in PARAMETRIC for g, _ in gates)
+        if len(joined) > 2 or second_rotation:
+            blocks.append((qubits, gates))
+            joined, gates = gate_qubits, []
+        qubits = joined
+        gates.append((name, gate_qubits))
+    if gates:
+        blocks.append((qubits, gates))
+    return blocks
+
+
+@functools.lru_cache(maxsize=4)
+def _compile(num_qubits: int, skeleton: tuple, p1: float, p2: float) -> tuple:
+    """One circuit skeleton on one noise model, compiled to (steps, order).
+    Each step is one block: the transposition that brings its qubits to the
+    front of the state's axes, its width D = 4^qubits, and its matrix, or
+    for the block that holds the j-th rotation, (K0, K1, K2) as the columns
+    of a (D*D, 3) array and j. ``order[q]`` is the final axis of qubit q."""
+    noise = NoiseModel(p1, p2)
+    order = list(range(num_qubits))
+    steps, rotations = [], 0
+    for block, gates in _blocks(skeleton):
+        dim = 4 ** len(block)
+        mat = np.eye(dim)[None]
+        for name, qubits in gates:
+            t = _gate_transfer(name, qubits, block, noise)
+            mat = t @ mat if len(mat) == 1 else t[0] @ mat
+        perm = tuple(order.index(q) for q in block) + tuple(
+            i for i, q in enumerate(order) if q not in block)
+        order = [order[i] for i in perm]
+        if len(mat) == 1:
+            steps.append((perm, dim, mat[0], None))
+        else:
+            steps.append((perm, dim, mat.reshape(3, dim * dim).T.copy(), rotations))
+            rotations += 1
+    return tuple(steps), tuple(order.index(q) for q in range(num_qubits))
+
+
+def _transfer_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     n = c.num_qubits
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho.flat[0] = 1.0
-    for gate in c.gates:
-        _apply_gate(rho, gate, 2 * n)
-        angle = None if gate.angle is None else -gate.angle
-        _apply_gate(rho, Gate(gate.name, tuple(q + n for q in gate.qubits), angle), 2 * n)
-        p = noise.p2 if gate.name == "cx" else noise.p1
-        if p > 0.0:
-            for q in gate.qubits:
-                _depolarize(rho, p, q, n)
-    return np.diagonal(rho.reshape(1 << n, 1 << n)).real.copy()
-
-
-def _depolarize(rho: np.ndarray, p: float, q: int, n: int) -> None:
-    # (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
-    #   = (1 - 4p/3) rho + (2p/3) Tr_q(rho) (x) I
-    i00 = _index(2 * n, {q: 0, q + n: 0})
-    i11 = _index(2 * n, {q: 1, q + n: 1})
-    mixed = (2.0 * p / 3.0) * (rho[i00] + rho[i11])
-    rho *= 1.0 - 4.0 * p / 3.0
-    rho[i00] += mixed
-    rho[i11] += mixed
+    steps, order = _compile(n, tuple((g.name, g.qubits) for g in c.gates), noise.p1, noise.p2)
+    angles = np.array([g.angle for g in c.gates if g.angle is not None])
+    coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
+    # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
+    state = np.zeros((4,) * n)
+    state[(slice(0, 4, 3),) * n] = 1.0
+    for perm, dim, mat, j in steps:
+        if j is not None:
+            mat = (mat @ coeffs[j]).reshape(dim, dim)
+        state = mat @ state.reshape((4,) * n).transpose(perm).reshape(dim, -1)
+    for i in range(n):
+        state = _MEASURE @ state.reshape(2**i, 4, -1)
+    return state.reshape((2,) * n).transpose(order).reshape(-1)
 
 
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Exact distribution of the measured bitstrings, indexed like the state.
 
-    Gate noise evolves the density matrix (at most ``MAX_DENSITY_QUBITS``
-    wide); without it the probabilities are ``|run_statevector(c)|^2``.
+    Gate noise evolves the Pauli-transfer state (at most
+    ``MAX_DENSITY_QUBITS`` wide); without it the probabilities are
+    ``|run_statevector(c)|^2``.
     Readout flips then act on each bit as a 2x2 stochastic map.
     """
     _check_capacity(c)
@@ -211,7 +331,7 @@ def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.nd
             raise CapacityError(
                 f"gate noise is simulated up to {MAX_DENSITY_QUBITS} qubits, got {n}"
             )
-        probs = _density_probabilities(c, noise)
+        probs = _transfer_probabilities(c, noise)
     else:
         probs = np.abs(run_statevector(c)) ** 2
     f = noise.readout_flip

@@ -336,6 +336,13 @@ class TestCli:
             spec = tmp_path / f"typed_profile_spec{i}.json"
             spec.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(profiles), backends=["x"])))
             cases.append((["overhead", "--config", str(spec)], repr(key)))
+        # an extraction report of the wrong shape names its key
+        for i, (report, named) in enumerate([({"nodes": 4, "edges": 3}, "'edges'"),
+                                             ({"nodes": "4", "edges": []}, "'nodes'"),
+                                             ([], "")]):
+            path = tmp_path / f"report{i}.json"
+            path.write_text(json.dumps(report))
+            cases.append((["adversary", "merge", str(path)], named))
         for argv, named in cases:
             assert main(argv) == 2
             err = capsys.readouterr().err

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from splitcut.circuit import Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, rx
+from splitcut import simulator
+from splitcut.circuit import (
+    Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, rx, transpile,
+)
 from splitcut.errors import CapacityError, RoutingError
 from splitcut.graph import benchmark_graph, cut_values_vector
 from splitcut.simulator import (
@@ -238,14 +241,46 @@ class TestRunShots:
 
 
 class TestExactDistribution:
-    @pytest.mark.parametrize("name", ["cycle3", "cycle4", "graph5"])
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ["cycle3", "cycle4", "graph5",
+                                      "complete4_with_diagonals", "graph6"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("backend", ["hw1", "hw2"])
     def test_matches_kraus_reference(self, name, p, backend):
         noise = load_backend_profiles()[backend].noise
         c = build_qaoa(benchmark_graph(name), random_params(np.random.default_rng(p), p))
         probs = outcome_probabilities(c, noise)
         assert np.abs(probs - kraus_reference(c, noise)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["cycle4", "complete4_with_diagonals", "graph5", "graph6"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("backend", ["hw1", "hw2"])
+    def test_routed_matches_kraus_reference(self, name, p, backend):
+        # a shuffled placement on a line: SWAP triples, and cx blocks whose
+        # control is the second qubit of the fused pair
+        g = benchmark_graph(name)
+        rng = np.random.default_rng(10 * p + g.n)
+        routed = transpile(build_qaoa(g, random_params(rng, p)), CouplingMap.line(g.n),
+                           placement=tuple(int(q) for q in rng.permutation(g.n)))
+        assert routed.swap_count > 0
+        noise = load_backend_profiles()[backend].noise
+        probs = outcome_probabilities(routed.circuit, noise)
+        assert np.abs(probs - kraus_reference(routed.circuit, noise)).max() < 1e-12
+
+    def test_compiled_plan_reused_across_angles_and_cache_bounded(self):
+        noise = load_backend_profiles()["hw1"].noise
+        g = benchmark_graph("graph5")
+        outcome_probabilities(build_qaoa(g, ParamVector((0.1,), (0.2,))), noise)
+        before = simulator._compile.cache_info()
+        c = build_qaoa(g, ParamVector((0.7,), (1.1,)))
+        probs = outcome_probabilities(c, noise)
+        after = simulator._compile.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert np.abs(probs - kraus_reference(c, noise)).max() < 1e-12
+        for n in range(3, 11):  # more skeletons than the cache holds
+            outcome_probabilities(build_qaoa(benchmark_graph(f"cycle({n})"),
+                                             ParamVector((0.3,), (0.4,))), noise)
+        info = simulator._compile.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 8
 
     def test_noiseless_is_statevector_squared(self):
         c = build_qaoa(benchmark_graph("graph5"), ParamVector((0.5,), (0.6,)))
