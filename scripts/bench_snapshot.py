@@ -14,6 +14,8 @@ It records, for the checkout the script sits in:
   seconds and in ms per evaluation (median of a few runs in this process);
 - the Tier-1 test suite's wall time and pass count (``PYTHONPATH=src
   python -m pytest -q --continue-on-collection-errors``).
+- ``src_lines``, the total ``wc -l`` of ``src/splitcut/*.py``: the
+  "least code" measure of the design aim in ROADMAP.md.
 
 With three seeds per workload, each run as long as ``BENCHMARK.json``'s
 ``run_seconds`` (30 s), it takes about seven minutes on a 2-vCPU machine.
@@ -83,6 +85,10 @@ def time_optimize(backend_name: str) -> dict:
             "ms_per_eval": 1e3 * s / evaluations, "final_ar": trace.final_ar}
 
 
+def src_lines() -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "splitcut").glob("*.py"))
+
+
 def run_tier1() -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
             "-p", "no:cacheprovider"]
@@ -104,7 +110,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
-    out: dict = {"label": args.label, "perfbench_seconds": seconds, "workloads": {}}
+    out: dict = {"label": args.label, "perfbench_seconds": seconds, "src_lines": src_lines(),
+                 "workloads": {}}
     for name in workloads.WORKLOADS:
         records = [run_workload(name, seed, seconds) for seed in SEEDS]
         out.setdefault("environment", records[0]["environment"])

@@ -12,7 +12,6 @@ edge. Everything here is a pure function.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass
-from fractions import Fraction
 
 from .circuit import parse
 from .graph import Graph
@@ -142,13 +141,6 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
         worst_case_trials=2 ** candidates,
         min_guesses=1 if candidates >= 1 else 0,
     )
-
-
-def average_case_trials(n: int) -> tuple[Fraction, float]:
-    """Average guesses over all possible original graphs on n nodes,
-    as (exact exponent of 2, float approximation)."""
-    exponent = Fraction(n * (n - 1), 4)
-    return exponent, 2.0 ** float(exponent)
 
 
 def cross_provider_merge(graphs: list[Graph]) -> Graph:

@@ -79,6 +79,9 @@ class ExperimentSpec:
                 raise ValueError(f"unknown arm {arm!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"experiment spec key 'seeds' must hold non-negative integers, "
+                             f"got {min(self.seeds)}")
         if not self.p_layers:
             raise ValueError("need at least one layer count")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:

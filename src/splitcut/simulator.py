@@ -1,26 +1,31 @@
-"""Dense statevector and Pauli-transfer simulation with shot sampling.
+"""One compiled simulation kernel with shot sampling.
 
 State indexing convention: qubit 0 is the most significant bit of the flat
 state index, so index k corresponds to bitstring ``format(k, '0nb')`` whose
 character i is qubit i. Count dictionaries use those bitstrings as keys.
 
 ``run_shots`` draws every shot from the exact output distribution of the
-circuit on the backend (``outcome_probabilities``). Gate noise is the
-depolarizing channel: after each gate, each touched qubit goes through
-rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z), with p = p1 for
-1-qubit gates and p2 for cx. It is evolved exactly in the Pauli-transfer
-form (Chow et al., PRL 109, 060501, 2012): the state is the 4^n real
-coefficients Tr(rho P) over the Pauli strings P, and consecutive gates on at
-most two qubits, with their depolarizing, fuse into one 4x4 or 16x16
-transfer matrix. Such a block holds at most one rotation and is stored as
-K0 + cos(theta) K1 + sin(theta) K2, so a circuit skeleton is compiled once
-per noise model (a small cache keeps one run's flavors) and each
-evaluation only fills in its angles. The measured distribution is read off
-the I/Z coefficients. Gate-noise circuits are limited to
-``MAX_DENSITY_QUBITS`` (10) qubits; wider ones raise ``CapacityError``.
-Without gate noise the distribution is |psi|^2 of the statevector (up to
-``MAX_QUBITS``). Readout flips each measured bit independently, applied as
-a per-bit stochastic map on the distribution.
+circuit on the backend (``outcome_probabilities``). Every circuit evolves on
+one compiled kernel: consecutive gates on at most two qubits fuse into one
+block holding at most one rotation, a circuit skeleton is compiled once per
+noise model (a small cache keeps one run's flavors), and each evaluation
+only fills in its angles. The state takes one of two forms:
+
+- Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), and a
+  block is its 2x2 or 4x4 unitary, stored as cos(theta/2) A + sin(theta/2) B
+  when it holds a rotation. The distribution is |psi|^2.
+- Gate noise is the depolarizing channel: after each gate, each touched
+  qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
+  with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
+  Pauli-transfer form (Chow et al., PRL 109, 060501, 2012): the state is the
+  4^n real coefficients Tr(rho P) over the Pauli strings P, a block with its
+  depolarizing is one 4x4 or 16x16 transfer matrix, stored as
+  K0 + cos(theta) K1 + sin(theta) K2 around a rotation, and the measured
+  distribution is read off the I/Z coefficients. Gate-noise circuits are
+  limited to ``MAX_DENSITY_QUBITS`` (10) qubits.
+
+Wider circuits raise ``CapacityError``. Readout flips each measured bit
+independently, applied as a per-bit stochastic map on the distribution.
 
 Reproducibility: ``run_shots`` derives its whole random stream from
 (backend.seed, shots, sha256 of the serialized circuit) through numpy's
@@ -55,7 +60,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 MAX_DENSITY_QUBITS = 10
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-_H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -98,68 +102,10 @@ class ShotResult:
             raise ValueError("counts must sum to shots")
 
 
-def _index(n: int, fixed: dict[int, int]) -> tuple:
-    # Index tuple for a (2,)*n tensor with the given qubit axes pinned.
-    idx: list = [slice(None)] * n
-    for q, v in fixed.items():
-        idx[q] = v
-    return tuple(idx)
-
-
-def _apply_1q(arr: np.ndarray, mat: np.ndarray, q: int, n: int) -> None:
-    i0, i1 = _index(n, {q: 0}), _index(n, {q: 1})
-    a0 = arr[i0].copy()
-    a1 = arr[i1].copy()
-    arr[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    arr[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
-def _apply_rz(arr: np.ndarray, angle: float, q: int, n: int) -> None:
-    half = 0.5 * angle
-    arr[_index(n, {q: 0})] *= np.exp(-1j * half)
-    arr[_index(n, {q: 1})] *= np.exp(1j * half)
-
-
-def _apply_cx(arr: np.ndarray, control: int, target: int, n: int) -> None:
-    i10 = _index(n, {control: 1, target: 0})
-    i11 = _index(n, {control: 1, target: 1})
-    tmp = arr[i10].copy()
-    arr[i10] = arr[i11]
-    arr[i11] = tmp
-
-
-def _apply_gate(arr: np.ndarray, gate, n: int) -> None:
-    if gate.name == "h":
-        _apply_1q(arr, _H_MATRIX, gate.qubits[0], n)
-    elif gate.name == "rx":
-        half = 0.5 * gate.angle
-        mat = np.array(
-            [[math.cos(half), -1j * math.sin(half)], [-1j * math.sin(half), math.cos(half)]],
-            dtype=complex,
-        )
-        _apply_1q(arr, mat, gate.qubits[0], n)
-    elif gate.name == "rz":
-        _apply_rz(arr, gate.angle, gate.qubits[0], n)
-    elif gate.name == "cx":
-        _apply_cx(arr, gate.qubits[0], gate.qubits[1], n)
-    # measure is handled by the sampling layer
-
-
-def _check_capacity(c: Circuit) -> None:
-    if c.num_qubits > MAX_QUBITS:
-        raise CapacityError(f"statevector limited to {MAX_QUBITS} qubits, got {c.num_qubits}")
-
-
 def run_statevector(c: Circuit) -> np.ndarray:
     """Noiseless evolution of |0...0> through the circuit (measurement ignored)."""
-    _check_capacity(c)
-    n = c.num_qubits
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
-    arr = state.reshape((2,) * n)
-    for gate in c.gates:
-        _apply_gate(arr, gate, n)
-    return state
+    state, order = _evolve(c, NoiseModel())
+    return state.reshape((2,) * c.num_qubits).transpose(order).reshape(-1)
 
 
 def exact_expectation(g: Graph, c: Circuit) -> float:
@@ -176,13 +122,16 @@ def _shot_rng(backend: BackendProfile, c: Circuit, shots: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(seq))
 
 
-# -- gate noise in the Pauli-transfer form ----------------------------------
+# -- the compiled kernel ----------------------------------------------------
 #
-# A state of n qubits is the real tensor r[P] = Tr(rho P) over the 4^n Pauli
-# strings P, one axis of length 4 (I, X, Y, Z) per qubit. A channel acts on
-# it by its Pauli transfer matrix R[P, Q] = Tr(P E(Q)) / 2^k. Depolarizing a
-# qubit scales its X, Y and Z coefficients by d = 1 - 4p/3, and a rotation
-# by theta has the transfer matrix K0 + cos(theta) K1 + sin(theta) K2.
+# Without gate noise the state is the 2^n complex amplitudes, one axis of
+# length 2 per qubit, and a gate acts by its unitary; a rotation by theta is
+# the unitary cos(theta/2) A + sin(theta/2) B. With gate noise the state is
+# the real tensor r[P] = Tr(rho P) over the 4^n Pauli strings P, one axis of
+# length 4 (I, X, Y, Z) per qubit. A channel acts on it by its Pauli
+# transfer matrix R[P, Q] = Tr(P E(Q)) / 2^k. Depolarizing a qubit scales
+# its X, Y and Z coefficients by d = 1 - 4p/3, and a rotation by theta has
+# the transfer matrix K0 + cos(theta) K1 + sin(theta) K2.
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Kronecker products of (broadcast) stacks of square matrices.
@@ -201,54 +150,60 @@ _PAULI_BASIS = {1: _PAULIS, 2: _kron(_PAULIS[:, None], _PAULIS).reshape(16, 4, 4
 _MEASURE = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5]])
 
 
-def _transfer(u: np.ndarray) -> np.ndarray:
-    # R[P, Q] = Tr(P U Q U^dagger) / 2^k. Every unitary passed here is a
-    # Clifford, so the entries are 0 or +-1 and rounding only strips the
-    # float error of the sums. These tables are built at import from tiny
-    # matrices, by elementwise products: np.kron and BLAS's complex kernels
-    # would cost more to load than the arithmetic.
-    basis = _PAULI_BASIS[u.shape[0].bit_length() - 1]
-    images = _matmul(_matmul(u, basis), u.conj().T)  # U Q U^dagger for every Q
-    return np.rint((basis.transpose(0, 2, 1)[:, None] * images).sum(axis=(2, 3)).real / len(u))
-
-
-def _rotation_parts(name: str) -> np.ndarray:
-    # (K0, K1, K2) from the transfer matrices at theta = 0, pi/2 and pi.
-    at = []
-    for c, s in ((1.0, 0.0), (_SQRT2_INV, _SQRT2_INV), (0.0, 1.0)):  # cos, sin of theta/2
-        u = (np.array([[c, -1j * s], [-1j * s, c]]) if name == "rx"
-             else np.diag([c - 1j * s, c + 1j * s]))
-        at.append(_transfer(u))
-    k0 = 0.5 * (at[0] + at[2])
-    return np.array([k0, 0.5 * (at[0] - at[2]), at[1] - k0])
-
-
-def _transfer_table() -> dict:
-    # (name, block width, gate's first qubit is the block's first) -> the gate's
-    # transfer matrices on the block, stacked as in ``_gate_transfer``.
-    eye = np.eye(4)
-    table = {("cx", 2, True): _transfer(np.eye(4)[[0, 1, 3, 2]])[None],
-             ("cx", 2, False): _transfer(np.eye(4)[[0, 3, 2, 1]])[None]}
-    for name, parts in (("h", _transfer(_H_MATRIX)[None]), ("rx", _rotation_parts("rx")),
-                        ("rz", _rotation_parts("rz"))):
+def _gate_table() -> dict:
+    # (name, block width, gate's first qubit is the block's first) -> the
+    # gate's unitary on the block: the parts (A, B) of a rotation, or one
+    # matrix. The tables are built at import from tiny matrices, by
+    # elementwise products: np.kron and BLAS's complex kernels would cost
+    # more to load than the arithmetic.
+    eye = np.eye(2)
+    table = {("cx", 2, True): np.eye(4)[[0, 1, 3, 2]][None],
+             ("cx", 2, False): np.eye(4)[[0, 3, 2, 1]][None]}
+    for name, parts in (("h", np.array([[[1.0, 1.0], [1.0, -1.0]]]) * _SQRT2_INV),
+                        ("rx", np.array([eye, -1j * _PAULIS[1]])),
+                        ("rz", np.array([eye, -1j * _PAULIS[3]]))):
         table[name, 1, True] = parts
         table[name, 2, True] = _kron(parts, eye)
         table[name, 2, False] = _kron(eye, parts)
     return table
 
 
-_TRANSFER = _transfer_table()
+def _transfer(u: np.ndarray) -> np.ndarray:
+    # R[P, Q] = Tr(P U Q U^dagger) / 2^k. Every unitary passed here is a
+    # Clifford, so the entries are 0 or +-1 and rounding only strips the
+    # float error of the sums.
+    basis = _PAULI_BASIS[u.shape[0].bit_length() - 1]
+    images = _matmul(_matmul(u, basis), u.conj().T)  # U Q U^dagger for every Q
+    return np.rint((basis.transpose(0, 2, 1)[:, None] * images).sum(axis=(2, 3)).real / len(u))
 
 
-def _gate_transfer(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
-                   noise: NoiseModel) -> np.ndarray:
-    """The gate followed by depolarizing on its qubits, as transfer matrices
-    on the block's qubits: shape (3, D, D) for (K0, K1, K2) of a rotation,
-    (1, D, D) otherwise, with D = 4^len(block)."""
+def _rotation_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (K0, K1, K2) of the rotation cos(theta/2) a + sin(theta/2) b, from its
+    # transfer matrices at theta = 0, pi/2 and pi.
+    at = [_transfer(c * a + s * b) for c, s in ((1.0, 0.0), (_SQRT2_INV, _SQRT2_INV), (0.0, 1.0))]
+    k0 = 0.5 * (at[0] + at[2])
+    return np.array([k0, 0.5 * (at[0] - at[2]), at[1] - k0])
+
+
+_GATES = _gate_table()
+_TRANSFER = {key: _rotation_parts(*parts) if len(parts) == 2 else _transfer(parts[0])[None]
+             for key, parts in _GATES.items()}
+
+
+def _gate_parts(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
+                noise: NoiseModel) -> np.ndarray:
+    """The gate on the block's qubits as a stack of parts, one for a fixed
+    gate and one per angle coefficient for a rotation: without gate noise
+    its unitary, (2, D, D) or (1, D, D) with D = 2^len(block); with it the
+    gate followed by depolarizing on its qubits as transfer matrices,
+    (3, D, D) or (1, D, D) with D = 4^len(block)."""
+    key = (name, len(block), qubits[0] == block[0])
+    if noise.p1 == noise.p2 == 0.0:
+        return _GATES[key]
     d = 1.0 - 4.0 * (noise.p2 if name == "cx" else noise.p1) / 3.0
     scale = [np.array([1.0, d, d, d]) if q in qubits else np.ones(4) for q in block]
     diag = scale[0] if len(block) == 1 else np.outer(scale[0], scale[1]).ravel()
-    return diag[:, None] * _TRANSFER[name, len(block), qubits[0] == block[0]]
+    return diag[:, None] * _TRANSFER[key]
 
 
 def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
@@ -276,44 +231,56 @@ def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
 def _compile(num_qubits: int, skeleton: tuple, p1: float, p2: float) -> tuple:
     """One circuit skeleton on one noise model, compiled to (steps, order).
     Each step is one block: the transposition that brings its qubits to the
-    front of the state's axes, its width D = 4^qubits, and its matrix, or
-    for the block that holds the j-th rotation, (K0, K1, K2) as the columns
-    of a (D*D, 3) array and j. ``order[q]`` is the final axis of qubit q."""
+    front of the state's axes, its width D, and its matrix, or for the block
+    that holds the j-th rotation, its parts as the columns of a (D*D, parts)
+    array and j. ``order[q]`` is the final axis of qubit q."""
     noise = NoiseModel(p1, p2)
     order = list(range(num_qubits))
     steps, rotations = [], 0
     for block, gates in _blocks(skeleton):
-        dim = 4 ** len(block)
-        mat = np.eye(dim)[None]
-        for name, qubits in gates:
-            t = _gate_transfer(name, qubits, block, noise)
-            mat = t @ mat if len(mat) == 1 else t[0] @ mat
+        mat = _gate_parts(*gates[0], block, noise)
+        for name, qubits in gates[1:]:
+            mat = _gate_parts(name, qubits, block, noise) @ mat
+        dim = mat.shape[-1]
         perm = tuple(order.index(q) for q in block) + tuple(
             i for i, q in enumerate(order) if q not in block)
         order = [order[i] for i in perm]
         if len(mat) == 1:
             steps.append((perm, dim, mat[0], None))
         else:
-            steps.append((perm, dim, mat.reshape(3, dim * dim).T.copy(), rotations))
+            steps.append((perm, dim, mat.reshape(len(mat), dim * dim).T.copy(), rotations))
             rotations += 1
     return tuple(steps), tuple(order.index(q) for q in range(num_qubits))
 
 
-def _transfer_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
+def _evolve(c: Circuit, noise: NoiseModel) -> tuple[np.ndarray, tuple[int, ...]]:
+    """|0...0> through the circuit's compiled blocks: the flat final state
+    (the amplitudes without gate noise, the Pauli coefficients with it) and
+    ``order``, where ``order[q]`` is the state axis that holds qubit q."""
     n = c.num_qubits
+    gate_noise = noise.p1 > 0.0 or noise.p2 > 0.0
+    limit = MAX_DENSITY_QUBITS if gate_noise else MAX_QUBITS
+    if n > limit:
+        what = "gate noise" if gate_noise else "a statevector"
+        raise CapacityError(f"{what} is simulated up to {limit} qubits, got {n}")
     steps, order = _compile(n, tuple((g.name, g.qubits) for g in c.gates), noise.p1, noise.p2)
     angles = np.array([g.angle for g in c.gates if g.angle is not None])
-    coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
-    # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
-    state = np.zeros((4,) * n)
-    state[(slice(0, 4, 3),) * n] = 1.0
+    if gate_noise:
+        coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
+        # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
+        shape = (4,) * n
+        state = np.zeros(shape)
+        state[(slice(0, 4, 3),) * n] = 1.0
+    else:
+        coeffs = np.stack((np.cos(0.5 * angles), np.sin(0.5 * angles)), axis=1)
+        shape = (2,) * n
+        state = np.zeros(shape, dtype=complex)
+        state[(0,) * n] = 1.0
     for perm, dim, mat, j in steps:
         if j is not None:
             mat = (mat @ coeffs[j]).reshape(dim, dim)
-        state = mat @ state.reshape((4,) * n).transpose(perm).reshape(dim, -1)
-    for i in range(n):
-        state = _MEASURE @ state.reshape(2**i, 4, -1)
-    return state.reshape((2,) * n).transpose(order).reshape(-1)
+        state = mat @ state.reshape(shape).transpose(perm).reshape(dim, -1)
+    return state.reshape(-1), order
 
 
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:
@@ -324,14 +291,12 @@ def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.nd
     ``|run_statevector(c)|^2``.
     Readout flips then act on each bit as a 2x2 stochastic map.
     """
-    _check_capacity(c)
     n = c.num_qubits
     if noise.p1 > 0.0 or noise.p2 > 0.0:
-        if n > MAX_DENSITY_QUBITS:
-            raise CapacityError(
-                f"gate noise is simulated up to {MAX_DENSITY_QUBITS} qubits, got {n}"
-            )
-        probs = _transfer_probabilities(c, noise)
+        state, order = _evolve(c, noise)
+        for i in range(n):
+            state = _MEASURE @ state.reshape(2**i, 4, -1)
+        probs = state.reshape((2,) * n).transpose(order).reshape(-1)
     else:
         probs = np.abs(run_statevector(c)) ** 2
     f = noise.readout_flip

@@ -1,14 +1,12 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splitcut.adversary import (
-    average_case_trials,
     cross_provider_merge,
     effort,
     extract_graph,
@@ -134,11 +132,6 @@ class TestEffort:
             effort(4, 7)
         with pytest.raises(ValueError):
             effort(4, -1)
-
-    def test_average_case_exponent_form(self):
-        exponent, approx = average_case_trials(10)
-        assert exponent == Fraction(45, 2)
-        assert approx == pytest.approx(2.0**22.5)
 
 
 class TestMerge:

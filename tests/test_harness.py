@@ -314,6 +314,10 @@ class TestCli:
         profile_list.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(names_only))))
         profile_object = tmp_path / "profile_object.json"
         profile_object.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(unknown_key))))
+        negative_seed = tmp_path / "negative_seed.json"
+        negative_seed.write_text(json.dumps(dict(SMALL_SPEC, seeds=[0, -1])))
+        small_spec = tmp_path / "small_spec.json"
+        small_spec.write_text(json.dumps(SMALL_SPEC))
         cases = [(["run", "--config", str(tmp_path / "missing.json")], ""),
                  (["run", "--config", str(bad_json)], ""),
                  (["overhead", "--config", str(no_graph)], "'graph'"),
@@ -323,7 +327,9 @@ class TestCli:
                  (["run", "--config", str(profile_key)], "'readout'"),
                  (["overhead", "--config", str(profile_list)], ""),
                  (["overhead", "--config", str(profile_object)], ""),
-                 (["adversary", "extract", "--circuit", str(bad_json)], "")]
+                 (["adversary", "extract", "--circuit", str(bad_json)], ""),
+                 (["run", "--config", str(negative_seed)], "'seeds'"),
+                 (["run", "--config", str(small_spec), "--seed", "-3"], "'seeds'")]
         # a value of the wrong JSON type names its key
         for i, (key, value) in enumerate([("seeds", 5), ("graph", 5), ("arms", "split"),
                                           ("shots", 4096.5), ("shots", True), ("k", None)]):

@@ -97,6 +97,21 @@ class TestStatevector:
                 prefix = Circuit(c.num_qubits, c.gates[:i])
                 assert abs(np.linalg.norm(run_statevector(prefix)) - 1.0) <= 1e-10
 
+    def test_amplitudes_match_dense_unitaries(self, benchmarks):
+        # phases too: negating every angle conjugates the state, which no
+        # distribution can tell
+        rng = np.random.default_rng(6)
+        for g in benchmarks.values():
+            c = build_qaoa(g, random_params(rng, 2))
+            routed = transpile(c, CouplingMap.line(g.n),
+                               placement=tuple(int(q) for q in rng.permutation(g.n))).circuit
+            for circ in (c, routed):
+                expected = np.eye(1 << g.n)[:, 0]
+                for gate in circ.gates:
+                    if gate.name != "measure":
+                        expected = _gate_unitary(gate, g.n) @ expected
+                assert np.abs(run_statevector(circ) - expected).max() < 1e-12
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             run_statevector(Circuit(21, ()))
@@ -244,7 +259,7 @@ class TestExactDistribution:
     @pytest.mark.parametrize("name", ["cycle3", "cycle4", "graph5",
                                       "complete4_with_diagonals", "graph6"])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("backend", ["hw1", "hw2"])
+    @pytest.mark.parametrize("backend", ["ideal1", "hw1", "hw2"])
     def test_matches_kraus_reference(self, name, p, backend):
         noise = load_backend_profiles()[backend].noise
         c = build_qaoa(benchmark_graph(name), random_params(np.random.default_rng(p), p))
@@ -253,7 +268,7 @@ class TestExactDistribution:
 
     @pytest.mark.parametrize("name", ["cycle4", "complete4_with_diagonals", "graph5", "graph6"])
     @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("backend", ["hw1", "hw2"])
+    @pytest.mark.parametrize("backend", ["ideal1", "hw1", "hw2"])
     def test_routed_matches_kraus_reference(self, name, p, backend):
         # a shuffled placement on a line: SWAP triples, and cx blocks whose
         # control is the second qubit of the fused pair
@@ -266,8 +281,9 @@ class TestExactDistribution:
         probs = outcome_probabilities(routed.circuit, noise)
         assert np.abs(probs - kraus_reference(routed.circuit, noise)).max() < 1e-12
 
-    def test_compiled_plan_reused_across_angles_and_cache_bounded(self):
-        noise = load_backend_profiles()["hw1"].noise
+    @pytest.mark.parametrize("backend", ["ideal1", "hw1"])
+    def test_compiled_plan_reused_across_angles_and_cache_bounded(self, backend):
+        noise = load_backend_profiles()[backend].noise
         g = benchmark_graph("graph5")
         outcome_probabilities(build_qaoa(g, ParamVector((0.1,), (0.2,))), noise)
         before = simulator._compile.cache_info()
