@@ -8,7 +8,9 @@ It records, for the checkout the script sits in:
 - the environment, as ``perfbench/run.py`` records it;
 - per ``perfbench`` workload, the median of each end-to-end metric over a
   few seeds of ``perfbench/run.py --trace 0``, each run in its own process,
-  plus every run's value and first-round digest;
+  plus every run's value and first-round digest; and, from one
+  ``perfbench/run.py --trace 1`` run at seed 1, the per-layer metrics and
+  the ``missing_targets`` (span targets that no longer exist in the code);
 - ``optimize`` on graph6 at p=2 (SPSA, the default 50 iterations and 4096
   shots) on the noiseless ``ideal1`` and the noisy ``hw1`` profile, in
   seconds and in ms per evaluation (median of a few runs in this process);
@@ -18,7 +20,8 @@ It records, for the checkout the script sits in:
   "least code" measure of the design aim in ROADMAP.md.
 
 With three seeds per workload, each run as long as ``BENCHMARK.json``'s
-``run_seconds`` (30 s), it takes about seven minutes on a 2-vCPU machine.
+``run_seconds`` (30 s), plus the traced run, which runs every cell twice,
+it takes about ten minutes on a 2-vCPU machine.
 Run nothing else meanwhile: the numbers are wall times.
 """
 from __future__ import annotations
@@ -36,19 +39,21 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 SEEDS = (1, 2, 3)  # perfbench workload seeds
+TRACE_SEED = 1
 OPTIMIZE_REPEATS = 5
 
 sys.path.insert(0, str(BENCH))
 import workloads  # noqa: E402  (perfbench's own helpers: thread pins, source path)
 
 
-def run_workload(name: str, seed: int, seconds: float) -> dict:
+def run_workload(name: str, seed: int, seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, str(BENCH / "run.py"), "--workload", name, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        raise RuntimeError(f"{name} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads((ROOT / ".perfbench_out" / f"{name}-seed{seed}-trace0.json").read_text())
+        raise RuntimeError(f"{name} seed {seed} trace {trace} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()}")
+    return json.loads((ROOT / ".perfbench_out" / f"{name}-seed{seed}-trace{trace}.json").read_text())
 
 
 def workload_summary(records: list[dict]) -> dict:
@@ -119,6 +124,11 @@ def main(argv=None) -> int:
         print(f"{name}: " + ", ".join(f"{k}={v['median']:.4g}"
                                       for k, v in out["workloads"][name]["metrics"].items()),
               file=sys.stderr)
+        record = run_workload(name, TRACE_SEED, seconds, trace=1)
+        traced = {key: record[key] for key in ("seed", "cells", "missing_targets", "metrics")}
+        out["workloads"][name]["trace"] = traced
+        print(f"{name} traced: {len(traced['metrics'])} per-layer metrics, missing targets: "
+              f"{', '.join(traced['missing_targets']) or 'none'}", file=sys.stderr)
 
     out["tier1"] = run_tier1()
     print(f"tier-1: {out['tier1']['summary']} ({out['tier1']['wall_s']:.1f} s wall)",

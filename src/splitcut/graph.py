@@ -106,11 +106,6 @@ def max_cut_bruteforce(g: Graph) -> tuple[int, str]:
     return int(vals[k]), format(k, f"0{g.n}b")
 
 
-def complement(a: Sequence[int] | str) -> str:
-    """Global bit-flip of an assignment."""
-    return "".join("1" if int(b) == 0 else "0" for b in a)
-
-
 # -- text format ---------------------------------------------------------
 #
 # Line-oriented: `n <count>` header, one `e <u> <v>` per edge, `#` comments.

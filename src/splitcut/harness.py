@@ -84,6 +84,13 @@ class ExperimentSpec:
                              f"got {min(self.seeds)}")
         if not self.p_layers:
             raise ValueError("need at least one layer count")
+        for key in ("seeds", "p_layers", "arms"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"experiment spec key {key!r} repeats a value: {list(values)}")
+        if "split" in self.arms and self.iterations < 2 * self.k:
+            raise ValueError(f"experiment spec key 'iterations' must be >= {2 * self.k} "
+                             f"for a {self.k}-flavor split arm, got {self.iterations}")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
             raise ValueError("removed_sets must list one edge set per flavor")
 

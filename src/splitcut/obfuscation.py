@@ -24,7 +24,6 @@ from .records import read_record, record_fields
 from .simulator import (
     RNG_ALGORITHM,
     BackendProfile,
-    ShotResult,
     expectation_full_cost,
     remap_counts,
     run_shots,
@@ -269,9 +268,7 @@ def dispatch(g_full: Graph, flavor: PrunedFlavor, params: ParamVector) -> Transp
 def _run_expectation(g_full: Graph, flavor: PrunedFlavor, params: ParamVector, shots: int) -> float:
     routed = dispatch(g_full, flavor, params)
     result = run_shots(routed.circuit, flavor.backend, shots)
-    if flavor.backend.coupling is not None:
-        result = ShotResult(remap_counts(result.counts, routed.final_layout), shots)
-    return expectation_full_cost(g_full, result)
+    return expectation_full_cost(g_full, remap_counts(result, routed.final_layout))
 
 
 def _init_params(cfg: OptimizerConfig) -> ParamVector:

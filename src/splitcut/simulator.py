@@ -2,7 +2,7 @@
 
 State indexing convention: qubit 0 is the most significant bit of the flat
 state index, so index k corresponds to bitstring ``format(k, '0nb')`` whose
-character i is qubit i. Count dictionaries use those bitstrings as keys.
+character i is qubit i. A ``ShotResult`` tallies measured outcomes by index.
 
 ``run_shots`` draws every shot from the exact output distribution of the
 circuit on the backend (``outcome_probabilities``). Every circuit evolves on
@@ -92,14 +92,23 @@ class BackendProfile:
         return self.noise != NoiseModel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotResult:
-    counts: dict[str, int]
-    shots: int
+    """``tally[k]`` counts the shots reading ``format(k, '0nb')``; ``counts`` is its dict view."""
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts must sum to shots")
+    tally: np.ndarray
+
+    @property
+    def shots(self) -> int:
+        return int(self.tally.sum())
+
+    @property
+    def counts(self) -> dict[str, int]:
+        n = len(self.tally).bit_length() - 1
+        return {format(int(k), f"0{n}b"): int(self.tally[k]) for k in np.flatnonzero(self.tally)}
+
+    def __eq__(self, other):
+        return isinstance(other, ShotResult) and np.array_equal(self.tally, other.tally)
 
 
 def run_statevector(c: Circuit) -> np.ndarray:
@@ -322,9 +331,7 @@ def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> ShotResult:
     probs = np.maximum(outcome_probabilities(c, backend.noise), 0.0)
     probs = probs / probs.sum()
     outcomes = _shot_rng(backend, c, shots).choice(1 << n, size=shots, p=probs)
-    tally = np.bincount(outcomes)
-    counts = {format(int(v), f"0{n}b"): int(tally[v]) for v in np.flatnonzero(tally)}
-    return ShotResult(counts=counts, shots=shots)
+    return ShotResult(np.bincount(outcomes, minlength=1 << n))
 
 
 def expectation_full_cost(g_full: Graph, result: ShotResult) -> float:
@@ -333,26 +340,21 @@ def expectation_full_cost(g_full: Graph, result: ShotResult) -> float:
     The cost graph is always the client's full graph; the circuit that
     produced the samples may well have been pruned.
     """
-    total = 0
-    for bits, cnt in result.counts.items():
-        if len(bits) != g_full.n or bits.strip("01"):
-            raise ValueError(f"bitstring {bits!r} is not {g_full.n} binary digits")
-        crossing = sum(1 for u, v in g_full.edges if bits[u] != bits[v])
-        total += cnt * crossing
-    return total / result.shots
+    if len(result.tally) != 1 << g_full.n:
+        raise ValueError(f"a tally of {len(result.tally)} outcomes is not over {g_full.n} qubits")
+    return int(result.tally @ cut_values_vector(g_full)) / result.shots
 
 
-def remap_counts(counts: dict[str, int], final_layout: tuple[int, ...]) -> dict[str, int]:
-    """Rewrite physical-order counts into logical order.
+def remap_counts(result: ShotResult, final_layout: tuple[int, ...]) -> ShotResult:
+    """Rewrite a physical-order tally into logical order.
 
     ``final_layout[l]`` is the physical qubit holding logical qubit l at
-    measurement; extra physical bits are dropped. Key order is re-sorted.
+    measurement; the other physical qubits are summed out.
     """
-    out: dict[str, int] = {}
-    for bits, cnt in counts.items():
-        logical = "".join(bits[p] for p in final_layout)
-        out[logical] = out.get(logical, 0) + cnt
-    return dict(sorted(out.items()))
+    n = len(result.tally).bit_length() - 1
+    axes = (*final_layout, *(q for q in range(n) if q not in final_layout))
+    t = result.tally.reshape((2,) * n).transpose(axes)
+    return ShotResult(t.reshape(1 << len(final_layout), -1).sum(axis=1))
 
 
 # -- backend profile config ------------------------------------------------

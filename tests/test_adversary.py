@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcut.adversary import (
     cross_provider_merge,
@@ -12,10 +14,11 @@ from splitcut.adversary import (
     extract_graph,
 )
 from splitcut.circuit import Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, rz, serialize, transpile
-from splitcut.graph import benchmark_graph
+from splitcut.graph import Graph, benchmark_graph
 from splitcut.obfuscation import make_split_plan, prune
 
 from conftest import random_params
+from test_graph import random_graph
 
 
 class TestExtract:
@@ -62,6 +65,27 @@ class TestExtract:
                 assert rep.recovered_graph == g
                 assert rep.unmatched_gates == 0
 
+    @given(st.integers(2, 7), st.integers(0, 2), st.integers(1, 2), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_on_random_couplings_and_placements(self, n, spare, p, pyrandom):
+        # a random connected coupling map: a random spanning tree over n
+        # plus 0-2 spare physical qubits, with a few extra pairs
+        rng = np.random.default_rng(pyrandom.randrange(2**32))
+        g = random_graph(rng, n)
+        m = n + spare
+        order = [int(q) for q in rng.permutation(m)]
+        pairs = [(order[i], order[int(rng.integers(i))]) for i in range(1, m)]
+        pairs += [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.2]
+        placement = tuple(int(q) for q in rng.permutation(m)[:n])
+        routed = transpile(build_qaoa(g, random_params(rng, p)), CouplingMap.from_edges(m, pairs),
+                           placement=placement)
+        rep = extract_graph(serialize(routed.circuit))
+        # the extractor names qubits by their initial physical position
+        logical = {phys: q for q, phys in enumerate(placement)}
+        assert Graph.make(n, [(logical[a], logical[b]) for a, b in rep.recovered_graph.edges]) == g
+        assert rep.unmatched_gates == 0
+        assert rep.swap_count == routed.swap_count
+
     def test_stray_gates_counted_not_crashed(self):
         c = Circuit(3, (cx(0, 1), h(2), cx(1, 2), rz(1, 0.5)))
         report = extract_graph(serialize(c))
@@ -69,9 +93,6 @@ class TestExtract:
         assert report.recovered_graph.edges == ()
 
     def test_extraction_complements_pruning_on_random_graphs(self):
-        from splitcut.circuit import ParamVector, build_qaoa
-        from test_graph import random_graph
-
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(3, 8)))

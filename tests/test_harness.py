@@ -179,7 +179,7 @@ class TestRunExperiment:
         # k=2 dispatches to ideal1/ideal2 only; the unused noisy hw1 does not count
         spec = ExperimentSpec.from_dict(dict(
             SMALL_SPEC, arms=["original", "split"], backends=["ideal1", "ideal2", "hw1"],
-            seeds=[0], iterations=2, shots=64,
+            seeds=[0], iterations=4, shots=64,
         ))
         result = run_experiment(spec)
         assert [r["sim"] for r in result.rows] == ["ideal", "ideal"]
@@ -316,6 +316,8 @@ class TestCli:
         profile_object.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(unknown_key))))
         negative_seed = tmp_path / "negative_seed.json"
         negative_seed.write_text(json.dumps(dict(SMALL_SPEC, seeds=[0, -1])))
+        short_split = tmp_path / "short_split.json"
+        short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
         small_spec.write_text(json.dumps(SMALL_SPEC))
         cases = [(["run", "--config", str(tmp_path / "missing.json")], ""),
@@ -329,7 +331,15 @@ class TestCli:
                  (["overhead", "--config", str(profile_object)], ""),
                  (["adversary", "extract", "--circuit", str(bad_json)], ""),
                  (["run", "--config", str(negative_seed)], "'seeds'"),
-                 (["run", "--config", str(small_spec), "--seed", "-3"], "'seeds'")]
+                 (["run", "--config", str(small_spec), "--seed", "-3"], "'seeds'"),
+                 (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
+                 (["run", "--config", str(short_split)], "'iterations'")]
+        # a repeated seed, layer count or arm would be run and counted twice
+        for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
+                                          ("arms", ["split", "split"])]):
+            spec = tmp_path / f"repeat_spec{i}.json"
+            spec.write_text(json.dumps(dict(SMALL_SPEC, **{key: value})))
+            cases.append((["run", "--config", str(spec)], repr(key)))
         # a value of the wrong JSON type names its key
         for i, (key, value) in enumerate([("seeds", 5), ("graph", 5), ("arms", "split"),
                                           ("shots", 4096.5), ("shots", True), ("k", None)]):
