@@ -8,9 +8,10 @@ It records, for the checkout the script sits in:
 - the environment, as ``perfbench/run.py`` records it;
 - per ``perfbench`` workload, the median of each end-to-end metric over a
   few seeds of ``perfbench/run.py --trace 0``, each run in its own process,
-  plus every run's value and first-round digest; and, from one
-  ``perfbench/run.py --trace 1`` run at seed 1, the per-layer metrics and
-  the ``missing_targets`` (span targets that no longer exist in the code);
+  plus every run's value and first-round digest; and, over the same seeds
+  of ``perfbench/run.py --trace 1``, the median of each per-layer metric
+  with every run's value, and the ``missing_targets`` (span targets that
+  no longer exist in the code);
 - ``optimize`` on graph6 at p=2 (SPSA, the default 50 iterations and 4096
   shots) on the noiseless ``ideal1`` and the noisy ``hw1`` profile, in
   seconds and in ms per evaluation (median of a few runs in this process);
@@ -19,9 +20,9 @@ It records, for the checkout the script sits in:
 - ``src_lines``, the total ``wc -l`` of ``src/splitcut/*.py``: the
   "least code" measure of the design aim in ROADMAP.md.
 
-With three seeds per workload, each run as long as ``BENCHMARK.json``'s
-``run_seconds`` (30 s), plus the traced run, which runs every cell twice,
-it takes about ten minutes on a 2-vCPU machine.
+With three seeds per workload, each run, traced or not, as long as
+``BENCHMARK.json``'s ``run_seconds`` (30 s), it takes about a quarter of an
+hour on a 2-vCPU machine.
 Run nothing else meanwhile: the numbers are wall times.
 """
 from __future__ import annotations
@@ -38,8 +39,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
-SEEDS = (1, 2, 3)  # perfbench workload seeds
-TRACE_SEED = 1
+SEEDS = (1, 2, 3)  # perfbench workload seeds, untraced and traced
 OPTIMIZE_REPEATS = 5
 
 sys.path.insert(0, str(BENCH))
@@ -124,11 +124,12 @@ def main(argv=None) -> int:
         print(f"{name}: " + ", ".join(f"{k}={v['median']:.4g}"
                                       for k, v in out["workloads"][name]["metrics"].items()),
               file=sys.stderr)
-        record = run_workload(name, TRACE_SEED, seconds, trace=1)
-        traced = {key: record[key] for key in ("seed", "cells", "missing_targets", "metrics")}
-        out["workloads"][name]["trace"] = traced
-        print(f"{name} traced: {len(traced['metrics'])} per-layer metrics, missing targets: "
-              f"{', '.join(traced['missing_targets']) or 'none'}", file=sys.stderr)
+        traced = [run_workload(name, seed, seconds, trace=1) for seed in SEEDS]
+        summary = workload_summary(traced)
+        summary["missing_targets"] = sorted({t for r in traced for t in r["missing_targets"]})
+        out["workloads"][name]["trace"] = summary
+        print(f"{name} traced: {len(summary['metrics'])} per-layer metrics, missing targets: "
+              f"{', '.join(summary['missing_targets']) or 'none'}", file=sys.stderr)
 
     out["tier1"] = run_tier1()
     print(f"tier-1: {out['tier1']['summary']} ({out['tier1']['wall_s']:.1f} s wall)",

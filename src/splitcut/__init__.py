@@ -38,12 +38,13 @@ from .simulator import (
     run_statevector,
 )
 from .obfuscation import (
+    CompiledFlavor,
     OptimizerConfig,
     PrunedFlavor,
     RunTrace,
     SplitPlan,
     approximation_ratio,
-    dispatch,
+    compile_flavor,
     make_split_plan,
     optimize,
     prune,
@@ -66,8 +67,8 @@ __all__ = [
     "build_qaoa", "parse", "serialize", "transpile",
     "BackendProfile", "NoiseModel", "ShotResult", "exact_expectation",
     "expectation_full_cost", "load_backend_profiles", "run_shots", "run_statevector",
-    "OptimizerConfig", "PrunedFlavor", "RunTrace", "SplitPlan",
-    "approximation_ratio", "dispatch", "make_split_plan", "optimize", "prune",
+    "CompiledFlavor", "OptimizerConfig", "PrunedFlavor", "RunTrace", "SplitPlan",
+    "approximation_ratio", "compile_flavor", "make_split_plan", "optimize", "prune",
     "EffortEstimate", "ExtractionReport", "cross_provider_merge", "effort", "extract_graph",
     "ExperimentSpec", "run_experiment", "overhead",
 ]

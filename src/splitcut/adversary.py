@@ -148,14 +148,14 @@ def cross_provider_merge(graphs: list[Graph]) -> Graph:
     learn.
 
     By the split plan's union rule this is the full graph, while each
-    single provider's recovered graph stays strictly partial.
+    single provider's recovered graph stays strictly partial. Each
+    recovered graph has one node per physical qubit of its backend, so the
+    union is taken on the widest one; a narrower provider's missing nodes
+    and every spare physical qubit are isolated nodes.
     """
     if not graphs:
         raise ValueError("need at least one graph")
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("graphs disagree on node count")
     merged: set[tuple[int, int]] = set()
     for g in graphs:
         merged |= set(g.edges)
-    return Graph.make(n, sorted(merged))
+    return Graph.make(max(g.n for g in graphs), sorted(merged))

@@ -287,16 +287,22 @@ def transpile(
 # Angles carry 17 significant digits so serialize/parse round-trips exactly.
 
 
-def serialize(c: Circuit) -> str:
+def wire_template(c: Circuit) -> str:
+    """The circuit's text with a ``{:.17g}`` field for each angle, in gate
+    order: ``wire_template(c).format(*angles)`` is the wire text."""
     lines = [f"qubits {c.num_qubits}"]
     for g in c.gates:
         if g.name == "measure":
             lines.append("measure")
         elif g.name in PARAMETRIC:
-            lines.append(f"{g.name} {g.qubits[0]} {g.angle:.17g}")
+            lines.append(f"{g.name} {g.qubits[0]} {{:.17g}}")
         else:
             lines.append(f"{g.name} " + " ".join(str(q) for q in g.qubits))
     return "\n".join(lines) + "\n"
+
+
+def serialize(c: Circuit) -> str:
+    return wire_template(c).format(*(g.angle for g in c.gates if g.angle is not None))
 
 
 def parse(text: str) -> Circuit:

@@ -19,14 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import cross_provider_merge, extract_graph
-from .circuit import ParamVector, serialize
 from .graph import Graph, benchmark_graph, load_graph
 from .obfuscation import (
     OptimizerConfig,
     PrunedFlavor,
     RunTrace,
     SplitPlan,
-    dispatch,
+    compile_flavor,
     make_split_plan,
     optimize,
 )
@@ -186,8 +185,7 @@ class ExperimentResult:
 
 
 def _circuit_stats(g: Graph, flavor: PrunedFlavor, p: int) -> dict:
-    # Angles do not change gate counts; build at zero angles.
-    routed = dispatch(g, flavor, ParamVector((0.0,) * p, (0.0,) * p))
+    routed = compile_flavor(g, flavor, p).routed  # angles do not change gate counts
     counts = routed.circuit.gate_counts()
     return {
         "backend": flavor.backend.name,
@@ -318,7 +316,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                     noisy = noisy or any(f.backend.is_noisy for f in flavors)
                     trace = optimize(g, flavors, cfg)
                     # the wire artifacts the provider(s) receive
-                    texts = [serialize(dispatch(g, f, trace.best_params).circuit) for f in flavors]
+                    x = trace.best_params.to_array()
+                    texts = [compile_flavor(g, f, p).wire_text(x) for f in flavors]
                     if len(flavors) > 1:
                         reports = _check_partial_knowledge(g, flavors, texts)
                 except AssertionError as exc:  # invariant violation: poisons the run

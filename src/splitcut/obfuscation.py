@@ -12,21 +12,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import ParamVector, TranspiledCircuit, build_qaoa, transpile
+from .circuit import ParamVector, TranspiledCircuit, build_qaoa, transpile, wire_template
 from .errors import DivergenceError, MetricError, PlanError
-from .graph import Edge, Graph, max_cut_bruteforce
+from .graph import Edge, Graph, cut_values_vector, max_cut_bruteforce
 from .optimizers import NelderMead, Spsa
 from .records import read_record, record_fields
 from .simulator import (
     RNG_ALGORITHM,
     BackendProfile,
-    expectation_full_cost,
-    remap_counts,
-    run_shots,
+    Kernel,
+    check_coupling,
+    compile_kernel,
+    sample_tally,
+    shot_rng,
 )
 
 FINAL_EVAL_SHOTS = 16384
@@ -251,24 +254,69 @@ def approximation_ratio(expectation: float, cmax: int) -> float:
     return min(max(r, 0.0), 1.0)
 
 
-def dispatch(g_full: Graph, flavor: PrunedFlavor, params: ParamVector) -> TranspiledCircuit:
-    """The circuit that leaves the client for ``flavor``'s backend.
+@dataclass(frozen=True, eq=False)
+class CompiledFlavor:
+    """One flavor at p layers, built and routed once by ``compile_flavor``.
 
-    Built on the flavor's graph and routed onto the backend's coupling map
-    when it has one; an unrouted circuit carries identity layouts.
-    ``serialize(dispatch(...).circuit)`` is the wire text.
+    ``routed`` is the circuit that leaves the client, with placeholder
+    angles; an evaluation at the 2p-vector x = (gammas, betas) only fills
+    in rotation i's angle ``2.0 * x[slots[i]]``. The simulator kernel and
+    the cut vector are built on the first evaluation.
     """
-    circ = build_qaoa(flavor.pruned_graph(g_full), params)
-    if flavor.backend.coupling is not None:
-        return transpile(circ, flavor.backend.coupling)
-    identity = tuple(range(circ.num_qubits))
-    return TranspiledCircuit(circ, identity, identity, 0)
+
+    g_full: Graph
+    flavor: PrunedFlavor
+    routed: TranspiledCircuit
+    slots: np.ndarray
+    template: str  # wire_template(routed.circuit)
+
+    def _angles(self, x) -> np.ndarray:
+        return 2.0 * np.asarray(x, dtype=float)[self.slots]
+
+    def wire_text(self, x) -> str:
+        """The wire text at angles x: ``serialize`` of the routed circuit."""
+        return self.template.format(*self._angles(x).tolist())
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        return compile_kernel(self.routed.circuit, self.flavor.backend.noise)
+
+    @cached_property
+    def cut(self) -> np.ndarray:
+        """The full graph's cut value of every physical outcome: the graph
+        relabelled onto the physical qubits that hold its nodes at
+        measurement, so spare qubits cut nothing."""
+        layout = self.routed.final_layout
+        edges = [(layout[u], layout[v]) for u, v in self.g_full.edges]
+        return cut_values_vector(Graph.make(self.routed.circuit.num_qubits, edges))
+
+    def expectation(self, x, shots: int) -> float:
+        """Mean full-graph cut value of ``shots`` samples at angles x, drawn
+        with the backend's seed and the wire text as ``run_shots`` draws."""
+        angles = self._angles(x)
+        text = self.template.format(*angles.tolist())
+        rng = shot_rng(self.flavor.backend.seed, shots, text)
+        tally = sample_tally(self.kernel.probabilities(angles), rng, shots)
+        return int(tally @ self.cut) / shots
 
 
-def _run_expectation(g_full: Graph, flavor: PrunedFlavor, params: ParamVector, shots: int) -> float:
-    routed = dispatch(g_full, flavor, params)
-    result = run_shots(routed.circuit, flavor.backend, shots)
-    return expectation_full_cost(g_full, remap_counts(result, routed.final_layout))
+def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavor:
+    """The circuit that leaves the client for ``flavor``'s backend at p
+    layers: built on the flavor's graph and routed onto the backend's
+    coupling map when it has one; an unrouted circuit carries identity
+    layouts."""
+    # At the angles x = (1, ..., 2p) every rotation's angle 2 * x[j] names its slot j.
+    circ = build_qaoa(flavor.pruned_graph(g_full), ParamVector.from_array(range(1, 2 * p + 1)))
+    coupling = flavor.backend.coupling
+    if coupling is None:
+        identity = tuple(range(circ.num_qubits))
+        routed = TranspiledCircuit(circ, identity, identity, 0)
+    else:
+        routed = transpile(circ, coupling)
+        check_coupling(routed.circuit, coupling)
+    slots = np.array([int(g.angle) // 2 - 1 for g in routed.circuit.gates if g.angle is not None],
+                     dtype=np.intp)
+    return CompiledFlavor(g_full, flavor, routed, slots, wire_template(routed.circuit))
 
 
 def _init_params(cfg: OptimizerConfig) -> ParamVector:
@@ -302,6 +350,7 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
     if cmax < 1:
         raise MetricError("edgeless graph: approximation ratio undefined")
 
+    compiled = [compile_flavor(g_full, f, cfg.p_layers) for f in flavors]
     x0 = np.array(_init_params(cfg).to_array())
     if cfg.method == "spsa":
         opt_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cfg.p_layers, 202]))
@@ -315,14 +364,14 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
     evaluations = 0
 
     for t in range(cfg.total_iterations):
-        fl = flavors[t % k]
+        fl = compiled[t % k]
 
         def objective(x, fl=fl):
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(
                     f"non-finite parameters at iteration {t}", trace=tuple(entries)
                 )
-            return _run_expectation(g_full, fl, ParamVector.from_array(x), cfg.shots)
+            return fl.expectation(x, cfg.shots)
 
         evals = opt.step(objective)
         evaluations += len(evals)
@@ -337,7 +386,7 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
         params = ParamVector.from_array(opt.x)
         entries.append(TraceEntry(
             iteration=t,
-            backend=fl.backend.name,
+            backend=fl.flavor.backend.name,
             flavor=t % k,
             evaluations=len(evals),
             gammas=params.gammas,
@@ -347,7 +396,7 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
         ))
 
     best_params = ParamVector.from_array(best_x)
-    final_expectation = _run_expectation(g_full, flavors[0], best_params, FINAL_EVAL_SHOTS)
+    final_expectation = compiled[0].expectation(best_x, FINAL_EVAL_SHOTS)
     evaluations += 1
 
     return RunTrace(

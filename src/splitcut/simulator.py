@@ -7,9 +7,10 @@ character i is qubit i. A ``ShotResult`` tallies measured outcomes by index.
 ``run_shots`` draws every shot from the exact output distribution of the
 circuit on the backend (``outcome_probabilities``). Every circuit evolves on
 one compiled kernel: consecutive gates on at most two qubits fuse into one
-block holding at most one rotation, a circuit skeleton is compiled once per
-noise model (a small cache keeps one run's flavors), and each evaluation
-only fills in its angles. The state takes one of two forms:
+block holding at most one rotation, and a circuit skeleton compiles once per
+noise model into a ``Kernel`` that each evaluation only fills the angles of.
+A compiled flavor holds its ``Kernel``; ``run_shots`` looks it up in a small
+cache. The state takes one of two forms:
 
 - Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), and a
   block is its 2x2 or 4x4 unitary, stored as cos(theta/2) A + sin(theta/2) B
@@ -27,12 +28,15 @@ only fills in its angles. The state takes one of two forms:
 Wider circuits raise ``CapacityError``. Readout flips each measured bit
 independently, applied as a per-bit stochastic map on the distribution.
 
-Reproducibility: ``run_shots`` derives its whole random stream from
-(backend.seed, shots, sha256 of the serialized circuit) through numpy's
-PCG64. Identical inputs give bit-identical counts on any platform; the
-generator is recorded in run traces as ``numpy-pcg64``. The stream is used
-for exactly one draw: ``choice(2^n, size=shots, p=probs)`` over the clipped,
-normalized distribution.
+Reproducibility: every draw derives its whole random stream from
+(backend.seed, shots, sha256 of the wire text) through numpy's PCG64
+(``shot_rng``). Identical inputs give bit-identical counts on any platform;
+the generator is recorded in run traces as ``numpy-pcg64``. The stream is
+used for exactly one draw (``sample_tally``): ``random(shots)`` uniforms,
+sorted and counted against the CDF of the clipped, normalized
+distribution. That is the tally ``np.bincount`` of
+``choice(2^n, size=shots, p=probs)`` gives from the same stream, without a
+binary search per shot.
 
 A single run owns its state and is single-threaded; independent runs can
 execute concurrently.
@@ -76,6 +80,10 @@ class NoiseModel:
             if not 0.0 <= v <= 0.5:
                 raise ValueError(f"{name} must be in [0, 0.5], got {v}")
 
+    @property
+    def has_gate_noise(self) -> bool:
+        return self.p1 > 0.0 or self.p2 > 0.0
+
 
 @dataclass(frozen=True)
 class BackendProfile:
@@ -113,8 +121,9 @@ class ShotResult:
 
 def run_statevector(c: Circuit) -> np.ndarray:
     """Noiseless evolution of |0...0> through the circuit (measurement ignored)."""
-    state, order = _evolve(c, NoiseModel())
-    return state.reshape((2,) * c.num_qubits).transpose(order).reshape(-1)
+    kernel = compile_kernel(c, NoiseModel())
+    state = kernel.evolve(_angles(c))
+    return state.reshape((2,) * c.num_qubits).transpose(kernel.order).reshape(-1)
 
 
 def exact_expectation(g: Graph, c: Circuit) -> float:
@@ -124,11 +133,30 @@ def exact_expectation(g: Graph, c: Circuit) -> float:
     return float(np.abs(run_statevector(c)) ** 2 @ cut_values_vector(g))
 
 
-def _shot_rng(backend: BackendProfile, c: Circuit, shots: int) -> np.random.Generator:
-    digest = hashlib.sha256(serialize(c).encode("utf-8")).digest()
+def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
+    """The stream of one draw: PCG64 seeded by (seed, shots, sha256 of the text)."""
+    digest = hashlib.sha256(wire_text.encode("utf-8")).digest()
     words = np.frombuffer(digest[:16], dtype=np.uint32)
-    seq = np.random.SeedSequence([int(backend.seed), int(shots), *(int(w) for w in words)])
+    seq = np.random.SeedSequence([int(seed), int(shots), *(int(w) for w in words)])
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def sample_tally(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """Tally of ``shots`` outcomes drawn from ``probs``, clipped at 0 and
+    normalized: ``np.bincount(rng.choice(len(probs), size=shots, p=...))``
+    from the same stream, counted from the sorted uniforms. A non-finite
+    entry or no positive mass raises ValueError."""
+    p = np.maximum(probs, 0.0)
+    total = p.sum()
+    if not (np.isfinite(probs).all() and total > 0.0):
+        raise ValueError("outcome probabilities must be finite with positive mass")
+    # choice's CDF after a leading 0: outcome k is drawn by the uniforms in
+    # [cdf[k], cdf[k + 1]).
+    cdf = np.zeros(len(p) + 1)
+    np.cumsum(p / total, out=cdf[1:])
+    cdf /= cdf[-1]
+    below = np.sort(rng.random(shots)).searchsorted(cdf, side="left")
+    return below[1:] - below[:-1]
 
 
 # -- the compiled kernel ----------------------------------------------------
@@ -207,7 +235,7 @@ def _gate_parts(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
     gate followed by depolarizing on its qubits as transfer matrices,
     (3, D, D) or (1, D, D) with D = 4^len(block)."""
     key = (name, len(block), qubits[0] == block[0])
-    if noise.p1 == noise.p2 == 0.0:
+    if not noise.has_gate_noise:
         return _GATES[key]
     d = 1.0 - 4.0 * (noise.p2 if name == "cx" else noise.p1) / 3.0
     scale = [np.array([1.0, d, d, d]) if q in qubits else np.ones(4) for q in block]
@@ -262,59 +290,85 @@ def _compile(num_qubits: int, skeleton: tuple, p1: float, p2: float) -> tuple:
     return tuple(steps), tuple(order.index(q) for q in range(num_qubits))
 
 
-def _evolve(c: Circuit, noise: NoiseModel) -> tuple[np.ndarray, tuple[int, ...]]:
-    """|0...0> through the circuit's compiled blocks: the flat final state
-    (the amplitudes without gate noise, the Pauli coefficients with it) and
-    ``order``, where ``order[q]`` is the state axis that holds qubit q."""
+def _angles(c: Circuit) -> np.ndarray:
+    return np.array([g.angle for g in c.gates if g.angle is not None])
+
+
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """One circuit skeleton compiled on one noise model by ``compile_kernel``.
+    A run fills in the angles of the skeleton's rotations, in gate order."""
+
+    num_qubits: int
+    noise: NoiseModel
+    steps: tuple
+    order: tuple[int, ...]  # order[q] is the state axis that holds qubit q
+
+    def evolve(self, angles: np.ndarray) -> np.ndarray:
+        """|0...0> through the compiled blocks: the flat final state, the
+        amplitudes without gate noise and the Pauli coefficients with it."""
+        n = self.num_qubits
+        if self.noise.has_gate_noise:
+            coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
+            # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
+            shape = (4,) * n
+            state = np.zeros(shape)
+            state[(slice(0, 4, 3),) * n] = 1.0
+        else:
+            coeffs = np.stack((np.cos(0.5 * angles), np.sin(0.5 * angles)), axis=1)
+            shape = (2,) * n
+            state = np.zeros(shape, dtype=complex)
+            state[(0,) * n] = 1.0
+        for perm, dim, mat, j in self.steps:
+            if j is not None:
+                mat = (mat @ coeffs[j]).reshape(dim, dim)
+            state = mat @ state.reshape(shape).transpose(perm).reshape(dim, -1)
+        return state.reshape(-1)
+
+    def probabilities(self, angles: np.ndarray) -> np.ndarray:
+        """Exact distribution of the measured bitstrings, indexed like the
+        state: |psi|^2 without gate noise, the I/Z coefficients read out
+        with it, then readout flips on each bit as a 2x2 stochastic map."""
+        n = self.num_qubits
+        state = self.evolve(angles)
+        if self.noise.has_gate_noise:
+            for i in range(n):
+                state = _MEASURE @ state.reshape(2**i, 4, -1)
+        else:
+            state = np.abs(state) ** 2
+        probs = state.reshape((2,) * n).transpose(self.order).reshape(-1)
+        f = self.noise.readout_flip
+        if f > 0.0:
+            t = probs.reshape((2,) * n)
+            for q in range(n):
+                t = (1.0 - f) * t + f * np.flip(t, axis=q)
+            probs = t.reshape(-1)
+        return probs
+
+
+def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
+    """The circuit's skeleton compiled on the noise model; wider circuits
+    than the state form holds raise CapacityError."""
     n = c.num_qubits
-    gate_noise = noise.p1 > 0.0 or noise.p2 > 0.0
-    limit = MAX_DENSITY_QUBITS if gate_noise else MAX_QUBITS
+    limit = MAX_DENSITY_QUBITS if noise.has_gate_noise else MAX_QUBITS
     if n > limit:
-        what = "gate noise" if gate_noise else "a statevector"
+        what = "gate noise" if noise.has_gate_noise else "a statevector"
         raise CapacityError(f"{what} is simulated up to {limit} qubits, got {n}")
     steps, order = _compile(n, tuple((g.name, g.qubits) for g in c.gates), noise.p1, noise.p2)
-    angles = np.array([g.angle for g in c.gates if g.angle is not None])
-    if gate_noise:
-        coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
-        # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
-        shape = (4,) * n
-        state = np.zeros(shape)
-        state[(slice(0, 4, 3),) * n] = 1.0
-    else:
-        coeffs = np.stack((np.cos(0.5 * angles), np.sin(0.5 * angles)), axis=1)
-        shape = (2,) * n
-        state = np.zeros(shape, dtype=complex)
-        state[(0,) * n] = 1.0
-    for perm, dim, mat, j in steps:
-        if j is not None:
-            mat = (mat @ coeffs[j]).reshape(dim, dim)
-        state = mat @ state.reshape(shape).transpose(perm).reshape(dim, -1)
-    return state.reshape(-1), order
+    return Kernel(n, noise, steps, order)
 
 
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:
-    """Exact distribution of the measured bitstrings, indexed like the state.
+    """Exact distribution of the measured bitstrings, indexed like the
+    state: ``Kernel.probabilities`` at the circuit's angles."""
+    return compile_kernel(c, noise).probabilities(_angles(c))
 
-    Gate noise evolves the Pauli-transfer state (at most
-    ``MAX_DENSITY_QUBITS`` wide); without it the probabilities are
-    ``|run_statevector(c)|^2``.
-    Readout flips then act on each bit as a 2x2 stochastic map.
-    """
-    n = c.num_qubits
-    if noise.p1 > 0.0 or noise.p2 > 0.0:
-        state, order = _evolve(c, noise)
-        for i in range(n):
-            state = _MEASURE @ state.reshape(2**i, 4, -1)
-        probs = state.reshape((2,) * n).transpose(order).reshape(-1)
-    else:
-        probs = np.abs(run_statevector(c)) ** 2
-    f = noise.readout_flip
-    if f > 0.0:
-        t = probs.reshape((2,) * n)
-        for q in range(n):
-            t = (1.0 - f) * t + f * np.flip(t, axis=q)
-        probs = t.reshape(-1)
-    return probs
+
+def check_coupling(c: Circuit, coupling: CouplingMap) -> None:
+    """RoutingError unless every cx of the circuit is allowed by the map."""
+    for g in c.gates:
+        if g.name == "cx" and not coupling.allows(*g.qubits):
+            raise RoutingError(f"cx{g.qubits} violates the coupling map; transpile before run_shots")
 
 
 def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> ShotResult:
@@ -322,16 +376,9 @@ def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> ShotResult:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if backend.coupling is not None:
-        for g in c.gates:
-            if g.name == "cx" and not backend.coupling.allows(*g.qubits):
-                raise RoutingError(
-                    f"cx{g.qubits} violates the coupling map; transpile before run_shots"
-                )
-    n = c.num_qubits
-    probs = np.maximum(outcome_probabilities(c, backend.noise), 0.0)
-    probs = probs / probs.sum()
-    outcomes = _shot_rng(backend, c, shots).choice(1 << n, size=shots, p=probs)
-    return ShotResult(np.bincount(outcomes, minlength=1 << n))
+        check_coupling(c, backend.coupling)
+    probs = outcome_probabilities(c, backend.noise)
+    return ShotResult(sample_tally(probs, shot_rng(backend.seed, shots, serialize(c)), shots))
 
 
 def expectation_full_cost(g_full: Graph, result: ShotResult) -> float:
@@ -343,18 +390,6 @@ def expectation_full_cost(g_full: Graph, result: ShotResult) -> float:
     if len(result.tally) != 1 << g_full.n:
         raise ValueError(f"a tally of {len(result.tally)} outcomes is not over {g_full.n} qubits")
     return int(result.tally @ cut_values_vector(g_full)) / result.shots
-
-
-def remap_counts(result: ShotResult, final_layout: tuple[int, ...]) -> ShotResult:
-    """Rewrite a physical-order tally into logical order.
-
-    ``final_layout[l]`` is the physical qubit holding logical qubit l at
-    measurement; the other physical qubits are summed out.
-    """
-    n = len(result.tally).bit_length() - 1
-    axes = (*final_layout, *(q for q in range(n) if q not in final_layout))
-    t = result.tally.reshape((2,) * n).transpose(axes)
-    return ShotResult(t.reshape(1 << len(final_layout), -1).sum(axis=1))
 
 
 # -- backend profile config ------------------------------------------------

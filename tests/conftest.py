@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from splitcut.circuit import CouplingMap
 from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph
-from splitcut.simulator import BackendProfile, NoiseModel
+from splitcut.simulator import BackendProfile, NoiseModel, ShotResult
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -43,3 +44,25 @@ def random_params(rng: np.random.Generator, p: int):
         tuple(rng.uniform(0, np.pi, size=p)),
         tuple(rng.uniform(0, np.pi / 2, size=p)),
     )
+
+
+def random_coupling(rng: np.random.Generator, m: int) -> CouplingMap:
+    """A random connected coupling map on m physical qubits: a random
+    spanning tree plus a few extra pairs."""
+    order = [int(q) for q in rng.permutation(m)]
+    pairs = [(order[i], order[int(rng.integers(i))]) for i in range(1, m)]
+    pairs += [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.2]
+    return CouplingMap.from_edges(m, pairs)
+
+
+def remap_counts(result: ShotResult, final_layout: tuple[int, ...]) -> ShotResult:
+    """Rewrite a physical-order tally into logical order: the step the
+    reference pipeline takes between ``run_shots`` and scoring.
+
+    ``final_layout[l]`` is the physical qubit holding logical qubit l at
+    measurement; the other physical qubits are summed out.
+    """
+    n = len(result.tally).bit_length() - 1
+    axes = (*final_layout, *(q for q in range(n) if q not in final_layout))
+    t = result.tally.reshape((2,) * n).transpose(axes)
+    return ShotResult(t.reshape(1 << len(final_layout), -1).sum(axis=1))

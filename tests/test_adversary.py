@@ -17,7 +17,7 @@ from splitcut.circuit import Circuit, CouplingMap, ParamVector, build_qaoa, cx, 
 from splitcut.graph import Graph, benchmark_graph
 from splitcut.obfuscation import make_split_plan, prune
 
-from conftest import random_params
+from conftest import random_coupling, random_params
 from test_graph import random_graph
 
 
@@ -73,12 +73,9 @@ class TestExtract:
         rng = np.random.default_rng(pyrandom.randrange(2**32))
         g = random_graph(rng, n)
         m = n + spare
-        order = [int(q) for q in rng.permutation(m)]
-        pairs = [(order[i], order[int(rng.integers(i))]) for i in range(1, m)]
-        pairs += [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.2]
+        coupling = random_coupling(rng, m)
         placement = tuple(int(q) for q in rng.permutation(m)[:n])
-        routed = transpile(build_qaoa(g, random_params(rng, p)), CouplingMap.from_edges(m, pairs),
-                           placement=placement)
+        routed = transpile(build_qaoa(g, random_params(rng, p)), coupling, placement=placement)
         rep = extract_graph(serialize(routed.circuit))
         # the extractor names qubits by their initial physical position
         logical = {phys: q for q, phys in enumerate(placement)}
@@ -186,14 +183,17 @@ class TestMerge:
         for recovered in seen:
             assert set(recovered.edges) < set(g.edges)
 
-    def test_mismatched_node_counts_rejected(self):
+    def test_mismatched_node_counts_merge_on_widest(self):
+        # providers whose coupling maps differ in size: the union lives on the
+        # widest graph, and the narrower one's missing nodes are isolated
         g3 = benchmark_graph("cycle3")
         g4 = benchmark_graph("cycle4")
         params = ParamVector((0.3,), (0.1,))
         r3 = extract_graph(serialize(build_qaoa(g3, params)))
         r4 = extract_graph(serialize(build_qaoa(g4, params)))
-        with pytest.raises(ValueError):
-            cross_provider_merge([r3.recovered_graph, r4.recovered_graph])
+        merged = cross_provider_merge([r3.recovered_graph, r4.recovered_graph])
+        assert merged == Graph.make(4, set(g3.edges) | set(g4.edges))
+        assert cross_provider_merge([r4.recovered_graph, r3.recovered_graph]) == merged
 
     def test_empty_report_list_rejected(self):
         with pytest.raises(ValueError):

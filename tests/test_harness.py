@@ -184,6 +184,24 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert [r["sim"] for r in result.rows] == ["ideal", "ideal"]
 
+    def test_split_over_coupling_maps_of_different_sizes(self, tmp_path):
+        # each extracted graph has one node per physical qubit of its backend;
+        # the release gate merges a 7- and an 8-qubit provider on the wider
+        profiles = tmp_path / "lines.json"
+        profiles.write_text(json.dumps([
+            {"name": f"line{n}", "coupling": [[i, i + 1] for i in range(n - 1)], "seed": 30 + n}
+            for n in (7, 8)
+        ]))
+        spec = ExperimentSpec.from_dict(dict(
+            graph="graph5", arms=["split"], p_layers=[1], seeds=[0, 1],
+            backends=["line7", "line8"], profiles_file=str(profiles), shots=256, iterations=8,
+        ))
+        result = run_experiment(spec, out_dir=tmp_path / "out")
+        assert result.failures == []
+        assert result.rows[0]["n_seeds"] == 2
+        reports = json.loads((tmp_path / "out" / "adversary.json").read_text())["split_p1"]
+        assert [r["nodes"] for r in reports] == [7, 8]
+
 
 class TestOverhead:
     def test_two_layer_doubles_problem_two_qubit_gates(self):

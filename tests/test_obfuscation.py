@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize
+from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize, transpile
 from splitcut.errors import MetricError, PlanError
 from splitcut.graph import Graph, benchmark_graph
 from splitcut.obfuscation import (
@@ -11,11 +14,15 @@ from splitcut.obfuscation import (
     PrunedFlavor,
     SplitPlan,
     approximation_ratio,
+    compile_flavor,
     make_split_plan,
     optimize,
     prune,
 )
-from splitcut.simulator import BackendProfile
+from splitcut.simulator import BackendProfile, NoiseModel, expectation_full_cost, run_shots
+
+from conftest import random_coupling, remap_counts
+from test_graph import random_graph
 
 
 def unpruned(backend):
@@ -135,6 +142,56 @@ class TestApproximationRatio:
 
     def test_float_slop_clamped(self):
         assert approximation_ratio(4.0 + 1e-12, 4) == 1.0
+
+
+def reference_evaluation(g_full: Graph, flavor: PrunedFlavor, x, shots: int) -> tuple[str, float]:
+    """One evaluation built from scratch at the angles x: the wire text and
+    the full-graph score of ``shots`` samples, through a fresh circuit,
+    route, ``run_shots`` and a remap of the tally into logical order."""
+    circ = build_qaoa(flavor.pruned_graph(g_full), ParamVector.from_array(x))
+    layout = tuple(range(circ.num_qubits))
+    if flavor.backend.coupling is not None:
+        routed = transpile(circ, flavor.backend.coupling)
+        circ, layout = routed.circuit, routed.final_layout
+    result = run_shots(circ, flavor.backend, shots)
+    return serialize(circ), expectation_full_cost(g_full, remap_counts(result, layout))
+
+
+class TestCompiledFlavor:
+    @given(st.integers(2, 6), st.integers(0, 2), st.integers(1, 3), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_evaluation(self, n, spare, p, noisy, pyrandom):
+        rng = np.random.default_rng(pyrandom.randrange(2**32))
+        g = random_graph(rng, n)
+        if len(g.edges) < 2:
+            g = Graph.make(n, set(g.edges) | {(0, 1), (n - 2, n - 1)})
+        removed = tuple(e for e in g.edges if rng.random() < 0.3)[: len(g.edges) - 1]
+        coupling = random_coupling(rng, n + spare) if spare or rng.random() < 0.5 else None
+        noise = NoiseModel(0.004, 0.03, 0.02) if noisy else NoiseModel()
+        flavor = PrunedFlavor(removed, BackendProfile("b", noise, coupling, seed=int(rng.integers(100))))
+        compiled = compile_flavor(g, flavor, p)
+        for _ in range(3):
+            x = rng.uniform(-4.0, 4.0, size=2 * p)
+            shots = int(rng.choice([1, int(rng.integers(1, 5000))]))
+            text, score = reference_evaluation(g, flavor, x, shots)
+            assert compiled.wire_text(x) == text
+            assert compiled.expectation(x, shots) == score
+
+    def test_rejects_unrouted_coupling(self, monkeypatch):
+        # a circuit that slipped past routing is refused before any evaluation
+        from splitcut import obfuscation
+        from splitcut.circuit import TranspiledCircuit
+        from splitcut.errors import RoutingError
+
+        def no_routing(c, coupling):
+            identity = tuple(range(c.num_qubits))
+            return TranspiledCircuit(c, identity, identity, 0)
+
+        monkeypatch.setattr(obfuscation, "transpile", no_routing)
+        flavor = PrunedFlavor((), BackendProfile("line", coupling=CouplingMap.line(4)))
+        with pytest.raises(RoutingError):
+            compile_flavor(benchmark_graph("complete4_with_diagonals"), flavor, 1)
 
 
 class TestOptimize:

@@ -21,12 +21,12 @@ from splitcut.simulator import (
     expectation_full_cost,
     load_backend_profiles,
     outcome_probabilities,
-    remap_counts,
     run_shots,
     run_statevector,
+    sample_tally,
 )
 
-from conftest import random_params
+from conftest import random_params, remap_counts
 
 BELL = Circuit(2, (h(0), cx(0, 1), measure_all()))
 
@@ -255,6 +255,29 @@ class TestRunShots:
         assert all(len(bits) == 10 for bits in res.counts)
         sampled = expectation_full_cost(g, res)
         assert sampled == pytest.approx(len(g.edges) / 2, abs=0.15)
+
+
+class TestSampleTally:
+    @given(st.integers(1, 8), st.integers(1, 16384), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bincount_of_choice(self, n, shots, pyrandom):
+        # zero bins, and float-error negatives that the sampler clips to zero
+        rng = np.random.default_rng(pyrandom.randrange(2**32))
+        size = 1 << n
+        probs = rng.random(size) ** 3 * (rng.random(size) < 0.6)
+        probs[rng.random(size) < 0.1] = -1e-17
+        probs[rng.integers(size)] = rng.random() + 1e-3
+        seed = pyrandom.randrange(2**32)
+        tally = sample_tally(probs, np.random.default_rng(seed), shots)
+        clipped = np.maximum(probs, 0.0)
+        outcomes = np.random.default_rng(seed).choice(size, size=shots, p=clipped / clipped.sum())
+        assert np.array_equal(tally, np.bincount(outcomes, minlength=size))
+
+    @pytest.mark.parametrize("probs", [[0.5, np.nan, 0.5, 0.0], [0.0] * 4, [np.inf, 1.0],
+                                       [-0.5, 0.0]])
+    def test_bad_distribution_raises(self, probs):
+        with pytest.raises(ValueError):
+            sample_tally(np.array(probs), np.random.default_rng(0), 16)
 
 
 class TestExactDistribution:
