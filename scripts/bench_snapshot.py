@@ -12,9 +12,11 @@ It records, for the checkout the script sits in:
   of ``perfbench/run.py --trace 1``, the median of each per-layer metric
   with every run's value, and the ``missing_targets`` (span targets that
   no longer exist in the code);
-- ``optimize`` on graph6 at p=2 (SPSA, the default 50 iterations and 4096
-  shots) on the noiseless ``ideal1`` and the noisy ``hw1`` profile, in
-  seconds and in ms per evaluation (median of a few runs in this process);
+- ``compile_flavor`` plus ``optimize`` on graph6 at p=2 (SPSA, the default
+  50 iterations and 4096 shots) on the noiseless ``ideal1`` and the noisy
+  ``hw1`` profile, in seconds and in ms per evaluation (median of a few
+  runs in this process). Each run compiles its flavor afresh, so the time
+  covers the build, the route and the kernel as well as the evaluations;
 - the Tier-1 test suite's wall time and pass count (``PYTHONPATH=src
   python -m pytest -q --continue-on-collection-errors``).
 - ``src_lines``, the total ``wc -l`` of ``src/splitcut/*.py``: the
@@ -73,16 +75,16 @@ def workload_summary(records: list[dict]) -> dict:
 
 def time_optimize(backend_name: str) -> dict:
     from splitcut.graph import benchmark_graph
-    from splitcut.obfuscation import OptimizerConfig, PrunedFlavor, optimize
+    from splitcut.obfuscation import OptimizerConfig, PrunedFlavor, compile_flavor, optimize
     from splitcut.simulator import load_backend_profiles
 
     g = benchmark_graph("graph6")
-    flavors = (PrunedFlavor((), load_backend_profiles()[backend_name]),)
-    cfg = OptimizerConfig(p_layers=2, seed=0)
+    flavor = PrunedFlavor((), load_backend_profiles()[backend_name])
+    cfg = OptimizerConfig(seed=0)
     times, evaluations = [], None
     for _ in range(OPTIMIZE_REPEATS):
         t0 = perf_counter()
-        trace = optimize(g, flavors, cfg)
+        trace = optimize((compile_flavor(g, flavor, 2),), cfg)
         times.append(perf_counter() - t0)
         evaluations = trace.evaluations
     s = median(times)

@@ -21,6 +21,7 @@ import numpy as np
 from .adversary import cross_provider_merge, extract_graph
 from .graph import Graph, benchmark_graph, load_graph
 from .obfuscation import (
+    CompiledFlavor,
     OptimizerConfig,
     PrunedFlavor,
     RunTrace,
@@ -81,8 +82,9 @@ class ExperimentSpec:
         if min(self.seeds) < 0:
             raise ValueError(f"experiment spec key 'seeds' must hold non-negative integers, "
                              f"got {min(self.seeds)}")
-        if not self.p_layers:
-            raise ValueError("need at least one layer count")
+        if not self.p_layers or min(self.p_layers) < 1:
+            raise ValueError(f"experiment spec key 'p_layers' must hold at least one layer count, "
+                             f"each >= 1, got {list(self.p_layers)}")
         for key in ("seeds", "p_layers", "arms"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
@@ -123,28 +125,33 @@ def _plan_seed(seed: int) -> int:
     return int(np.random.SeedSequence([seed, 303]).generate_state(1)[0])
 
 
-def _plan_for_seed(g: Graph, spec: ExperimentSpec, backends, seed: int) -> SplitPlan:
-    if spec.removed_sets is not None:
-        flavors = tuple(
-            PrunedFlavor(rs, b) for rs, b in zip(spec.removed_sets, backends[: spec.k])
-        )
-        plan = SplitPlan(flavors)
-        plan.validate(g)
-        return plan
-    return make_split_plan(
-        g, spec.k, spec.edges_per_flavor, backends[: spec.k], seed=_plan_seed(seed)
-    )
+def _flavor_table(g: Graph, spec: ExperimentSpec, backends):
+    """``arm_flavors(arm, seed, p)``: the compiled flavors an arm dispatches
+    for one seed -- the unpruned circuit, the seed's first split flavor, or
+    its whole split plan. Each seed is planned and each (flavor, p) compiled
+    once, so every reader of a run gets the same artifacts."""
+    plans: dict[int, SplitPlan] = {}
+    compiled: dict[tuple[PrunedFlavor, int], CompiledFlavor] = {}
 
+    def arm_flavors(arm: str, seed: int, p: int) -> tuple[CompiledFlavor, ...]:
+        if arm == "original":
+            flavors = (PrunedFlavor((), backends[0]),)
+        else:
+            if seed not in plans:
+                if spec.removed_sets is None:
+                    plans[seed] = make_split_plan(g, spec.k, spec.edges_per_flavor,
+                                                  backends[: spec.k], seed=_plan_seed(seed))
+                else:
+                    plans[seed] = SplitPlan(tuple(PrunedFlavor(rs, b) for rs, b
+                                                  in zip(spec.removed_sets, backends[: spec.k])))
+                    plans[seed].validate(g)
+            flavors = plans[seed].flavors[: 1 if arm == "pruned_only" else None]
+        for f in flavors:
+            if (f, p) not in compiled:
+                compiled[(f, p)] = compile_flavor(g, f, p)
+        return tuple(compiled[(f, p)] for f in flavors)
 
-def _arm_flavors(
-    g: Graph, spec: ExperimentSpec, backends, arm: str, seed: int
-) -> tuple[PrunedFlavor, ...]:
-    """The flavors an arm dispatches for one seed: the unpruned circuit,
-    the seed's first split flavor alone, or the seed's whole split plan."""
-    if arm == "original":
-        return (PrunedFlavor((), backends[0]),)
-    plan = _plan_for_seed(g, spec, backends, seed)
-    return plan.flavors[:1] if arm == "pruned_only" else plan.flavors
+    return arm_flavors
 
 
 def _spec_label(spec: ExperimentSpec, arm: str) -> str:
@@ -180,15 +187,16 @@ class ExperimentResult:
 
     @property
     def ok(self) -> bool:
-        """False iff an invariant assertion (not a mere cell error) failed."""
-        return not any(f["kind"] == "invariant" for f in self.failures)
+        """False iff an invariant assertion failed or a row completed no seed."""
+        return (not any(f["kind"] == "invariant" for f in self.failures)
+                and all(r["n_seeds"] > 0 for r in self.rows))
 
 
-def _circuit_stats(g: Graph, flavor: PrunedFlavor, p: int) -> dict:
-    routed = compile_flavor(g, flavor, p).routed  # angles do not change gate counts
+def _circuit_stats(cf: CompiledFlavor) -> dict:
+    routed = cf.routed  # angles do not change gate counts
     counts = routed.circuit.gate_counts()
     return {
-        "backend": flavor.backend.name,
+        "backend": cf.flavor.backend.name,
         "gates_1q": counts["1q"],
         "gates_2q": counts["2q"],
         "swap_added_2q": 3 * routed.swap_count,
@@ -198,12 +206,11 @@ def _circuit_stats(g: Graph, flavor: PrunedFlavor, p: int) -> dict:
 
 def compute_overhead(
     spec: ExperimentSpec,
-    g: Graph,
-    backends: list[BackendProfile],
+    arm_flavors,
     evaluations: dict[tuple[str, int], dict[str, int]] | None = None,
 ) -> OverheadReport:
-    """Overhead accounting for every (arm, p) in the spec, on the flavors
-    of the spec's first seed.
+    """Overhead accounting for every (arm, p) in the spec, on the compiled
+    flavors ``arm_flavors`` (see ``_flavor_table``) gives the first seed.
 
     ``evaluations`` maps (arm, p) to per-backend optimizer evaluation
     counts; when absent they are derived statically (SPSA makes
@@ -212,21 +219,18 @@ def compute_overhead(
     the single-layer pruned-only baseline; the one final audit evaluation
     is reported but kept out of the ratio.
     """
-    plan = _plan_for_seed(g, spec, backends, spec.seeds[0])
+    baseline_stats = _circuit_stats(arm_flavors("pruned_only", spec.seeds[0], 1)[0])
 
     def arm_entry(arm: str, p: int) -> dict:
-        flavors = _arm_flavors(g, spec, backends, arm, spec.seeds[0])
+        per_backend = [_circuit_stats(f) for f in arm_flavors(arm, spec.seeds[0], p)]
         static_evals = {
-            f.backend.name: Spsa.EVALS_PER_STEP * len(range(i, spec.iterations, len(flavors)))
-            for i, f in enumerate(flavors)
+            s["backend"]: Spsa.EVALS_PER_STEP * len(range(i, spec.iterations, len(per_backend)))
+            for i, s in enumerate(per_backend)
         } if spec.optimizer == "spsa" else {}
         evals_map = (evaluations or {}).get((arm, p)) or static_evals
-        per_backend = []
         work = 0
-        for f in flavors:
-            stats = _circuit_stats(g, f, p)
-            stats["evaluations"] = evals_map.get(f.backend.name)
-            per_backend.append(stats)
+        for stats in per_backend:
+            stats["evaluations"] = evals_map.get(stats["backend"])
             if stats["evaluations"] is not None:
                 work += stats["gates_2q"] * stats["evaluations"]
         total_evals = sum(v for v in evals_map.values()) + 1 if evals_map else None
@@ -238,11 +242,8 @@ def compute_overhead(
             "work_2q_x_evals": work if evals_map else None,
         }
 
-    baseline_stats = _circuit_stats(g, plan.flavors[0], 1)
     baseline_evals = Spsa.EVALS_PER_STEP * spec.iterations if spec.optimizer == "spsa" else None
-    baseline_work = (
-        baseline_stats["gates_2q"] * baseline_evals if baseline_evals is not None else None
-    )
+    baseline_work = None if baseline_evals is None else baseline_stats["gates_2q"] * baseline_evals
     baseline = dict(baseline_stats, evaluations=baseline_evals, work_2q_x_evals=baseline_work)
 
     report = OverheadReport(baseline=baseline)
@@ -259,22 +260,20 @@ def compute_overhead(
 
 def overhead(spec: ExperimentSpec) -> OverheadReport:
     """Static overhead report for a spec (no optimization runs)."""
-    label, g = resolve_graph(spec)
-    backends = resolve_backends(spec)
-    return compute_overhead(spec, g, backends)
+    _, g = resolve_graph(spec)
+    return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec)))
 
 
-def _check_partial_knowledge(g: Graph, flavors, texts: list[str]) -> list[dict]:
-    """Extract each flavor's wire text; assert every provider sees a strict
-    subgraph and that only collusion recovers the full graph."""
+def _check_partial_knowledge(flavors, texts: list[str]) -> list[dict]:
+    """Extract each compiled flavor's wire text; assert every provider sees
+    a strict subgraph and that only collusion recovers the full graph."""
     reports = [extract_graph(text) for text in texts]
-    full = set(g.edges)
+    full = set(flavors[0].g_full.edges)
     for f, rep in zip(flavors, reports):
         seen = set(rep.recovered_graph.edges)
         if not seen < full:
-            raise AssertionError(
-                f"backend {f.backend.name} sees {sorted(seen)}, not a strict subset of the graph"
-            )
+            raise AssertionError(f"backend {f.flavor.backend.name} sees {sorted(seen)}, "
+                                 "not a strict subset of the graph")
     if set(cross_provider_merge([r.recovered_graph for r in reports]).edges) != full:
         raise AssertionError("union of flavors does not cover the full graph")
     return [r.to_dict() for r in reports]
@@ -290,7 +289,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     evaluations to the overhead report.
     """
     label, g = resolve_graph(spec)
-    backends = resolve_backends(spec)
+    arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
+    arm_flavors("pruned_only", spec.seeds[0], 1)  # the overhead baseline, before any cell runs
 
     rows: list[dict] = []
     traces: dict[tuple[str, int, int], RunTrace] = {}
@@ -307,19 +307,18 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 cfg = OptimizerConfig(
                     method=spec.optimizer,
                     total_iterations=spec.iterations,
-                    p_layers=p,
                     shots=spec.shots,
                     seed=seed,
                 )
                 try:
-                    flavors = _arm_flavors(g, spec, backends, arm, seed)
-                    noisy = noisy or any(f.backend.is_noisy for f in flavors)
-                    trace = optimize(g, flavors, cfg)
+                    flavors = arm_flavors(arm, seed, p)
+                    noisy = noisy or any(f.flavor.backend.is_noisy for f in flavors)
+                    trace = optimize(flavors, cfg)
                     # the wire artifacts the provider(s) receive
                     x = trace.best_params.to_array()
-                    texts = [compile_flavor(g, f, p).wire_text(x) for f in flavors]
+                    texts = [f.wire_text(x) for f in flavors]
                     if len(flavors) > 1:
-                        reports = _check_partial_knowledge(g, flavors, texts)
+                        reports = _check_partial_knowledge(flavors, texts)
                 except AssertionError as exc:  # invariant violation: poisons the run
                     failures.append({"arm": arm, "p": p, "seed": seed,
                                      "kind": "invariant", "error": str(exc)})
@@ -350,7 +349,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 arm=arm, p=p, mean_ar=mean, std_ar=std, n_seeds=len(finals),
             )))
 
-    report = compute_overhead(spec, g, backends, evaluations)
+    report = compute_overhead(spec, arm_flavors, evaluations)
     result = ExperimentResult(
         spec=spec, graph_label=label, rows=rows, traces=traces,
         overhead=report, failures=failures,

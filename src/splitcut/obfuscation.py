@@ -156,7 +156,6 @@ class OptimizerConfig:
 
     method: str = "spsa"  # or "nelder_mead"
     total_iterations: int = 50
-    p_layers: int = 1
     shots: int = 4096
     seed: int = 0
 
@@ -165,8 +164,6 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer {self.method!r}")
         if self.total_iterations < 1:
             raise ValueError("total_iterations must be >= 1")
-        if self.p_layers < 1:
-            raise ValueError("p_layers must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
 
@@ -266,6 +263,7 @@ class CompiledFlavor:
 
     g_full: Graph
     flavor: PrunedFlavor
+    p: int
     routed: TranspiledCircuit
     slots: np.ndarray
     template: str  # wire_template(routed.circuit)
@@ -302,9 +300,10 @@ class CompiledFlavor:
 
 def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavor:
     """The circuit that leaves the client for ``flavor``'s backend at p
-    layers: built on the flavor's graph and routed onto the backend's
-    coupling map when it has one; an unrouted circuit carries identity
-    layouts."""
+    layers: checked against the full graph, built on the flavor's graph and
+    routed onto the backend's coupling map when it has one; an unrouted
+    circuit carries identity layouts."""
+    flavor.validate_against(g_full)
     # At the angles x = (1, ..., 2p) every rotation's angle 2 * x[j] names its slot j.
     circ = build_qaoa(flavor.pruned_graph(g_full), ParamVector.from_array(range(1, 2 * p + 1)))
     coupling = flavor.backend.coupling
@@ -316,18 +315,19 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
         check_coupling(routed.circuit, coupling)
     slots = np.array([int(g.angle) // 2 - 1 for g in routed.circuit.gates if g.angle is not None],
                      dtype=np.intp)
-    return CompiledFlavor(g_full, flavor, routed, slots, wire_template(routed.circuit))
+    return CompiledFlavor(g_full, flavor, p, routed, slots, wire_template(routed.circuit))
 
 
-def _init_params(cfg: OptimizerConfig) -> ParamVector:
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cfg.p_layers, 101]))
-    gammas = rng.uniform(0.0, math.pi, size=cfg.p_layers)
-    betas = rng.uniform(0.0, math.pi / 2.0, size=cfg.p_layers)
+def _init_params(cfg: OptimizerConfig, p: int) -> ParamVector:
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, p, 101]))
+    gammas = rng.uniform(0.0, math.pi, size=p)
+    betas = rng.uniform(0.0, math.pi / 2.0, size=p)
     return ParamVector(tuple(gammas), tuple(betas))
 
 
-def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfig) -> RunTrace:
-    """Run the (possibly alternating) shot-based optimization loop.
+def optimize(flavors: Sequence[CompiledFlavor], cfg: OptimizerConfig) -> RunTrace:
+    """Run the (possibly alternating) shot-based optimization loop on the
+    compiled flavors of one graph at one layer count.
 
     Iteration t runs on ``flavors[t % k]``, so every evaluation inside one
     iteration lands on one backend. One flavor with nothing removed is the
@@ -342,18 +342,18 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
     k = len(flavors)
     if k == 0:
         raise ValueError("need at least one flavor")
-    for f in flavors:
-        f.validate_against(g_full)
+    g_full, p = flavors[0].g_full, flavors[0].p
+    if any(f.g_full != g_full or f.p != p for f in flavors):
+        raise ValueError("flavors must be compiled from one graph at one layer count")
     if cfg.total_iterations < 2 * k and k > 1:
         raise ValueError(f"total_iterations must be >= {2 * k} for a {k}-flavor plan")
     cmax, _ = max_cut_bruteforce(g_full)
     if cmax < 1:
         raise MetricError("edgeless graph: approximation ratio undefined")
 
-    compiled = [compile_flavor(g_full, f, cfg.p_layers) for f in flavors]
-    x0 = np.array(_init_params(cfg).to_array())
+    x0 = np.array(_init_params(cfg, p).to_array())
     if cfg.method == "spsa":
-        opt_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, cfg.p_layers, 202]))
+        opt_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, p, 202]))
         opt = Spsa(x0, opt_rng)
     else:
         opt = NelderMead(x0)
@@ -364,7 +364,7 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
     evaluations = 0
 
     for t in range(cfg.total_iterations):
-        fl = compiled[t % k]
+        fl = flavors[t % k]
 
         def objective(x, fl=fl):
             if not np.all(np.isfinite(x)):
@@ -396,7 +396,7 @@ def optimize(g_full: Graph, flavors: Sequence[PrunedFlavor], cfg: OptimizerConfi
         ))
 
     best_params = ParamVector.from_array(best_x)
-    final_expectation = compiled[0].expectation(best_x, FINAL_EVAL_SHOTS)
+    final_expectation = flavors[0].expectation(best_x, FINAL_EVAL_SHOTS)
     evaluations += 1
 
     return RunTrace(

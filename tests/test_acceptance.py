@@ -16,7 +16,8 @@ from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize, tr
 from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, cut_value, max_cut_bruteforce
 from splitcut.harness import ExperimentSpec, run_experiment
 from splitcut.obfuscation import (
-    FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, make_split_plan, optimize, prune,
+    FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, compile_flavor, make_split_plan, optimize,
+    prune,
 )
 from splitcut.simulator import exact_expectation
 
@@ -100,10 +101,11 @@ def test_criterion_2_ideal_qaoa_sanity(ideal_backend):
             circ = build_qaoa(g, ParamVector((gamma,), (beta,)))
             best = max(best, exact_expectation(g, circ))
     grid_ar = best / cmax
+    flavor = compile_flavor(g, PrunedFlavor((), ideal_backend), 1)
     finals = []
     for seed in SEEDS:
-        cfg = OptimizerConfig(total_iterations=50, p_layers=1, shots=4096, seed=seed)
-        finals.append(optimize(g, (PrunedFlavor((), ideal_backend),), cfg).final_ar)
+        cfg = OptimizerConfig(total_iterations=50, shots=4096, seed=seed)
+        finals.append(optimize((flavor,), cfg).final_ar)
     hits = sum(1 for ar in finals if ar >= 0.70)
     ok = abs(grid_ar - 0.75) <= 0.01 and hits >= 8
     assert report(2, ok, f"grid AR={grid_ar:.4f} (want 0.75 +/- 0.01); "

@@ -10,8 +10,10 @@ from splitcut.harness import (
     ExperimentSpec,
     overhead,
     read_results,
+    resolve_backends,
     run_experiment,
 )
+from splitcut.obfuscation import PrunedFlavor, compile_flavor, make_split_plan
 
 SMALL_SPEC = dict(
     graph="cycle4",
@@ -184,6 +186,32 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert [r["sim"] for r in result.rows] == ["ideal", "ideal"]
 
+    def test_plans_each_seed_and_compiles_each_flavor_once(self, tmp_path, monkeypatch):
+        # the optimizer, the written circuits, the release gate and the
+        # overhead report all read one table of compiled flavors
+        from splitcut import harness
+
+        compiles, plans = [], []
+
+        def counting_compile(g, flavor, p):
+            compiles.append((flavor, p))
+            return compile_flavor(g, flavor, p)
+
+        def counting_plan(*args, **kwargs):
+            plans.append(make_split_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(harness, "compile_flavor", counting_compile)
+        monkeypatch.setattr(harness, "make_split_plan", counting_plan)
+        spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, p_layers=[1, 2], iterations=4, shots=64))
+        result = run_experiment(spec, out_dir=tmp_path)
+        assert result.ok and result.failures == []
+        assert len(plans) == len(spec.seeds)
+        original = PrunedFlavor((), resolve_backends(spec)[0])
+        flavors = (original, *(f for plan in plans for f in plan.flavors))
+        expected = {(f, p) for p in (1, 2) for f in flavors}
+        assert sorted(compiles, key=repr) == sorted(expected, key=repr)
+
     def test_split_over_coupling_maps_of_different_sizes(self, tmp_path):
         # each extracted graph has one node per physical qubit of its backend;
         # the release gate merges a 7- and an 8-qubit provider on the wider
@@ -351,6 +379,7 @@ class TestCli:
                  (["run", "--config", str(negative_seed)], "'seeds'"),
                  (["run", "--config", str(small_spec), "--seed", "-3"], "'seeds'"),
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
+                 (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
                  (["run", "--config", str(short_split)], "'iterations'")]
         # a repeated seed, layer count or arm would be run and counted twice
         for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
@@ -383,6 +412,34 @@ class TestCli:
             assert err.startswith("splitcut: ") and err.count("\n") == 1
             assert "Traceback" not in err
             assert named in err
+
+    def test_run_exits_1_when_a_row_completes_no_seed(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"graph": "cycle(11)", "arms": ["original"],
+                                      "backends": ["hw1", "hw2"], "seeds": [0], "iterations": 2}))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert "(0 seeds)" in captured.out
+        assert captured.err.startswith("FAILED cell original p=1 seed=0: ")
+
+    def test_unplannable_first_seed_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        from splitcut import harness
+
+        cells = []
+
+        def no_optimize(*args):
+            cells.append(args)
+            raise RuntimeError("a cell ran")
+
+        monkeypatch.setattr(harness, "optimize", no_optimize)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"graph": "cycle4", "arms": ["original"],
+                                      "backends": ["ideal1"], "seeds": [0], "iterations": 4}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "splitcut: need exactly 2 backends, got 1\n"
+        assert cells == [] and captured.out == "" and not out.exists()
 
     def test_run_command_overrides_p(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

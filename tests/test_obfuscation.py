@@ -30,6 +30,11 @@ def unpruned(backend):
     return (PrunedFlavor((), backend),)
 
 
+def compiled(g, flavors, p=1):
+    """The flavors as ``optimize`` takes them: compiled on g at p layers."""
+    return tuple(compile_flavor(g, f, p) for f in flavors)
+
+
 class TestPrune:
     def test_cycle4_minus_one_edge_keeps_qubit_count(self):
         g = benchmark_graph("cycle4")
@@ -193,21 +198,44 @@ class TestCompiledFlavor:
         with pytest.raises(RoutingError):
             compile_flavor(benchmark_graph("complete4_with_diagonals"), flavor, 1)
 
+    def test_rejects_invalid_flavors(self, ideal_backend):
+        # the one builder of what leaves the client validates the flavor
+        g = benchmark_graph("cycle4")
+        with pytest.raises(PlanError, match="at least one edge"):
+            compile_flavor(g, PrunedFlavor(g.edges, ideal_backend), 1)
+        with pytest.raises(PlanError, match="not in the graph"):
+            compile_flavor(g, PrunedFlavor(((0, 2),), ideal_backend), 1)
+
+    def test_carries_its_layer_count(self, ideal_backend):
+        g = benchmark_graph("cycle4")
+        cf = compile_flavor(g, PrunedFlavor(((0, 1),), ideal_backend), 3)
+        assert (cf.g_full, cf.p, sorted(set(cf.slots))) == (g, 3, list(range(6)))
+
 
 class TestOptimize:
     def cfg(self, **kw):
-        base = dict(total_iterations=10, p_layers=1, shots=256, seed=1)
+        base = dict(total_iterations=10, shots=256, seed=1)
         base.update(kw)
         return OptimizerConfig(**base)
 
     def test_empty_flavor_tuple_rejected(self):
         with pytest.raises(ValueError):
-            optimize(benchmark_graph("cycle4"), (), self.cfg())
+            optimize((), self.cfg())
+
+    def test_rejects_flavors_of_different_graphs_or_layer_counts(self, ideal_backend,
+                                                                 ideal_backend_2):
+        g = benchmark_graph("cycle4")
+        first = compile_flavor(g, PrunedFlavor(((0, 1),), ideal_backend), 1)
+        for other in (compile_flavor(g, PrunedFlavor(((1, 2),), ideal_backend_2), 2),
+                      compile_flavor(Graph.make(4, [(0, 1), (1, 2), (2, 3)]),
+                                     PrunedFlavor(((1, 2),), ideal_backend_2), 1)):
+            with pytest.raises(ValueError, match="one graph at one layer count"):
+                optimize((first, other), self.cfg())
 
     def test_trace_shape_and_determinism(self, ideal_backend):
         g = benchmark_graph("cycle4")
-        t1 = optimize(g, unpruned(ideal_backend), self.cfg())
-        t2 = optimize(g, unpruned(ideal_backend), self.cfg())
+        t1 = optimize(compiled(g, unpruned(ideal_backend)), self.cfg())
+        t2 = optimize(compiled(g, unpruned(ideal_backend)), self.cfg())
         assert t1 == t2
         assert len(t1.entries) == 10
         assert t1.evaluations == 21  # 2 per iteration + final audit
@@ -219,7 +247,7 @@ class TestOptimize:
     def test_round_robin_alternation(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
         plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
-        trace = optimize(g, plan.flavors, self.cfg())
+        trace = optimize(compiled(g, plan.flavors), self.cfg())
         backends = [e.backend for e in trace.entries]
         assert backends[::2] == ["ideal1"] * 5
         assert backends[1::2] == ["ideal2"] * 5
@@ -229,7 +257,7 @@ class TestOptimize:
     def test_pruned_only_single_flavor(self, ideal_backend):
         g = benchmark_graph("cycle4")
         flavor = PrunedFlavor(((0, 1),), ideal_backend)
-        trace = optimize(g, (flavor,), self.cfg())
+        trace = optimize(compiled(g, (flavor,)), self.cfg())
         assert {e.backend for e in trace.entries} == {"ideal1"}
         assert {e.flavor for e in trace.entries} == {0}
 
@@ -237,7 +265,7 @@ class TestOptimize:
         g = benchmark_graph("cycle4")
         plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
         with pytest.raises(ValueError):
-            optimize(g, plan.flavors, self.cfg(total_iterations=3))
+            optimize(compiled(g, plan.flavors), self.cfg(total_iterations=3))
 
     def test_qubit_header_hides_pruning(self, ideal_backend):
         g = benchmark_graph("cycle4")
@@ -247,18 +275,18 @@ class TestOptimize:
         assert full_header == pruned_header == "qubits 4"
 
     def test_initialization_pairs_across_arms(self):
-        # init depends only on (seed, p_layers): arms of one seed start equal,
+        # init depends only on (seed, p): arms of one seed start equal,
         # other config fields must not perturb it
         from splitcut.obfuscation import _init_params
 
-        assert _init_params(self.cfg(seed=7)) == _init_params(self.cfg(seed=7, shots=999))
-        assert _init_params(self.cfg(seed=7)) != _init_params(self.cfg(seed=8))
-        assert _init_params(self.cfg(seed=7)) != _init_params(self.cfg(seed=7, p_layers=2))
+        assert _init_params(self.cfg(seed=7), 1) == _init_params(self.cfg(seed=7, shots=999), 1)
+        assert _init_params(self.cfg(seed=7), 1) != _init_params(self.cfg(seed=8), 1)
+        assert _init_params(self.cfg(seed=7), 1) != _init_params(self.cfg(seed=7), 2)
 
     def test_nelder_mead_runs(self, ideal_backend):
         g = benchmark_graph("cycle4")
         cfg = self.cfg(method="nelder_mead", total_iterations=15)
-        trace = optimize(g, unpruned(ideal_backend), cfg)
+        trace = optimize(compiled(g, unpruned(ideal_backend)), cfg)
         assert len(trace.entries) == 15
         assert trace.evaluations > 15
         assert sum(e.evaluations for e in trace.entries) + 1 == trace.evaluations
@@ -267,13 +295,13 @@ class TestOptimize:
         from splitcut.obfuscation import _init_params
 
         for seed in range(30):
-            pv = _init_params(OptimizerConfig(p_layers=3, seed=seed))
+            pv = _init_params(OptimizerConfig(seed=seed), 3)
             assert all(0 <= gm < math.pi for gm in pv.gammas)
             assert all(0 <= bt < math.pi / 2 for bt in pv.betas)
 
     def test_trace_jsonl_round_trip(self, ideal_backend):
         g = benchmark_graph("cycle3")
-        trace = optimize(g, unpruned(ideal_backend), self.cfg(total_iterations=3))
+        trace = optimize(compiled(g, unpruned(ideal_backend)), self.cfg(total_iterations=3))
         lines = trace.to_jsonl().strip().split("\n")
         assert len(lines) == 4
         entry = json.loads(lines[0])
@@ -289,7 +317,8 @@ class TestOptimize:
     def test_trace_reader_rejects_bad_records(self, ideal_backend):
         from splitcut.obfuscation import RunTrace
 
-        trace = optimize(benchmark_graph("cycle3"), unpruned(ideal_backend), self.cfg(total_iterations=2))
+        trace = optimize(compiled(benchmark_graph("cycle3"), unpruned(ideal_backend)),
+                         self.cfg(total_iterations=2))
         entry, second, last = (json.loads(line) for line in trace.to_jsonl().splitlines())
         unequal = dict(entry, betas=entry["betas"] + [0.1])
         non_finite = {"summary": dict(last["summary"], best_gammas=[math.inf])}
@@ -310,13 +339,13 @@ class TestOptimize:
         monkeypatch.setattr(obfuscation, "Spsa", partial(Spsa, a=float("inf")))
         g = benchmark_graph("cycle4")
         with pytest.raises(DivergenceError) as err:
-            optimize(g, unpruned(ideal_backend), self.cfg(total_iterations=10))
+            optimize(compiled(g, unpruned(ideal_backend)), self.cfg(total_iterations=10))
         assert err.value.trace is not None  # diagnostic trace of completed iterations
 
     def test_transpiles_for_coupled_backend(self):
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
-        trace = optimize(g, unpruned(backend), self.cfg(total_iterations=4))
+        trace = optimize(compiled(g, unpruned(backend)), self.cfg(total_iterations=4))
         assert len(trace.entries) == 4
 
     def test_routed_run_reaches_unrouted_quality(self):
@@ -325,12 +354,12 @@ class TestOptimize:
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
         cfg = self.cfg(total_iterations=30, shots=2048, seed=0)
-        assert optimize(g, unpruned(backend), cfg).final_ar >= 0.85
+        assert optimize(compiled(g, unpruned(backend)), cfg).final_ar >= 0.85
 
     def test_three_flavor_round_robin(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
         plan = make_split_plan(
             g, 3, 1, [ideal_backend, ideal_backend_2, noisy_backend], seed=2
         )
-        trace = optimize(g, plan.flavors, self.cfg(total_iterations=6))
+        trace = optimize(compiled(g, plan.flavors), self.cfg(total_iterations=6))
         assert [e.flavor for e in trace.entries] == [0, 1, 2, 0, 1, 2]
