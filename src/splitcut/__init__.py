@@ -30,9 +30,7 @@ from .circuit import (
 from .simulator import (
     BackendProfile,
     NoiseModel,
-    ShotResult,
     exact_expectation,
-    expectation_full_cost,
     load_backend_profiles,
     run_shots,
     run_statevector,
@@ -65,8 +63,8 @@ __all__ = [
     "load_graph", "max_cut_bruteforce", "save_graph",
     "Circuit", "CouplingMap", "Gate", "ParamVector", "TranspiledCircuit",
     "build_qaoa", "parse", "serialize", "transpile",
-    "BackendProfile", "NoiseModel", "ShotResult", "exact_expectation",
-    "expectation_full_cost", "load_backend_profiles", "run_shots", "run_statevector",
+    "BackendProfile", "NoiseModel", "exact_expectation",
+    "load_backend_profiles", "run_shots", "run_statevector",
     "CompiledFlavor", "OptimizerConfig", "PrunedFlavor", "RunTrace", "SplitPlan",
     "approximation_ratio", "compile_flavor", "make_split_plan", "optimize", "prune",
     "EffortEstimate", "ExtractionReport", "cross_provider_merge", "effort", "extract_graph",

@@ -11,9 +11,12 @@ edge. Everything here is a pure function.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import MISSING, dataclass
 
 from .circuit import parse
+from .errors import CapacityError
 from .graph import Graph
 from .records import read_record, record_fields
 
@@ -126,7 +129,9 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
 
     Every unobserved node pair may or may not belong to the original graph,
     so the worst case checks 2^candidates subsets; with a single candidate
-    pair there is only one possible completion.
+    pair there is only one possible completion. A count with more decimal
+    digits than Python converts to text (``sys.get_int_max_str_digits()``)
+    raises CapacityError before it is computed.
     """
     total = n * (n - 1) // 2
     if n < 1:
@@ -134,6 +139,11 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
     if not 0 <= observed_edges <= total:
         raise ValueError(f"observed_edges must be in [0, {total}], got {observed_edges}")
     candidates = total - observed_edges
+    digits = int(candidates * math.log10(2)) + 1
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise CapacityError(f"effort for n={n}: 2^{candidates} worst-case trials have "
+                            f"{digits} digits, over the {limit}-digit limit")
     return EffortEstimate(
         n=n,
         observed_edges=observed_edges,

@@ -212,41 +212,26 @@ class CouplingMap:
 
 @dataclass(frozen=True)
 class TranspiledCircuit:
-    """Routing result: the physical circuit plus the logical->physical maps
+    """Routing result: the physical circuit plus the logical->physical map
     needed to read measured bits back in logical order."""
 
     circuit: Circuit
-    initial_layout: tuple[int, ...]
     final_layout: tuple[int, ...]
     swap_count: int
 
 
-def transpile(
-    c: Circuit,
-    coupling: CouplingMap,
-    placement: Sequence[int] | None = None,
-) -> TranspiledCircuit:
+def transpile(c: Circuit, coupling: CouplingMap) -> TranspiledCircuit:
     """Route ``c`` onto ``coupling`` with greedy shortest-path SWAP insertion.
 
-    ``placement`` maps logical qubit -> initial physical qubit (identity by
-    default, must be injective). Each SWAP is emitted as the three-gate block
-    cx(a,b), cx(b,a), cx(a,b). The first qubit of a blocked cx is walked
-    along a shortest path until adjacent to the second.
+    Logical qubit q starts on physical qubit q. Each SWAP is emitted as the
+    three-gate block cx(a,b), cx(b,a), cx(a,b). The first qubit of a blocked
+    cx is walked along a shortest path until adjacent to the second.
     """
     if coupling.num_physical < c.num_qubits:
         raise RoutingError(
             f"coupling map has {coupling.num_physical} qubits, circuit needs {c.num_qubits}"
         )
-    if placement is None:
-        placement = tuple(range(c.num_qubits))
-    else:
-        placement = tuple(int(q) for q in placement)
-        if len(placement) != c.num_qubits or len(set(placement)) != len(placement):
-            raise RoutingError("placement must be injective over the logical qubits")
-        if any(not 0 <= q < coupling.num_physical for q in placement):
-            raise RoutingError("placement targets qubit outside the coupling map")
-
-    l2p = list(placement)
+    l2p = list(range(c.num_qubits))
     gates: list[Gate] = []
     swaps = 0
 
@@ -275,7 +260,6 @@ def transpile(
 
     return TranspiledCircuit(
         circuit=Circuit(coupling.num_physical, tuple(gates)),
-        initial_layout=placement,
         final_layout=tuple(l2p),
         swap_count=swaps,
     )

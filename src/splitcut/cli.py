@@ -52,8 +52,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_overhead(args) -> int:
     spec = ExperimentSpec.from_json_file(args.config)
-    report = overhead(spec)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(overhead(spec), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

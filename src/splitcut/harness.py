@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,24 +165,12 @@ def _spec_label(spec: ExperimentSpec, arm: str) -> str:
 
 
 @dataclass
-class OverheadReport:
-    """Static gate counts plus dynamic evaluation counts, normalized against
-    the single-layer pruned-only baseline (2q-gates x evaluations)."""
-
-    baseline: dict
-    arms: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"baseline": self.baseline, "arms": self.arms}
-
-
-@dataclass
 class ExperimentResult:
     spec: ExperimentSpec
     graph_label: str
     rows: list[dict]
     traces: dict[tuple[str, int, int], RunTrace]
-    overhead: OverheadReport
+    overhead: dict  # the {"baseline", "arms"} report of compute_overhead
     failures: list[dict]
 
     @property
@@ -208,9 +196,12 @@ def compute_overhead(
     spec: ExperimentSpec,
     arm_flavors,
     evaluations: dict[tuple[str, int], dict[str, int]] | None = None,
-) -> OverheadReport:
+) -> dict:
     """Overhead accounting for every (arm, p) in the spec, on the compiled
-    flavors ``arm_flavors`` (see ``_flavor_table``) gives the first seed.
+    flavors ``arm_flavors`` (see ``_flavor_table``) gives the first seed:
+    ``{"baseline": ..., "arms": [...]}``, with static gate counts plus
+    dynamic evaluation counts normalized against the single-layer
+    pruned-only baseline (2q-gates x evaluations).
 
     ``evaluations`` maps (arm, p) to per-backend optimizer evaluation
     counts; when absent they are derived statically (SPSA makes
@@ -246,7 +237,7 @@ def compute_overhead(
     baseline_work = None if baseline_evals is None else baseline_stats["gates_2q"] * baseline_evals
     baseline = dict(baseline_stats, evaluations=baseline_evals, work_2q_x_evals=baseline_work)
 
-    report = OverheadReport(baseline=baseline)
+    arms = []
     for arm in spec.arms:
         for p in spec.p_layers:
             entry = arm_entry(arm, p)
@@ -254,11 +245,11 @@ def compute_overhead(
                 entry["relative_cost"] = entry["work_2q_x_evals"] / baseline_work
             else:
                 entry["relative_cost"] = None
-            report.arms.append(entry)
-    return report
+            arms.append(entry)
+    return {"baseline": baseline, "arms": arms}
 
 
-def overhead(spec: ExperimentSpec) -> OverheadReport:
+def overhead(spec: ExperimentSpec) -> dict:
     """Static overhead report for a spec (no optimization runs)."""
     _, g = resolve_graph(spec)
     return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec)))
@@ -395,7 +386,7 @@ def _write_outputs(result: ExperimentResult, adversary_reports: dict,
         for name, text in circuits.items():
             (out / "circuits" / name).write_text(text, encoding="utf-8", newline="\n")
     with open(out / "overhead.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.overhead.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(result.overhead, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for (arm, p, seed), trace in result.traces.items():
         name = f"{arm}_p{p}_seed{seed}.jsonl"

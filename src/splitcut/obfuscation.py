@@ -302,14 +302,13 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
     """The circuit that leaves the client for ``flavor``'s backend at p
     layers: checked against the full graph, built on the flavor's graph and
     routed onto the backend's coupling map when it has one; an unrouted
-    circuit carries identity layouts."""
+    circuit carries the identity layout."""
     flavor.validate_against(g_full)
     # At the angles x = (1, ..., 2p) every rotation's angle 2 * x[j] names its slot j.
     circ = build_qaoa(flavor.pruned_graph(g_full), ParamVector.from_array(range(1, 2 * p + 1)))
     coupling = flavor.backend.coupling
     if coupling is None:
-        identity = tuple(range(circ.num_qubits))
-        routed = TranspiledCircuit(circ, identity, identity, 0)
+        routed = TranspiledCircuit(circ, tuple(range(circ.num_qubits)), 0)
     else:
         routed = transpile(circ, coupling)
         check_coupling(routed.circuit, coupling)

@@ -4,7 +4,9 @@ The split-iteration engine swaps the objective between backends from one
 iteration to the next, so these optimizers expose a ``step(objective)``
 method instead of a closed run loop: every objective evaluation triggered
 by one step call belongs to that step. Both maximize; internally they walk
-downhill on the negated objective.
+downhill on the negated objective. Neither takes tuning arguments: SPSA's
+gain schedule (Spall, IEEE TAC 37(3), 1992) and the Nelder-Mead simplex
+size are class constants, the same for every run.
 """
 from __future__ import annotations
 
@@ -17,23 +19,15 @@ class Spsa:
     Gain schedules a_k = a / (A + k + 1)^alpha and c_k = c / (k + 1)^gamma
     with a Rademacher perturbation; exactly two objective evaluations per
     step. Noise-robust, so it is the default for shot-sampled objectives.
+    The gains are fixed class constants, so the schedule is public.
     """
 
     EVALS_PER_STEP = 2
+    a, c, A, alpha, gamma = 0.4, 0.1, 5.0, 0.602, 0.101
 
-    def __init__(
-        self,
-        x0,
-        rng: np.random.Generator,
-        a: float = 0.4,
-        c: float = 0.1,
-        A: float = 5.0,
-        alpha: float = 0.602,
-        gamma: float = 0.101,
-    ):
+    def __init__(self, x0, rng: np.random.Generator):
         self.x = np.asarray(x0, dtype=float).copy()
         self.rng = rng
-        self.a, self.c, self.A, self.alpha, self.gamma = a, c, A, alpha, gamma
         self.k = 0
 
     def step(self, objective) -> list[tuple[np.ndarray, float]]:
@@ -56,12 +50,13 @@ class NelderMead:
     The initial simplex is evaluated lazily on the first step, so those
     evaluations land on iteration 0's objective. Intended for ideal
     backends; simplex values measured on earlier iterations' objectives are
-    reused as-is.
+    reused as-is. The initial simplex offsets x0 by ``STEP`` along each axis.
     """
 
-    def __init__(self, x0, step: float = 0.3):
+    STEP = 0.3
+
+    def __init__(self, x0):
         self.x0 = np.asarray(x0, dtype=float).copy()
-        self.step_size = step
         self.simplex: list[np.ndarray] | None = None
         self.values: list[float] | None = None
 
@@ -77,7 +72,7 @@ class NelderMead:
         points = [self.x0.copy()]
         for i in range(dim):
             p = self.x0.copy()
-            p[i] += self.step_size
+            p[i] += self.STEP
             points.append(p)
         self.simplex = points
         self.values = [float(objective(p)) for p in points]

@@ -2,7 +2,7 @@
 
 State indexing convention: qubit 0 is the most significant bit of the flat
 state index, so index k corresponds to bitstring ``format(k, '0nb')`` whose
-character i is qubit i. A ``ShotResult`` tallies measured outcomes by index.
+character i is qubit i. Measured outcomes are an int64 tally by index.
 
 ``run_shots`` draws every shot from the exact output distribution of the
 circuit on the backend (``outcome_probabilities``). Every circuit evolves on
@@ -95,28 +95,13 @@ class BackendProfile:
     coupling: CouplingMap | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"backend profile key 'seed' must be >= 0, got {self.seed}")
+
     @property
     def is_noisy(self) -> bool:
         return self.noise != NoiseModel()
-
-
-@dataclass(frozen=True, eq=False)
-class ShotResult:
-    """``tally[k]`` counts the shots reading ``format(k, '0nb')``; ``counts`` is its dict view."""
-
-    tally: np.ndarray
-
-    @property
-    def shots(self) -> int:
-        return int(self.tally.sum())
-
-    @property
-    def counts(self) -> dict[str, int]:
-        n = len(self.tally).bit_length() - 1
-        return {format(int(k), f"0{n}b"): int(self.tally[k]) for k in np.flatnonzero(self.tally)}
-
-    def __eq__(self, other):
-        return isinstance(other, ShotResult) and np.array_equal(self.tally, other.tally)
 
 
 def run_statevector(c: Circuit) -> np.ndarray:
@@ -371,25 +356,15 @@ def check_coupling(c: Circuit, coupling: CouplingMap) -> None:
             raise RoutingError(f"cx{g.qubits} violates the coupling map; transpile before run_shots")
 
 
-def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> ShotResult:
-    """Sample measurement counts for the circuit on the given backend."""
+def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> np.ndarray:
+    """Sample measurement counts for the circuit on the given backend: the
+    int64 tally of ``sample_tally``, one entry per bitstring index."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if backend.coupling is not None:
         check_coupling(c, backend.coupling)
     probs = outcome_probabilities(c, backend.noise)
-    return ShotResult(sample_tally(probs, shot_rng(backend.seed, shots, serialize(c)), shots))
-
-
-def expectation_full_cost(g_full: Graph, result: ShotResult) -> float:
-    """Mean cut value of the samples under the full graph's cost.
-
-    The cost graph is always the client's full graph; the circuit that
-    produced the samples may well have been pruned.
-    """
-    if len(result.tally) != 1 << g_full.n:
-        raise ValueError(f"a tally of {len(result.tally)} outcomes is not over {g_full.n} qubits")
-    return int(result.tally @ cut_values_vector(g_full)) / result.shots
+    return sample_tally(probs, shot_rng(backend.seed, shots, serialize(c)), shots)
 
 
 # -- backend profile config ------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from splitcut.circuit import CouplingMap
-from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph
-from splitcut.simulator import BackendProfile, NoiseModel, ShotResult
+from splitcut.graph import FIXED_BENCHMARKS, Graph, benchmark_graph, cut_values_vector
+from splitcut.simulator import BackendProfile, NoiseModel
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -55,14 +55,38 @@ def random_coupling(rng: np.random.Generator, m: int) -> CouplingMap:
     return CouplingMap.from_edges(m, pairs)
 
 
-def remap_counts(result: ShotResult, final_layout: tuple[int, ...]) -> ShotResult:
+def relabel(g: Graph, perm, n: int | None = None) -> Graph:
+    """g with node q renamed perm[q], on n nodes (default g.n); nodes that
+    no q is renamed to are isolated."""
+    return Graph.make(g.n if n is None else n, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
+
+
+def counts(tally: np.ndarray) -> dict[str, int]:
+    """The bitstring view of a tally: ``format(k, '0nb')`` -> count for
+    every nonzero entry, keys ascending."""
+    n = len(tally).bit_length() - 1
+    return {format(int(k), f"0{n}b"): int(tally[k]) for k in np.flatnonzero(tally)}
+
+
+def remap_counts(tally: np.ndarray, final_layout: tuple[int, ...]) -> np.ndarray:
     """Rewrite a physical-order tally into logical order: the step the
     reference pipeline takes between ``run_shots`` and scoring.
 
     ``final_layout[l]`` is the physical qubit holding logical qubit l at
     measurement; the other physical qubits are summed out.
     """
-    n = len(result.tally).bit_length() - 1
+    n = len(tally).bit_length() - 1
     axes = (*final_layout, *(q for q in range(n) if q not in final_layout))
-    t = result.tally.reshape((2,) * n).transpose(axes)
-    return ShotResult(t.reshape(1 << len(final_layout), -1).sum(axis=1))
+    t = tally.reshape((2,) * n).transpose(axes)
+    return t.reshape(1 << len(final_layout), -1).sum(axis=1)
+
+
+def expectation_full_cost(g_full: Graph, tally: np.ndarray) -> float:
+    """Mean cut value of the tallied samples under the full graph's cost:
+    the reference pipeline's scorer. The cost graph is always the client's
+    full graph; the circuit that produced the samples may well have been
+    pruned. A tally over another number of qubits raises ValueError.
+    """
+    if len(tally) != 1 << g_full.n:
+        raise ValueError(f"a tally of {len(tally)} outcomes is not over {g_full.n} qubits")
+    return int(tally @ cut_values_vector(g_full)) / int(tally.sum())

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,11 @@ from splitcut.adversary import (
     extract_graph,
 )
 from splitcut.circuit import Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, rz, serialize, transpile
+from splitcut.errors import CapacityError
 from splitcut.graph import Graph, benchmark_graph
 from splitcut.obfuscation import make_split_plan, prune
 
-from conftest import random_coupling, random_params
+from conftest import random_coupling, random_params, relabel
 from test_graph import random_graph
 
 
@@ -74,10 +76,14 @@ class TestExtract:
         g = random_graph(rng, n)
         m = n + spare
         coupling = random_coupling(rng, m)
+        # node q placed on physical qubit placement[q]; the spares are isolated
         placement = tuple(int(q) for q in rng.permutation(m)[:n])
-        routed = transpile(build_qaoa(g, random_params(rng, p)), coupling, placement=placement)
+        placed = relabel(g, placement, m)
+        routed = transpile(build_qaoa(placed, random_params(rng, p)), coupling)
+        assert routed.circuit.num_qubits == m
         rep = extract_graph(serialize(routed.circuit))
         # the extractor names qubits by their initial physical position
+        assert rep.recovered_graph == placed
         logical = {phys: q for q, phys in enumerate(placement)}
         assert Graph.make(n, [(logical[a], logical[b]) for a, b in rep.recovered_graph.edges]) == g
         assert rep.unmatched_gates == 0
@@ -150,6 +156,24 @@ class TestEffort:
             effort(4, 7)
         with pytest.raises(ValueError):
             effort(4, -1)
+
+    def test_count_too_wide_to_print_rejected(self):
+        # 2^19900 has 5991 digits, over Python's default 4300-digit limit
+        # on int-to-text conversion
+        with pytest.raises(CapacityError, match="n=200.*5991 digits"):
+            effort(200, 0)
+
+    def test_huge_count_rejected_before_it_is_computed(self):
+        # 2^(5e9) would take about 600 MiB and seconds to build
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"n=100000"):
+            effort(10**5, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_under_the_digit_limit_stays_exact(self):
+        est = effort(120, 0)
+        assert est.worst_case_trials == 1 << 7140
+        assert len(str(est.worst_case_trials)) == 2150
 
 
 class TestMerge:

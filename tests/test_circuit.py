@@ -262,14 +262,3 @@ class TestTranspile:
         coupling = CouplingMap.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(RoutingError):
             transpile(Circuit(4, (cx(0, 3),)), coupling)
-
-    def test_bad_placement_rejected(self):
-        c = Circuit(2, (cx(0, 1),))
-        with pytest.raises(RoutingError):
-            transpile(c, CouplingMap.line(2), placement=[0, 0])
-
-    def test_nonidentity_placement_routes_correctly(self):
-        c = Circuit(3, (cx(0, 2),))
-        routed = transpile(c, CouplingMap.line(3), placement=[0, 2, 1])
-        assert routed.swap_count == 0  # 0 and 1 are physically adjacent now
-        assert routed.circuit.gates[0].qubits == (0, 1)

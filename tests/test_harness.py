@@ -235,13 +235,13 @@ class TestOverhead:
     def test_two_layer_doubles_problem_two_qubit_gates(self):
         spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, arms=["original"], p_layers=[1, 2]))
         report = overhead(spec)
-        by_p = {entry["p"]: entry for entry in report.arms}
+        by_p = {entry["p"]: entry for entry in report["arms"]}
         assert by_p[2]["per_backend"][0]["gates_2q"] == 2 * by_p[1]["per_backend"][0]["gates_2q"]
 
     def test_split_sees_fewer_gates_per_backend(self):
         spec = ExperimentSpec.from_dict(SMALL_SPEC)
         report = overhead(spec)
-        entries = {e["arm"]: e for e in report.arms}
+        entries = {e["arm"]: e for e in report["arms"]}
         orig_2q = entries["original"]["per_backend"][0]["gates_2q"]
         for backend_stats in entries["split"]["per_backend"]:
             assert backend_stats["gates_2q"] < orig_2q
@@ -249,19 +249,19 @@ class TestOverhead:
     def test_spsa_evaluation_count(self):
         spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, arms=["original"], iterations=50))
         report = overhead(spec)
-        assert report.arms[0]["total_shot_evaluations"] == 101  # 2 per iteration + audit
+        assert report["arms"][0]["total_shot_evaluations"] == 101  # 2 per iteration + audit
 
     def test_relative_cost_against_pruned_baseline(self):
         spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, iterations=50))
         report = overhead(spec)
-        entries = {e["arm"]: e for e in report.arms}
-        assert report.baseline["gates_2q"] == 6  # 3 edges after single-edge prune at p=1
+        entries = {e["arm"]: e for e in report["arms"]}
+        assert report["baseline"]["gates_2q"] == 6  # 3 edges after single-edge prune at p=1
         assert entries["pruned_only"]["relative_cost"] == pytest.approx(1.0)
         assert entries["original"]["relative_cost"] > 1.0
 
     def test_actual_evaluations_used_after_run(self, small_result):
         result, _ = small_result
-        entries = {e["arm"]: e for e in result.overhead.arms}
+        entries = {e["arm"]: e for e in result.overhead["arms"]}
         # 8 iterations, spsa: 16 evals for single-backend arms, 8+8 for split
         assert entries["original"]["total_shot_evaluations"] == 17
         split_evals = {b["backend"]: b["evaluations"] for b in entries["split"]["per_backend"]}
@@ -362,6 +362,14 @@ class TestCli:
         profile_object.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(unknown_key))))
         negative_seed = tmp_path / "negative_seed.json"
         negative_seed.write_text(json.dumps(dict(SMALL_SPEC, seeds=[0, -1])))
+        # a negative backend seed used to load, then fail every cell in
+        # numpy's SeedSequence and exit 1 with NaN rows
+        negative_profile = tmp_path / "negative_profile.json"
+        negative_profile.write_text(json.dumps([{"name": "a", "seed": -1}, {"name": "b", "seed": 2}]))
+        negative_backend_seed = tmp_path / "negative_backend_seed.json"
+        negative_backend_seed.write_text(json.dumps(dict(
+            SMALL_SPEC, arms=["original", "split"], profiles_file=str(negative_profile),
+            backends=["a", "b"])))
         short_split = tmp_path / "short_split.json"
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
@@ -378,6 +386,9 @@ class TestCli:
                  (["adversary", "extract", "--circuit", str(bad_json)], ""),
                  (["run", "--config", str(negative_seed)], "'seeds'"),
                  (["run", "--config", str(small_spec), "--seed", "-3"], "'seeds'"),
+                 (["run", "--config", str(negative_backend_seed)], "'seed'"),
+                 # 2^19900 has more digits than Python converts to text
+                 (["adversary", "effort", "--nodes", "200", "--observed", "0"], "n=200"),
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
                  (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
                  (["run", "--config", str(short_split)], "'iterations'")]

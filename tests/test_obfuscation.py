@@ -19,9 +19,9 @@ from splitcut.obfuscation import (
     optimize,
     prune,
 )
-from splitcut.simulator import BackendProfile, NoiseModel, expectation_full_cost, run_shots
+from splitcut.simulator import BackendProfile, NoiseModel, run_shots
 
-from conftest import random_coupling, remap_counts
+from conftest import expectation_full_cost, random_coupling, remap_counts
 from test_graph import random_graph
 
 
@@ -158,8 +158,8 @@ def reference_evaluation(g_full: Graph, flavor: PrunedFlavor, x, shots: int) -> 
     if flavor.backend.coupling is not None:
         routed = transpile(circ, flavor.backend.coupling)
         circ, layout = routed.circuit, routed.final_layout
-    result = run_shots(circ, flavor.backend, shots)
-    return serialize(circ), expectation_full_cost(g_full, remap_counts(result, layout))
+    tally = run_shots(circ, flavor.backend, shots)
+    return serialize(circ), expectation_full_cost(g_full, remap_counts(tally, layout))
 
 
 class TestCompiledFlavor:
@@ -190,8 +190,7 @@ class TestCompiledFlavor:
         from splitcut.errors import RoutingError
 
         def no_routing(c, coupling):
-            identity = tuple(range(c.num_qubits))
-            return TranspiledCircuit(c, identity, identity, 0)
+            return TranspiledCircuit(c, tuple(range(c.num_qubits)), 0)
 
         monkeypatch.setattr(obfuscation, "transpile", no_routing)
         flavor = PrunedFlavor((), BackendProfile("line", coupling=CouplingMap.line(4)))
@@ -330,13 +329,14 @@ class TestOptimize:
                 RunTrace.from_jsonl("\n".join(json.dumps(line) for line in lines))
 
     def test_divergence_aborts_with_partial_trace(self, ideal_backend, monkeypatch):
-        from functools import partial
-
         from splitcut import obfuscation
         from splitcut.errors import DivergenceError
         from splitcut.optimizers import Spsa
 
-        monkeypatch.setattr(obfuscation, "Spsa", partial(Spsa, a=float("inf")))
+        class DivergingSpsa(Spsa):
+            a = float("inf")
+
+        monkeypatch.setattr(obfuscation, "Spsa", DivergingSpsa)
         g = benchmark_graph("cycle4")
         with pytest.raises(DivergenceError) as err:
             optimize(compiled(g, unpruned(ideal_backend)), self.cfg(total_iterations=10))

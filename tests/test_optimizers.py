@@ -15,7 +15,7 @@ def test_spsa_two_evaluations_per_step():
 
 
 def test_spsa_climbs_the_bowl():
-    opt = Spsa(np.zeros(2), np.random.default_rng(1), a=0.4, c=0.1)
+    opt = Spsa(np.zeros(2), np.random.default_rng(1))
     for _ in range(80):
         opt.step(bowl)
     assert bowl(opt.x) > 4.7
@@ -32,7 +32,7 @@ def test_spsa_deterministic_given_rng_seed():
 
 
 def test_nelder_mead_initial_simplex_then_moves():
-    opt = NelderMead(np.zeros(2), step=0.5)
+    opt = NelderMead(np.zeros(2))
     first = opt.step(bowl)
     assert len(first) == 3  # dim + 1 vertices
     total = 0
@@ -43,7 +43,7 @@ def test_nelder_mead_initial_simplex_then_moves():
 
 
 def test_nelder_mead_tracks_best_vertex():
-    opt = NelderMead(np.array([3.0, 3.0]), step=0.3)
+    opt = NelderMead(np.array([3.0, 3.0]))
     for _ in range(100):
         opt.step(bowl)
     assert np.allclose(opt.x, [1.0, -2.0], atol=0.05)
