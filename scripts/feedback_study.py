@@ -7,59 +7,39 @@ ordering: original >> pruned-only, split ~ original.
 """
 import numpy as np
 
-from splitcut.circuit import ParamVector, build_qaoa
-from splitcut.graph import benchmark_graph, max_cut_bruteforce
-from splitcut.obfuscation import prune
-from splitcut.simulator import exact_expectation
+from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, max_cut_bruteforce
+from splitcut.obfuscation import PrunedFlavor, compile_flavor, exact_optimum, prune
+from splitcut.simulator import BackendProfile
 
-RES = 50
-BENCHMARKS = ("cycle3", "cycle4", "complete4_with_diagonals", "graph5", "graph6")
-
-
-def grid(fn):
-    best = (-1.0, None)
-    for gamma in np.linspace(0.0, np.pi, RES, endpoint=False):
-        for beta in np.linspace(0.0, np.pi, RES, endpoint=False):
-            val = fn(gamma, beta)
-            if val > best[0]:
-                best = (val, (gamma, beta))
-    return best
+IDEAL = BackendProfile("ideal")
 
 
 def main():
-    for name in BENCHMARKS:
+    for name in FIXED_BENCHMARKS:
         g = benchmark_graph(name)
         cmax, _ = max_cut_bruteforce(g)
-
-        def e(cost_graph, circ_graph, gamma, beta):
-            circ = build_qaoa(circ_graph, ParamVector((gamma,), (beta,)))
-            return exact_expectation(cost_graph, circ)
-
-        _, a_pt = grid(lambda gm, bt: e(g, g, gm, bt))
-        a_ar = e(g, g, *a_pt) / cmax
+        full = compile_flavor(g, PrunedFlavor((), IDEAL), 1)
+        # each single-edge-pruned circuit, scored on its own pruned graph and on the full one
+        own = {e: compile_flavor(prune(g, [e]), PrunedFlavor((), IDEAL), 1) for e in g.edges}
+        on_full = {e: compile_flavor(g, PrunedFlavor((e,), IDEAL), 1) for e in g.edges}
+        a_ar = exact_optimum([full])[0] / cmax
         print(f"== {name}: cmax={cmax}  original AR={a_ar:.4f}")
 
         d_own_all, d_full_all = [], []
         for edge in g.edges:
-            pg = prune(g, [edge])
-            _, d_pt = grid(lambda gm, bt: e(pg, pg, gm, bt))
-            d_own = e(g, pg, *d_pt) / cmax
-            d_full = e(g, g, *d_pt) / cmax
-            d_own_all.append(d_own)
-            d_full_all.append(d_full)
-            print(f"   prune {edge}: D_own={d_own:.4f} D_full={d_full:.4f}")
+            _, d_x = exact_optimum([own[edge]])
+            d_own_all.append(on_full[edge].exact_expectation(d_x) / cmax)
+            d_full_all.append(full.exact_expectation(d_x) / cmax)
+            print(f"   prune {edge}: D_own={d_own_all[-1]:.4f} D_full={d_full_all[-1]:.4f}")
         print(f"   mean D_own={np.mean(d_own_all):.4f} mean D_full={np.mean(d_full_all):.4f} "
               f"gaps: {a_ar - np.mean(d_own_all):.4f} / {a_ar - np.mean(d_full_all):.4f}")
 
         pairs = [(g.edges[i], g.edges[j]) for i in range(len(g.edges)) for j in range(i + 1, len(g.edges))][:6]
         s_own_all, s_full_all = [], []
         for e1, e2 in pairs:
-            p1g, p2g = prune(g, [e1]), prune(g, [e2])
-            _, s_pt = grid(lambda gm, bt: 0.5 * (e(p1g, p1g, gm, bt) + e(p2g, p2g, gm, bt)))
-            s_own = 0.5 * (e(g, p1g, *s_pt) + e(g, p2g, *s_pt)) / cmax
-            s_full = e(g, g, *s_pt) / cmax
-            s_own_all.append(s_own)
-            s_full_all.append(s_full)
+            _, s_x = exact_optimum([own[e1], own[e2]])
+            s_own_all.append(np.mean([on_full[e].exact_expectation(s_x) for e in (e1, e2)]) / cmax)
+            s_full_all.append(full.exact_expectation(s_x) / cmax)
         print(f"   split(mean over {len(pairs)} pairs): S_own={np.mean(s_own_all):.4f} "
               f"S_full={np.mean(s_full_all):.4f}  min S_full={min(s_full_all):.4f}")
         print(f"   C4 check (S_full/A): {np.mean(s_full_all)/a_ar:.4f}")

@@ -1,82 +1,52 @@
 """Exact p=1 landscape comparison: original vs pruned vs split objectives.
 
-For each benchmark graph, grid-search the exact (shot-free) full-cost
-expectation over (gamma, beta) in [0, pi)^2 for three circuit families:
-the full circuit, each single-edge-pruned circuit, and the split pair's
-averaged objective. Prints the attainable maxima and how parameters found
-on one landscape transfer to the others. Run before trusting any
-final-quality reporting convention.
+For each benchmark graph, maximize the exact (shot-free) full-cost
+expectation with ``exact_optimum`` for three circuit families: the full
+circuit, each single-edge-pruned circuit, and the split pair's averaged
+objective. Prints the attainable maxima and how parameters found on one
+landscape transfer to the others. Run before trusting any final-quality
+reporting convention.
 
-Each benchmark ends with the refined optima (grid best, then Nelder-Mead)
-that acceptance criterion 3 checks: A for the full circuit, B for the mean
-over single-edge prunings, and the exact gap A - B. Needs scipy.
+Each benchmark ends with the optima that acceptance criterion 3 checks: A
+for the full circuit, B for the mean over single-edge prunings, and the
+exact gap A - B.
 """
 import numpy as np
-from scipy.optimize import minimize
 
-from splitcut.circuit import ParamVector, build_qaoa
-from splitcut.graph import benchmark_graph, max_cut_bruteforce
-from splitcut.obfuscation import prune
-from splitcut.simulator import exact_expectation
+from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, max_cut_bruteforce
+from splitcut.obfuscation import PrunedFlavor, compile_flavor, exact_optimum
+from splitcut.simulator import BackendProfile
 
-RES = 50
-BENCHMARKS = ("cycle3", "cycle4", "complete4_with_diagonals", "graph5", "graph6")
-
-
-def grid(fn):
-    best = (-1.0, None)
-    for gamma in np.linspace(0.0, np.pi, RES, endpoint=False):
-        for beta in np.linspace(0.0, np.pi, RES, endpoint=False):
-            val = fn(gamma, beta)
-            if val > best[0]:
-                best = (val, (gamma, beta))
-    return best
-
-
-def refine(fn, pt):
-    """Nelder-Mead from a grid point; returns the larger of the two values."""
-    res = minimize(lambda x: -fn(*x), pt, method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-10})
-    return max(fn(*pt), -float(res.fun))
+IDEAL = BackendProfile("ideal")
 
 
 def main():
-    for name in BENCHMARKS:
+    for name in FIXED_BENCHMARKS:
         g = benchmark_graph(name)
         cmax, _ = max_cut_bruteforce(g)
-
-        def e_of(circ_graph, gamma, beta):
-            circ = build_qaoa(circ_graph, ParamVector((gamma,), (beta,)))
-            return exact_expectation(g, circ)
-
-        a_val, a_pt = grid(lambda gm, bt: e_of(g, gm, bt))
-        a_ref = refine(lambda gm, bt: e_of(g, gm, bt), a_pt) / cmax
-        print(f"== {name}: |E|={len(g.edges)} cmax={cmax}  A(original)={a_val/cmax:.4f}")
+        full = compile_flavor(g, PrunedFlavor((), IDEAL), 1)
+        pruned = {e: compile_flavor(g, PrunedFlavor((e,), IDEAL), 1) for e in g.edges}
+        a = exact_optimum([full])[0] / cmax
+        print(f"== {name}: |E|={len(g.edges)} cmax={cmax}  A(original)={a:.4f}")
 
         # every single-edge pruning choice
-        worst_b, worst_c = 2.0, 2.0
-        b_ref = []
+        b_all, c_all = [], []
         for edge in g.edges:
-            pg = prune(g, [edge])
-            b_val, b_pt = grid(lambda gm, bt: e_of(pg, gm, bt))
-            b_ref.append(refine(lambda gm, bt: e_of(pg, gm, bt), b_pt) / cmax)
-            c_val = e_of(g, *b_pt)
-            worst_b = min(worst_b, b_val / cmax)
-            worst_c = min(worst_c, c_val / cmax)
-            print(f"   prune {edge}: B(pruned)={b_val/cmax:.4f}  C(transfer->full)={c_val/cmax:.4f}")
+            b_val, b_x = exact_optimum([pruned[edge]])
+            b_all.append(b_val / cmax)
+            c_all.append(full.exact_expectation(b_x) / cmax)
+            print(f"   prune {edge}: B(pruned)={b_all[-1]:.4f}  C(transfer->full)={c_all[-1]:.4f}")
 
         # a few split pairs (first edge vs each other edge)
-        pairs = [(g.edges[0], e2) for e2 in g.edges[1:3]]
-        for e1, e2 in pairs:
-            pg1, pg2 = prune(g, [e1]), prune(g, [e2])
-            s_val, s_pt = grid(lambda gm, bt: 0.5 * (e_of(pg1, gm, bt) + e_of(pg2, gm, bt)))
-            s_full = e_of(g, *s_pt)
-            s_fl0 = e_of(pg1, *s_pt)
-            print(f"   split {e1}|{e2}: S(avg)={s_val/cmax:.4f}  S_full={s_full/cmax:.4f}  "
-                  f"S_flavor0={s_fl0/cmax:.4f}")
-        print(f"   gaps: A-B(worst)={a_val/cmax - worst_b:.4f}  A-C(worst)={a_val/cmax - worst_c:.4f}")
-        b_mean = float(np.mean(b_ref))
-        print(f"   refined: A={a_ref:.4f}  B(mean over edges)={b_mean:.4f}  A-B={a_ref - b_mean:.4f}")
+        for e2 in g.edges[1:3]:
+            pair = [pruned[g.edges[0]], pruned[e2]]
+            s_val, s_x = exact_optimum(pair)
+            print(f"   split {g.edges[0]}|{e2}: S(avg)={s_val/cmax:.4f}  "
+                  f"S_full={full.exact_expectation(s_x)/cmax:.4f}  "
+                  f"S_flavor0={pair[0].exact_expectation(s_x)/cmax:.4f}")
+        b_mean = float(np.mean(b_all))
+        print(f"   gaps: A-B(worst)={a - min(b_all):.4f}  A-C(worst)={a - min(c_all):.4f}  "
+              f"B(mean over edges)={b_mean:.4f}  A-B={a - b_mean:.4f}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .circuit import (
 from .simulator import (
     BackendProfile,
     NoiseModel,
-    exact_expectation,
     load_backend_profiles,
     run_shots,
     run_statevector,
@@ -43,6 +42,7 @@ from .obfuscation import (
     SplitPlan,
     approximation_ratio,
     compile_flavor,
+    exact_optimum,
     make_split_plan,
     optimize,
     prune,
@@ -63,10 +63,9 @@ __all__ = [
     "load_graph", "max_cut_bruteforce", "save_graph",
     "Circuit", "CouplingMap", "Gate", "ParamVector", "TranspiledCircuit",
     "build_qaoa", "parse", "serialize", "transpile",
-    "BackendProfile", "NoiseModel", "exact_expectation",
-    "load_backend_profiles", "run_shots", "run_statevector",
+    "BackendProfile", "NoiseModel", "load_backend_profiles", "run_shots", "run_statevector",
     "CompiledFlavor", "OptimizerConfig", "PrunedFlavor", "RunTrace", "SplitPlan",
-    "approximation_ratio", "compile_flavor", "make_split_plan", "optimize", "prune",
+    "approximation_ratio", "compile_flavor", "exact_optimum", "make_split_plan", "optimize", "prune",
     "EffortEstimate", "ExtractionReport", "cross_provider_merge", "effort", "extract_graph",
     "ExperimentSpec", "run_experiment", "overhead",
 ]

@@ -13,9 +13,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .adversary import cross_provider_merge, effort, extract_graph, report_graph
+from .errors import CapacityError
 from .graph import benchmark_graph, graph_to_text, load_graph, max_cut_bruteforce, save_graph
 from .harness import ExperimentSpec, overhead, run_experiment
 
@@ -69,15 +71,15 @@ def _print_rows(rows) -> None:
 def _cmd_adversary(args) -> int:
     if args.action == "extract":
         report = extract_graph(Path(args.circuit).read_text(encoding="utf-8"))
+        g = report.recovered_graph
         payload = report.to_dict()
-        est = effort(report.recovered_graph.n, len(report.recovered_graph.edges))
-        payload["effort"] = est.to_dict()
-        payload["summary"] = (
-            f"recovered {len(report.recovered_graph.edges)} edges on "
-            f"{report.recovered_graph.n} nodes through {report.swap_count} swaps; "
-            f"{est.candidate_edges} candidate edges leave "
-            f"{est.worst_case_trials} worst-case completions"
-        )
+        candidates = g.n * (g.n - 1) // 2 - len(g.edges)
+        with suppress(CapacityError):  # too many digits to print; the recovered graph still stands
+            payload["effort"] = effort(g.n, len(g.edges)).to_dict()
+        trials = payload.get("effort", {}).get("worst_case_trials", f"2^{candidates}")
+        payload["summary"] = (f"recovered {len(g.edges)} edges on {g.n} nodes through "
+                              f"{report.swap_count} swaps; {candidates} candidate edges leave "
+                              f"{trials} worst-case completions")
     elif args.action == "effort":
         payload = effort(args.nodes, args.observed).to_dict()
     else:

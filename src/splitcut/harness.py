@@ -77,6 +77,14 @@ class ExperimentSpec:
         for arm in self.arms:
             if arm not in ARMS:
                 raise ValueError(f"unknown arm {arm!r}")
+        if self.optimizer not in ("spsa", "nelder_mead"):
+            raise ValueError(f"experiment spec key 'optimizer' must be 'spsa' or 'nelder_mead', "
+                             f"got {self.optimizer!r}")
+        if self.shots < 1:
+            raise ValueError(f"experiment spec key 'shots' must be >= 1, got {self.shots}")
+        least = 2 * self.k if "split" in self.arms else 1  # a split arm runs every flavor twice
+        if self.iterations < least:
+            raise ValueError(f"experiment spec key 'iterations' must be >= {least}, got {self.iterations}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
@@ -89,9 +97,6 @@ class ExperimentSpec:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValueError(f"experiment spec key {key!r} repeats a value: {list(values)}")
-        if "split" in self.arms and self.iterations < 2 * self.k:
-            raise ValueError(f"experiment spec key 'iterations' must be >= {2 * self.k} "
-                             f"for a {self.k}-flavor split arm, got {self.iterations}")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
             raise ValueError("removed_sets must list one edge set per flavor")
 

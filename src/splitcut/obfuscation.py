@@ -33,6 +33,7 @@ from .simulator import (
 )
 
 FINAL_EVAL_SHOTS = 16384
+EXACT_REFINE_STEPS = 40  # Nelder-Mead steps from each start in exact_optimum
 
 
 def prune(g: Graph, removed: Sequence[Edge]) -> Graph:
@@ -297,6 +298,10 @@ class CompiledFlavor:
         tally = sample_tally(self.kernel.probabilities(angles), rng, shots)
         return int(tally @ self.cut) / shots
 
+    def exact_expectation(self, x) -> float:
+        """The limit of ``expectation`` at angles x as shots grow."""
+        return float(self.kernel.probabilities(self._angles(x)) @ self.cut)
+
 
 def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavor:
     """The circuit that leaves the client for ``flavor``'s backend at p
@@ -315,6 +320,24 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
     slots = np.array([int(g.angle) // 2 - 1 for g in routed.circuit.gates if g.angle is not None],
                      dtype=np.intp)
     return CompiledFlavor(g_full, flavor, p, routed, slots, wire_template(routed.circuit))
+
+
+def exact_optimum(flavors: Sequence[CompiledFlavor]) -> tuple[float, np.ndarray]:
+    """The largest mean ``exact_expectation`` over the p=1 flavors and its x,
+    over one period's 16x8 grid of (gamma, beta) in steps of pi/16 and over
+    ``EXACT_REFINE_STEPS`` Nelder-Mead steps from each of its 3 best points."""
+    if not flavors or any(f.p != 1 for f in flavors):
+        raise ValueError("exact_optimum takes one or more flavors at p=1")
+
+    def mean(x) -> float:
+        return sum(f.exact_expectation(x) for f in flavors) / len(flavors)
+
+    evals = [(x, mean(x)) for x in math.pi / 16 * np.indices((16, 8)).reshape(2, -1).T]
+    for i in np.argsort([fx for _, fx in evals])[-3:]:
+        opt = NelderMead(evals[i][0])
+        for _ in range(EXACT_REFINE_STEPS):
+            evals += opt.step(mean)
+    return max(((fx, x) for x, fx in evals), key=lambda e: e[0])
 
 
 def _init_params(cfg: OptimizerConfig, p: int) -> ParamVector:

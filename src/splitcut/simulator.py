@@ -7,10 +7,9 @@ character i is qubit i. Measured outcomes are an int64 tally by index.
 ``run_shots`` draws every shot from the exact output distribution of the
 circuit on the backend (``outcome_probabilities``). Every circuit evolves on
 one compiled kernel: consecutive gates on at most two qubits fuse into one
-block holding at most one rotation, and a circuit skeleton compiles once per
-noise model into a ``Kernel`` that each evaluation only fills the angles of.
-A compiled flavor holds its ``Kernel``; ``run_shots`` looks it up in a small
-cache. The state takes one of two forms:
+block holding at most one rotation, and a circuit skeleton compiles on its
+noise model into a ``Kernel`` that each evaluation only fills the angles of;
+a compiled flavor holds its own. The state takes one of two forms:
 
 - Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), and a
   block is its 2x2 or 4x4 unitary, stored as cos(theta/2) A + sin(theta/2) B
@@ -43,7 +42,6 @@ execute concurrently.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -54,7 +52,6 @@ import numpy as np
 
 from .circuit import PARAMETRIC, Circuit, CouplingMap, serialize
 from .errors import CapacityError, RoutingError
-from .graph import Graph, cut_values_vector
 from .records import read_record, record_fields
 
 MAX_QUBITS = 20
@@ -109,13 +106,6 @@ def run_statevector(c: Circuit) -> np.ndarray:
     kernel = compile_kernel(c, NoiseModel())
     state = kernel.evolve(_angles(c))
     return state.reshape((2,) * c.num_qubits).transpose(kernel.order).reshape(-1)
-
-
-def exact_expectation(g: Graph, c: Circuit) -> float:
-    """Exact cut expectation of the circuit's output distribution under g's cost."""
-    if c.num_qubits != g.n:
-        raise ValueError(f"circuit width {c.num_qubits} != node count {g.n}")
-    return float(np.abs(run_statevector(c)) ** 2 @ cut_values_vector(g))
 
 
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
@@ -249,32 +239,6 @@ def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
     return blocks
 
 
-@functools.lru_cache(maxsize=4)
-def _compile(num_qubits: int, skeleton: tuple, p1: float, p2: float) -> tuple:
-    """One circuit skeleton on one noise model, compiled to (steps, order).
-    Each step is one block: the transposition that brings its qubits to the
-    front of the state's axes, its width D, and its matrix, or for the block
-    that holds the j-th rotation, its parts as the columns of a (D*D, parts)
-    array and j. ``order[q]`` is the final axis of qubit q."""
-    noise = NoiseModel(p1, p2)
-    order = list(range(num_qubits))
-    steps, rotations = [], 0
-    for block, gates in _blocks(skeleton):
-        mat = _gate_parts(*gates[0], block, noise)
-        for name, qubits in gates[1:]:
-            mat = _gate_parts(name, qubits, block, noise) @ mat
-        dim = mat.shape[-1]
-        perm = tuple(order.index(q) for q in block) + tuple(
-            i for i, q in enumerate(order) if q not in block)
-        order = [order[i] for i in perm]
-        if len(mat) == 1:
-            steps.append((perm, dim, mat[0], None))
-        else:
-            steps.append((perm, dim, mat.reshape(len(mat), dim * dim).T.copy(), rotations))
-            rotations += 1
-    return tuple(steps), tuple(order.index(q) for q in range(num_qubits))
-
-
 def _angles(c: Circuit) -> np.ndarray:
     return np.array([g.angle for g in c.gates if g.angle is not None])
 
@@ -332,15 +296,32 @@ class Kernel:
 
 
 def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
-    """The circuit's skeleton compiled on the noise model; wider circuits
-    than the state form holds raise CapacityError."""
+    """The circuit's skeleton compiled on the noise model, one step per
+    block: the transposition that brings its qubits to the front of the
+    state's axes, its width D, and its matrix, or for the block that holds
+    the j-th rotation, its parts as the columns of a (D*D, parts) array and
+    j. Wider circuits than the state form holds raise CapacityError."""
     n = c.num_qubits
     limit = MAX_DENSITY_QUBITS if noise.has_gate_noise else MAX_QUBITS
     if n > limit:
         what = "gate noise" if noise.has_gate_noise else "a statevector"
         raise CapacityError(f"{what} is simulated up to {limit} qubits, got {n}")
-    steps, order = _compile(n, tuple((g.name, g.qubits) for g in c.gates), noise.p1, noise.p2)
-    return Kernel(n, noise, steps, order)
+    order = list(range(n))
+    steps, rotations = [], 0
+    for block, gates in _blocks((g.name, g.qubits) for g in c.gates):
+        mat = _gate_parts(*gates[0], block, noise)
+        for name, qubits in gates[1:]:
+            mat = _gate_parts(name, qubits, block, noise) @ mat
+        dim = mat.shape[-1]
+        perm = tuple(order.index(q) for q in block) + tuple(
+            i for i, q in enumerate(order) if q not in block)
+        order = [order[i] for i in perm]
+        if len(mat) == 1:
+            steps.append((perm, dim, mat[0], None))
+        else:
+            steps.append((perm, dim, mat.reshape(len(mat), dim * dim).T.copy(), rotations))
+            rotations += 1
+    return Kernel(n, noise, tuple(steps), tuple(order.index(q) for q in range(n)))
 
 
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:

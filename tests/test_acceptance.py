@@ -9,17 +9,15 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from splitcut.adversary import cross_provider_merge, effort, extract_graph
-from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize, transpile
+from splitcut.circuit import CouplingMap, build_qaoa, serialize, transpile
 from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, cut_value, max_cut_bruteforce
 from splitcut.harness import ExperimentSpec, run_experiment
 from splitcut.obfuscation import (
-    FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, compile_flavor, make_split_plan, optimize,
-    prune,
+    FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, compile_flavor, exact_optimum,
+    make_split_plan, optimize,
 )
-from splitcut.simulator import exact_expectation
 
 from conftest import random_params
 from test_graph import enumerate_maxcut_reference, random_graph
@@ -95,13 +93,9 @@ def test_criterion_2_ideal_qaoa_sanity(ideal_backend):
     t0 = time.time()
     g = benchmark_graph("cycle4")
     cmax, _ = max_cut_bruteforce(g)
-    best = -1.0
-    for gamma in np.linspace(0.0, np.pi, 50, endpoint=False):
-        for beta in np.linspace(0.0, np.pi, 50, endpoint=False):
-            circ = build_qaoa(g, ParamVector((gamma,), (beta,)))
-            best = max(best, exact_expectation(g, circ))
-    grid_ar = best / cmax
     flavor = compile_flavor(g, PrunedFlavor((), ideal_backend), 1)
+    axis = np.linspace(0.0, np.pi, 50, endpoint=False)
+    grid_ar = max(flavor.exact_expectation((gm, bt)) for gm in axis for bt in axis) / cmax
     finals = []
     for seed in SEEDS:
         cfg = OptimizerConfig(total_iterations=50, shots=4096, seed=seed)
@@ -112,40 +106,17 @@ def test_criterion_2_ideal_qaoa_sanity(ideal_backend):
                          f"optimizer >=0.70 on {hits}/10 seeds (want >=8)", t0)
 
 
-def exact_p1_optimum_ar(g_full, g_circuit) -> float:
-    """Best exact full-cost AR of the p=1 circuit built on g_circuit.
-
-    A coarse grid over one period (gamma in [0, pi), beta in [0, pi/2))
-    seeds Nelder-Mead from its best few points.
-    """
-    cmax, _ = max_cut_bruteforce(g_full)
-
-    def ar(x) -> float:
-        circ = build_qaoa(g_circuit, ParamVector((float(x[0]),), (float(x[1]),)))
-        return exact_expectation(g_full, circ) / cmax
-
-    starts = [(gm, bt) for gm in np.linspace(0.0, np.pi, 16, endpoint=False)
-              for bt in np.linspace(0.0, np.pi / 2, 8, endpoint=False)]
-    values = [ar(x) for x in starts]
-    best = max(values)
-    for i in np.argsort(values)[-3:]:
-        res = minimize(lambda x: -ar(x), starts[i], method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-10})
-        best = max(best, -float(res.fun))
-    return best
-
-
-def test_criterion_3_degradation_ordering(ideal_arms):
+def test_criterion_3_degradation_ordering(ideal_arms, ideal_backend):
     """Pruning costs attainable quality, checked on exact p=1 optima.
 
     A(g) is the optimum of the full circuit; B_e(g) that of the circuit
-    with edge e pruned, both scored on the full graph. The pruned-only arm
-    draws its removed edge uniformly, so its reference is the mean B(g)
-    over edges. The harness arms must stay below these ceilings up to
-    the shot noise of their final re-measurement.
+    with edge e pruned, both scored on the full graph by ``exact_optimum``.
+    The pruned-only arm draws its removed edge uniformly, so its reference
+    is the mean B(g) over edges. The harness arms must stay below these
+    ceilings up to the shot noise of their final re-measurement.
     """
     t0 = time.time()
-    tol = 1e-4  # accuracy of the grid + Nelder-Mead maximization
+    tol = 1e-4  # accuracy of exact_optimum's grid + Nelder-Mead maximization
     # One-sided Hoeffding bound on a mean of per-shot ARs in [0, 1] over
     # FINAL_EVAL_SHOTS shots per seed, exceeded with probability <= 1e-6.
     n_shots = FINAL_EVAL_SHOTS * len(SEEDS)
@@ -154,8 +125,9 @@ def test_criterion_3_degradation_ordering(ideal_arms):
     exact_a, exact_gaps = {}, []
     for name, arms in ideal_arms.items():
         g = benchmark_graph(name)
-        a = exact_p1_optimum_ar(g, g)
-        b_each = [exact_p1_optimum_ar(g, prune(g, [e])) for e in g.edges]
+        cmax, _ = max_cut_bruteforce(g)
+        a, *b_each = [exact_optimum([compile_flavor(g, PrunedFlavor(r, ideal_backend), 1)])[0] / cmax
+                      for r in [(), *((e,) for e in g.edges)]]
         b_mean = float(np.mean(b_each))
         exact_a[name] = a
         exact_gaps.append(a - b_mean)

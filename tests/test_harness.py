@@ -313,10 +313,22 @@ class TestCli:
             reports.append(str(report_file))
         payload = json.loads(Path(reports[0]).read_text())
         assert len(payload["edges"]) == 3
-        assert "summary" in payload
+        assert payload["summary"] == ("recovered 3 edges on 4 nodes through 0 swaps; "
+                                      "3 candidate edges leave 8 worst-case completions")
         assert main(["adversary", "merge", *reports]) == 0
         merged = json.loads(capsys.readouterr().out)
         assert sorted(tuple(e) for e in merged["edges"]) == list(benchmark_graph("cycle4").edges)
+
+    def test_adversary_extract_keeps_a_graph_too_wide_for_effort(self, tmp_path, capsys):
+        # 2^19900 completions have more digits than Python converts to text
+        circ_file, report_file = tmp_path / "wide.txt", tmp_path / "wide.json"
+        circ_file.write_text("qubits 200\nh 0\n")
+        assert main(["adversary", "extract", "--circuit", str(circ_file), "--out", str(report_file)]) == 0
+        payload = json.loads(report_file.read_text())
+        assert (payload["nodes"], payload["edges"], "effort" in payload) == (200, [], False)
+        assert payload["summary"].endswith("19900 candidate edges leave 2^19900 worst-case completions")
+        assert main(["adversary", "merge", str(report_file)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"nodes": 200, "edges": []}
 
     def test_run_command(self, tmp_path, capsys):
         config = tmp_path / "spec.json"
@@ -398,6 +410,11 @@ class TestCli:
             spec = tmp_path / f"repeat_spec{i}.json"
             spec.write_text(json.dumps(dict(SMALL_SPEC, **{key: value})))
             cases.append((["run", "--config", str(spec)], repr(key)))
+        # values no run can use are rejected by the spec, naming the key, in both commands
+        for i, fields in enumerate([{"optimizer": "adam"}, {"shots": 0}, {"iterations": 0, "arms": ["original"]}]):
+            spec = tmp_path / f"value_spec{i}.json"
+            spec.write_text(json.dumps(dict(SMALL_SPEC, **fields)))
+            cases += [([cmd, "--config", str(spec)], repr(next(iter(fields)))) for cmd in ("run", "overhead")]
         # a value of the wrong JSON type names its key
         for i, (key, value) in enumerate([("seeds", 5), ("graph", 5), ("arms", "split"),
                                           ("shots", 4096.5), ("shots", True), ("k", None)]):

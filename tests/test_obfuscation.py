@@ -6,22 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize, transpile
+from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, parse, serialize, transpile
 from splitcut.errors import MetricError, PlanError
-from splitcut.graph import Graph, benchmark_graph
+from splitcut.graph import Graph, benchmark_graph, cut_values_vector
 from splitcut.obfuscation import (
     OptimizerConfig,
     PrunedFlavor,
     SplitPlan,
     approximation_ratio,
     compile_flavor,
+    exact_optimum,
     make_split_plan,
     optimize,
     prune,
 )
-from splitcut.simulator import BackendProfile, NoiseModel, run_shots
+from splitcut.simulator import BackendProfile, NoiseModel, outcome_probabilities, run_shots
 
-from conftest import expectation_full_cost, random_coupling, remap_counts
+from conftest import expectation_full_cost, random_coupling, random_params, relabel, remap_counts
 from test_graph import random_graph
 
 
@@ -209,6 +210,43 @@ class TestCompiledFlavor:
         g = benchmark_graph("cycle4")
         cf = compile_flavor(g, PrunedFlavor(((0, 1),), ideal_backend), 3)
         assert (cf.g_full, cf.p, sorted(set(cf.slots))) == (g, 3, list(range(6)))
+
+    @pytest.mark.parametrize("routed", [False, True])
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.002, 0.02, 0.035)])  # ideal1, hw1
+    def test_sampler_matches_exact_distribution_of_its_wire_text(self, routed, noise):
+        # "routed" runs on a line with one spare qubit
+        g = benchmark_graph("graph6")
+        b = BackendProfile("b", noise, CouplingMap.line(g.n + 1) if routed else None, seed=21)
+        cf = compile_flavor(g, PrunedFlavor((g.edges[-1],), b), 2)
+        x = random_params(np.random.default_rng(5), 2).to_array()
+        m, layout = cf.routed.circuit.num_qubits, cf.routed.final_layout
+        assert (layout != tuple(range(g.n))) == routed
+        probs = outcome_probabilities(parse(cf.wire_text(x)), noise)
+        exact = cf.exact_expectation(x)
+        assert abs(exact - probs @ cut_values_vector(relabel(g, layout, m))) <= 1e-12
+        # each side of a mean of 16384 shots in [0, |E|] misses this with
+        # probability <= 1e-6 (one-sided Hoeffding bound)
+        assert abs(cf.expectation(x, 16384) - exact) <= len(g.edges) * math.sqrt(math.log(1e6) / 32768)
+
+
+class TestExactOptimum:
+    def test_ring_optimum_is_three_quarters(self, ideal_backend):
+        # p=1 on rings (Farhi, Goldstone & Gutmann 2014)
+        value, _ = exact_optimum(compiled(benchmark_graph("cycle4"), unpruned(ideal_backend)))
+        assert abs(value / 4 - 0.75) <= 1e-6
+
+    def test_value_is_the_flavors_mean_at_its_point(self, ideal_backend, noisy_backend):
+        g = benchmark_graph("graph5")
+        flavors = compiled(g, (PrunedFlavor((g.edges[0],), ideal_backend),
+                               PrunedFlavor((g.edges[3],), noisy_backend)))
+        value, x = exact_optimum(flavors)
+        assert value == pytest.approx(np.mean([f.exact_expectation(x) for f in flavors]), abs=1e-12)
+
+    def test_rejects_deeper_flavors_and_no_flavors(self, ideal_backend):
+        with pytest.raises(ValueError):
+            exact_optimum(compiled(benchmark_graph("cycle4"), unpruned(ideal_backend), p=2))
+        with pytest.raises(ValueError):
+            exact_optimum(())
 
 
 class TestOptimize:

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from splitcut import simulator
 from splitcut.circuit import (
     Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, rx, transpile,
 )
 from splitcut.errors import CapacityError, RoutingError
 from splitcut.graph import benchmark_graph, cut_values_vector
+from splitcut.obfuscation import PrunedFlavor, compile_flavor
 from splitcut.simulator import (
     BackendProfile,
     NoiseModel,
     backend_from_dict,
-    exact_expectation,
     load_backend_profiles,
     outcome_probabilities,
     run_shots,
@@ -167,7 +166,7 @@ class TestRunShots:
         g = benchmark_graph("cycle4")
         params = ParamVector((-0.3927,), (0.3927,))  # near the p=1 ring optimum
         c = build_qaoa(g, params)
-        ideal_e = exact_expectation(g, c)
+        ideal_e = compile_flavor(g, PrunedFlavor((), ideal_backend), 1).exact_expectation(params.to_array())
         noisy_es = []
         for seed in range(10):
             backend = BackendProfile(f"n{seed}", noise=NoiseModel(0.002, 0.02, 0.035), seed=seed)
@@ -294,23 +293,6 @@ class TestExactDistribution:
         probs = outcome_probabilities(routed.circuit, noise)
         assert np.abs(probs - kraus_reference(routed.circuit, noise)).max() < 1e-12
 
-    @pytest.mark.parametrize("backend", ["ideal1", "hw1"])
-    def test_compiled_plan_reused_across_angles_and_cache_bounded(self, backend):
-        noise = load_backend_profiles()[backend].noise
-        g = benchmark_graph("graph5")
-        outcome_probabilities(build_qaoa(g, ParamVector((0.1,), (0.2,))), noise)
-        before = simulator._compile.cache_info()
-        c = build_qaoa(g, ParamVector((0.7,), (1.1,)))
-        probs = outcome_probabilities(c, noise)
-        after = simulator._compile.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert np.abs(probs - kraus_reference(c, noise)).max() < 1e-12
-        for n in range(3, 11):  # more skeletons than the cache holds
-            outcome_probabilities(build_qaoa(benchmark_graph(f"cycle({n})"),
-                                             ParamVector((0.3,), (0.4,))), noise)
-        info = simulator._compile.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize < 8
-
     def test_noiseless_is_statevector_squared(self):
         c = build_qaoa(benchmark_graph("graph5"), ParamVector((0.5,), (0.6,)))
         assert np.array_equal(outcome_probabilities(c), np.abs(run_statevector(c)) ** 2)
@@ -343,7 +325,7 @@ class TestExpectation:
     def test_exact_expectation_matches_counts_limit(self, ideal_backend):
         g = benchmark_graph("cycle3")
         c = build_qaoa(g, ParamVector((0.6,), (0.35,)))
-        exact = exact_expectation(g, c)
+        exact = compile_flavor(g, PrunedFlavor((), ideal_backend), 1).exact_expectation((0.6, 0.35))
         sampled = expectation_full_cost(g, run_shots(c, ideal_backend, 16384))
         assert abs(exact - sampled) < 0.05
 
