@@ -1,28 +1,33 @@
-"""One compiled simulation kernel with shot sampling.
+"""Compiled simulation kernels with shot sampling.
 
 State indexing convention: qubit 0 is the most significant bit of the flat
 state index, so index k corresponds to bitstring ``format(k, '0nb')`` whose
 character i is qubit i. Measured outcomes are an int64 tally by index.
 
 ``run_shots`` draws every shot from the exact output distribution of the
-circuit on the backend (``outcome_probabilities``). Every circuit evolves on
-one compiled kernel: consecutive gates on at most two qubits fuse into one
-block holding at most one rotation, and a circuit skeleton compiles on its
-noise model into a ``Kernel`` that each evaluation only fills the angles of;
-a compiled flavor holds its own. The state takes one of two forms:
+circuit on the backend (``outcome_probabilities``). A circuit skeleton
+compiles on its noise model into a ``Kernel`` that each evaluation only
+fills the angles of; a compiled flavor holds its own. The state takes one of
+two forms, each with one kernel that starts from a state built at compile
+time:
 
-- Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), and a
-  block is its 2x2 or 4x4 unitary, stored as cos(theta/2) A + sin(theta/2) B
-  when it holds a rotation. The distribution is |psi|^2.
+- Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``). The h
+  and cx gates are Cliffords, which map Pauli strings to Pauli strings
+  (Aaronson & Gottesman, PRA 70, 052328, 2004). So the start state is the
+  circuit's Clifford product on |0...0>, and each rx/rz becomes a rotation
+  about its Pauli conjugated through every later h and cx (as in Bravyi &
+  Gosset, PRL 116, 250501, 2016). The distribution is |psi|^2.
 - Gate noise is the depolarizing channel: after each gate, each touched
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
   Pauli-transfer form (Chow et al., PRL 109, 060501, 2012): the state is the
-  4^n real coefficients Tr(rho P) over the Pauli strings P, a block with its
-  depolarizing is one 4x4 or 16x16 transfer matrix, stored as
-  K0 + cos(theta) K1 + sin(theta) K2 around a rotation, and the measured
-  distribution is read off the I/Z coefficients. Gate-noise circuits are
-  limited to ``MAX_DENSITY_QUBITS`` (10) qubits.
+  4^n real coefficients Tr(rho P) over the Pauli strings P, consecutive
+  gates on at most two qubits fuse into one block holding at most one
+  rotation, a block with its depolarizing is one 4x4 or 16x16 transfer
+  matrix, stored as K0 + cos(theta) K1 + sin(theta) K2 around a rotation,
+  the blocks before the first rotation are folded into the start state, and
+  the measured distribution is read off the I/Z coefficients. Gate-noise
+  circuits are limited to ``MAX_DENSITY_QUBITS`` (10) qubits.
 
 Wider circuits raise ``CapacityError``. Readout flips each measured bit
 independently, applied as a per-bit stochastic map on the distribution.
@@ -103,9 +108,7 @@ class BackendProfile:
 
 def run_statevector(c: Circuit) -> np.ndarray:
     """Noiseless evolution of |0...0> through the circuit (measurement ignored)."""
-    kernel = compile_kernel(c, NoiseModel())
-    state = kernel.evolve(_angles(c))
-    return state.reshape((2,) * c.num_qubits).transpose(kernel.order).reshape(-1)
+    return compile_kernel(c, NoiseModel()).evolve(_angles(c))
 
 
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
@@ -134,12 +137,13 @@ def sample_tally(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.
     return below[1:] - below[:-1]
 
 
-# -- the compiled kernel ----------------------------------------------------
+# -- the compiled kernels ---------------------------------------------------
 #
-# Without gate noise the state is the 2^n complex amplitudes, one axis of
-# length 2 per qubit, and a gate acts by its unitary; a rotation by theta is
-# the unitary cos(theta/2) A + sin(theta/2) B. With gate noise the state is
-# the real tensor r[P] = Tr(rho P) over the 4^n Pauli strings P, one axis of
+# Without gate noise the state has one axis of length 2 per qubit. A Pauli
+# P = (-1)^s X^x Z^z acts as (P t)[b] = (-1)^s (-1)^(z.(b^x)) t[b^x], so
+# exp(-i theta/2 P) is t -> cos(theta/2) t + sin(theta/2) w t[b^x] with
+# w[b] = -i (-1)^s (-1)^(z.(b^x)), which varies only along the axes in z.
+# With gate noise the state is the real tensor r[P] = Tr(rho P), one axis of
 # length 4 (I, X, Y, Z) per qubit. A channel acts on it by its Pauli
 # transfer matrix R[P, Q] = Tr(P E(Q)) / 2^k. Depolarizing a qubit scales
 # its X, Y and Z coefficients by d = 1 - 4p/3, and a rotation by theta has
@@ -197,25 +201,20 @@ def _rotation_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([k0, 0.5 * (at[0] - at[2]), at[1] - k0])
 
 
-_GATES = _gate_table()
 _TRANSFER = {key: _rotation_parts(*parts) if len(parts) == 2 else _transfer(parts[0])[None]
-             for key, parts in _GATES.items()}
+             for key, parts in _gate_table().items()}
 
 
 def _gate_parts(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
                 noise: NoiseModel) -> np.ndarray:
-    """The gate on the block's qubits as a stack of parts, one for a fixed
-    gate and one per angle coefficient for a rotation: without gate noise
-    its unitary, (2, D, D) or (1, D, D) with D = 2^len(block); with it the
-    gate followed by depolarizing on its qubits as transfer matrices,
-    (3, D, D) or (1, D, D) with D = 4^len(block)."""
-    key = (name, len(block), qubits[0] == block[0])
-    if not noise.has_gate_noise:
-        return _GATES[key]
+    """The gate on the block's qubits followed by depolarizing on its
+    qubits, as a stack of transfer matrices: (3, D, D) around a rotation,
+    one per angle coefficient, and (1, D, D) for a fixed gate, with
+    D = 4^len(block)."""
     d = 1.0 - 4.0 * (noise.p2 if name == "cx" else noise.p1) / 3.0
     scale = [np.array([1.0, d, d, d]) if q in qubits else np.ones(4) for q in block]
     diag = scale[0] if len(block) == 1 else np.outer(scale[0], scale[1]).ravel()
-    return diag[:, None] * _TRANSFER[key]
+    return diag[:, None] * _TRANSFER[name, len(block), qubits[0] == block[0]]
 
 
 def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
@@ -225,8 +224,6 @@ def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
     qubits: tuple[int, ...] = ()
     gates: list = []
     for name, gate_qubits in skeleton:
-        if name == "measure":
-            continue
         joined = qubits + tuple(q for q in gate_qubits if q not in qubits)
         second_rotation = name in PARAMETRIC and any(g in PARAMETRIC for g, _ in gates)
         if len(joined) > 2 or second_rotation:
@@ -250,24 +247,24 @@ class Kernel:
 
     num_qubits: int
     noise: NoiseModel
+    start: np.ndarray  # the state before the first rotation
     steps: tuple
     order: tuple[int, ...]  # order[q] is the state axis that holds qubit q
 
+    def __post_init__(self):
+        self.start.flags.writeable = False  # evolve returns it when there are no steps
+
     def evolve(self, angles: np.ndarray) -> np.ndarray:
-        """|0...0> through the compiled blocks: the flat final state, the
-        amplitudes without gate noise and the Pauli coefficients with it."""
-        n = self.num_qubits
-        if self.noise.has_gate_noise:
-            coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
-            # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
-            shape = (4,) * n
-            state = np.zeros(shape)
-            state[(slice(0, 4, 3),) * n] = 1.0
-        else:
-            coeffs = np.stack((np.cos(0.5 * angles), np.sin(0.5 * angles)), axis=1)
-            shape = (2,) * n
-            state = np.zeros(shape, dtype=complex)
-            state[(0,) * n] = 1.0
+        """The start state through the compiled steps: the flat final state,
+        the amplitudes without gate noise and the Pauli coefficients with it."""
+        state = self.start
+        if not self.noise.has_gate_noise:
+            half = 0.5 * angles
+            for (flip, w), c, s in zip(self.steps, np.cos(half).tolist(), np.sin(half).tolist()):
+                state = c * state + s * (w * state[flip])
+            return state.reshape(-1)
+        coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
+        shape = (4,) * self.num_qubits
         for perm, dim, mat, j in self.steps:
             if j is not None:
                 mat = (mat @ coeffs[j]).reshape(dim, dim)
@@ -283,9 +280,9 @@ class Kernel:
         if self.noise.has_gate_noise:
             for i in range(n):
                 state = _MEASURE @ state.reshape(2**i, 4, -1)
+            probs = state.reshape((2,) * n).transpose(self.order).reshape(-1)
         else:
-            state = np.abs(state) ** 2
-        probs = state.reshape((2,) * n).transpose(self.order).reshape(-1)
+            probs = np.abs(state) ** 2
         f = self.noise.readout_flip
         if f > 0.0:
             t = probs.reshape((2,) * n)
@@ -295,20 +292,61 @@ class Kernel:
         return probs
 
 
+def _frame_kernel(n: int, noise: NoiseModel, skeleton) -> Kernel:
+    # Rotation j's Pauli (-1)^s X^x Z^z, conjugated through the Cliffords
+    # seen so far, is held bit-sliced: bit j of xs[q], zs[q] and sign is its
+    # x_q, z_q and s. h and cx keep X^x Z^z Hermitian, so no factor i arises.
+    xs, zs, sign, rotations = [0] * n, [0] * n, 0, 0
+    start = np.eye(1, 2**n, dtype=complex).reshape((2,) * n)  # |0...0>
+    for name, qubits in skeleton:
+        q = qubits[-1]
+        if name in PARAMETRIC:
+            (xs if name == "rx" else zs)[q] |= 1 << rotations
+            rotations += 1
+        elif name == "h":  # X <-> Z, and X Z -> Z X = -X Z
+            sign ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+            a, b = np.moveaxis(start, q, 0)
+            start = np.stack((a + b, a - b), axis=q) * _SQRT2_INV
+        else:  # cx(c, q): X_c -> X_c X_q and Z_q -> Z_c Z_q; q flips where c is 1
+            c = qubits[0]
+            xs[q], zs[c] = xs[q] ^ xs[c], zs[c] ^ zs[q]
+            start[(slice(None),) * c + (1,)] = np.flip(start, q)[(slice(None),) * c + (1,)]
+    # (-1)^(b_q ^ x_q) along axis q, for each x_q.
+    signs = [[np.array([1.0, -1.0]).reshape((1,) * q + (2,) + (1,) * (n - q - 1)) * f
+              for f in (1.0, -1.0)] for q in range(n)]
+    steps = []
+    for j in range(rotations):
+        w = math.prod((signs[q][xs[q] >> j & 1] for q in range(n) if zs[q] >> j & 1),
+                      start=np.full((1,) * n, 1j if sign >> j & 1 else -1j))
+        steps.append((tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
+                            for q in range(n)), w))
+    return Kernel(n, noise, start, tuple(steps), tuple(range(n)))
+
+
 def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
-    """The circuit's skeleton compiled on the noise model, one step per
-    block: the transposition that brings its qubits to the front of the
-    state's axes, its width D, and its matrix, or for the block that holds
-    the j-th rotation, its parts as the columns of a (D*D, parts) array and
-    j. Wider circuits than the state form holds raise CapacityError."""
+    """The circuit's skeleton compiled on the noise model. Without gate
+    noise, each rotation's axis flips and w. With it, one step per block
+    after the leading fixed ones, which fold into the start state: the
+    transposition that brings the block's qubits to the front of the
+    state's axes, its width D, and its transfer matrix, or for the block
+    that holds the j-th rotation, its parts as the columns of a (D*D,
+    parts) array and j. Wider circuits raise CapacityError."""
     n = c.num_qubits
     limit = MAX_DENSITY_QUBITS if noise.has_gate_noise else MAX_QUBITS
     if n > limit:
         what = "gate noise" if noise.has_gate_noise else "a statevector"
         raise CapacityError(f"{what} is simulated up to {limit} qubits, got {n}")
+    skeleton = [(g.name, g.qubits) for g in c.gates if g.name != "measure"]
+    if not noise.has_gate_noise:
+        return _frame_kernel(n, noise, skeleton)
+    # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
+    shape = (4,) * n
+    start = np.zeros(shape)
+    start[(slice(0, 4, 3),) * n] = 1.0
     order = list(range(n))
     steps, rotations = [], 0
-    for block, gates in _blocks((g.name, g.qubits) for g in c.gates):
+    for block, gates in _blocks(skeleton):
         mat = _gate_parts(*gates[0], block, noise)
         for name, qubits in gates[1:]:
             mat = _gate_parts(name, qubits, block, noise) @ mat
@@ -316,12 +354,14 @@ def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
         perm = tuple(order.index(q) for q in block) + tuple(
             i for i, q in enumerate(order) if q not in block)
         order = [order[i] for i in perm]
-        if len(mat) == 1:
-            steps.append((perm, dim, mat[0], None))
-        else:
+        if len(mat) > 1:
             steps.append((perm, dim, mat.reshape(len(mat), dim * dim).T.copy(), rotations))
             rotations += 1
-    return Kernel(n, noise, tuple(steps), tuple(order.index(q) for q in range(n)))
+        elif steps:
+            steps.append((perm, dim, mat[0], None))
+        else:
+            start = mat[0] @ start.reshape(shape).transpose(perm).reshape(dim, -1)
+    return Kernel(n, noise, start, tuple(steps), tuple(order.index(q) for q in range(n)))
 
 
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from splitcut.circuit import (
-    Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, rx, transpile,
+    Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, parse, rx, rz, transpile,
 )
 from splitcut.errors import CapacityError, RoutingError
 from splitcut.graph import benchmark_graph, cut_values_vector
@@ -16,6 +16,7 @@ from splitcut.simulator import (
     BackendProfile,
     NoiseModel,
     backend_from_dict,
+    compile_kernel,
     load_backend_profiles,
     outcome_probabilities,
     run_shots,
@@ -72,6 +73,33 @@ def kraus_reference(c: Circuit, noise: NoiseModel) -> np.ndarray:
     return confusion @ np.diag(rho).real
 
 
+def _dense_statevector(c: Circuit) -> np.ndarray:
+    state = np.eye(1 << c.num_qubits)[:, 0]
+    for gate in c.gates:
+        if gate.name != "measure":
+            state = _gate_unitary(gate, c.num_qubits) @ state
+    return state
+
+
+@st.composite
+def clifford_rotation_circuits(draw):
+    """h/cx/rx/rz circuits on 1-5 qubits with SWAP triples, where h between
+    rotations conjugates Paulis into Y factors and sign flips."""
+    n = draw(st.integers(1, 5))
+    ops = ["h", "h", "rx", "rz"] + (["cx", "cx", "swap"] if n > 1 else [])
+    gates = []
+    for op in draw(st.lists(st.sampled_from(ops), min_size=10, max_size=30)):
+        if op in ("rx", "rz"):
+            angle = draw(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
+            gates.append((rx if op == "rx" else rz)(draw(st.integers(0, n - 1)), angle))
+        elif op == "h":
+            gates.append(h(draw(st.integers(0, n - 1))))
+        else:
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates += [cx(a, b), cx(b, a), cx(a, b)] if op == "swap" else [cx(a, b)]
+    return Circuit(n, tuple(gates))
+
+
 class TestStatevector:
     def test_single_hadamard(self):
         state = run_statevector(Circuit(1, (h(0),)))
@@ -106,15 +134,36 @@ class TestStatevector:
             shuffled = build_qaoa(relabel(g, rng.permutation(g.n)), params)
             routed = transpile(shuffled, CouplingMap.line(g.n)).circuit
             for circ in (c, routed):
-                expected = np.eye(1 << g.n)[:, 0]
-                for gate in circ.gates:
-                    if gate.name != "measure":
-                        expected = _gate_unitary(gate, g.n) @ expected
-                assert np.abs(run_statevector(circ) - expected).max() < 1e-12
+                assert np.abs(run_statevector(circ) - _dense_statevector(circ)).max() < 1e-12
+
+    @given(clifford_rotation_circuits(), st.floats(0.0, 0.5))
+    @example(Circuit(2, (h(0), h(1), rz(1, 0.7), cx(0, 1), h(0), cx(0, 1), h(0))), 0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_phases_match_dense_unitaries(self, c, flip):
+        # QAOA circuits conjugate no rotation into a Y: these do (the
+        # example's rz becomes -Y0 Y1, which its last h negates), so a wrong
+        # sign of H Y H or a lost global phase shows here
+        assert np.abs(run_statevector(c) - _dense_statevector(c)).max() < 1e-12
+        noise = NoiseModel(readout_flip=flip)
+        assert np.abs(outcome_probabilities(c, noise) - kraus_reference(c, noise)).max() < 1e-12
+
+    def test_wide_circuit(self):
+        g = benchmark_graph("cycle(16)")
+        state = run_statevector(build_qaoa(g, ParamVector((0.7, 1.9), (0.4, 1.1))))
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+        uniform = run_statevector(build_qaoa(g, ParamVector((0.0, 0.0), (0.0, 0.0))))
+        assert np.allclose(np.abs(uniform) ** 2, 2.0**-16, rtol=0, atol=1e-14)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             run_statevector(Circuit(21, ()))
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(p1=0.01)])
+    def test_rotation_free_state_cannot_alter_its_kernel(self, noise):
+        # with no steps, evolve hands back the compiled start state itself
+        kernel = compile_kernel(BELL, noise)
+        with pytest.raises(ValueError):
+            kernel.evolve(np.array([]))[0] = 0.0
 
     def test_qubit_zero_is_most_significant(self):
         # X on qubit 0 of two -> |10> -> index 2
@@ -222,6 +271,30 @@ class TestRunShots:
         assert counts(run_shots(c, ideal_backend, 64)) == {
             "0000": 20, "0011": 4, "0110": 5, "0111": 2, "1000": 1, "1001": 2,
             "1010": 1, "1011": 1, "1100": 5, "1101": 2, "1111": 21,
+        }
+
+    def test_routed_counts_pinned(self):
+        # graph6 minus one edge routed onto a 6-qubit line (8 SWAPs): the
+        # draw of the wire text that leaves the client
+        line = BackendProfile("line6", coupling=CouplingMap.line(6), seed=13)
+        g = benchmark_graph("graph6")
+        flavor = compile_flavor(g, PrunedFlavor((g.edges[2],), line), 2)
+        x = (0.4, 0.9, 0.6, 0.3)
+        assert flavor.routed.swap_count == 8
+        assert counts(run_shots(parse(flavor.wire_text(x)), line, 64)) == {
+            "000000": 6, "000010": 3, "000111": 14, "001000": 2, "001010": 1, "001101": 2,
+            "010000": 2, "010001": 1, "011111": 4, "100000": 1, "101011": 1, "101111": 1,
+            "110011": 1, "110100": 5, "110111": 1, "111000": 9, "111011": 3, "111101": 1,
+            "111111": 6,
+        }
+        assert flavor.expectation(x, 64) == 2.375
+
+    def test_readout_only_counts_pinned(self):
+        backend = BackendProfile("ro", noise=NoiseModel(readout_flip=0.04), seed=17)
+        c = build_qaoa(benchmark_graph("cycle4"), ParamVector((0.4,), (0.3,)))
+        assert counts(run_shots(c, backend, 64)) == {
+            "0000": 11, "0001": 3, "0010": 3, "0011": 4, "0100": 1, "0110": 5, "1000": 3,
+            "1001": 4, "1011": 3, "1100": 7, "1101": 2, "1110": 1, "1111": 17,
         }
 
     def test_noisy_counts_fit_exact_distribution(self):
