@@ -1,6 +1,6 @@
 """Experiment runner: original vs pruned-only vs split arms over layer and
 seed grids, with CSV results, JSON-line traces, overhead accounting, and the
-adversary's partial-knowledge check wired in as a release gate.
+adversary's partial-knowledge check as a release gate ahead of any dispatch.
 
 Cells run sequentially in spec order; every cell derives its own RNG streams
 from the cell seed, so runs with identical specs reproduce outputs
@@ -99,6 +99,9 @@ class ExperimentSpec:
                 raise ValueError(f"experiment spec key {key!r} repeats a value: {list(values)}")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
             raise ValueError("removed_sets must list one edge set per flavor")
+        if self.removed_sets is not None and len(self.backends) < self.k:
+            raise ValueError(f"experiment spec key 'backends' must name a backend for each of the "
+                             f"{self.k} removed sets, got {list(self.backends)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -148,7 +151,7 @@ def _flavor_table(g: Graph, spec: ExperimentSpec, backends):
                                                   backends[: spec.k], seed=_plan_seed(seed))
                 else:
                     plans[seed] = SplitPlan(tuple(PrunedFlavor(rs, b) for rs, b
-                                                  in zip(spec.removed_sets, backends[: spec.k])))
+                                                  in zip(spec.removed_sets, backends)))
                     plans[seed].validate(g)
             flavors = plans[seed].flavors[: 1 if arm == "pruned_only" else None]
         for f in flavors:
@@ -200,7 +203,7 @@ def _circuit_stats(cf: CompiledFlavor) -> dict:
 def compute_overhead(
     spec: ExperimentSpec,
     arm_flavors,
-    evaluations: dict[tuple[str, int], dict[str, int]] | None = None,
+    traces: dict[tuple[str, int, int], RunTrace] | None = None,
 ) -> dict:
     """Overhead accounting for every (arm, p) in the spec, on the compiled
     flavors ``arm_flavors`` (see ``_flavor_table``) gives the first seed:
@@ -208,8 +211,9 @@ def compute_overhead(
     dynamic evaluation counts normalized against the single-layer
     pruned-only baseline (2q-gates x evaluations).
 
-    ``evaluations`` maps (arm, p) to per-backend optimizer evaluation
-    counts; when absent they are derived statically (SPSA makes
+    The evaluations of (arm, p) are counted per backend in the first seed's
+    trace in ``traces`` (keyed like ``ExperimentResult.traces``); without
+    that trace they are derived statically (SPSA makes
     ``Spsa.EVALS_PER_STEP`` per iteration). The relative cost is
     sum(2q x evals) over an arm's backends divided by the same product for
     the single-layer pruned-only baseline; the one final audit evaluation
@@ -223,7 +227,11 @@ def compute_overhead(
             s["backend"]: Spsa.EVALS_PER_STEP * len(range(i, spec.iterations, len(per_backend)))
             for i, s in enumerate(per_backend)
         } if spec.optimizer == "spsa" else {}
-        evals_map = (evaluations or {}).get((arm, p)) or static_evals
+        trace = (traces or {}).get((arm, p, spec.seeds[0]))
+        counted: dict[str, int] = {}
+        for e in trace.entries if trace else ():
+            counted[e.backend] = counted.get(e.backend, 0) + e.evaluations
+        evals_map = counted or static_evals
         work = 0
         for stats in per_backend:
             stats["evaluations"] = evals_map.get(stats["backend"])
@@ -260,10 +268,12 @@ def overhead(spec: ExperimentSpec) -> dict:
     return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec)))
 
 
-def _check_partial_knowledge(flavors, texts: list[str]) -> list[dict]:
-    """Extract each compiled flavor's wire text; assert every provider sees
-    a strict subgraph and that only collusion recovers the full graph."""
-    reports = [extract_graph(text) for text in texts]
+def _check_partial_knowledge(flavors) -> list[dict]:
+    """The release gate: extract each compiled flavor's wire text; assert
+    every provider sees a strict subgraph and that only collusion recovers
+    the full graph. ``extract_graph`` reads only gate names and qubits, so
+    the text at any angles stands for every text the flavor sends."""
+    reports = [extract_graph(f.wire_text(np.zeros(2 * f.p))) for f in flavors]
     full = set(flavors[0].g_full.edges)
     for f, rep in zip(flavors, reports):
         seen = set(rep.recovered_graph.edges)
@@ -279,10 +289,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """Execute every (arm, p, seed) cell, aggregate the result table, and
     write results.csv / traces / overhead.json when out_dir is given.
 
-    A failing cell marks its row rather than aborting the sweep; adversary
-    partial-knowledge violations in split arms are recorded as failures.
-    The first seed's wire texts go to circuits/, and its counted
-    evaluations to the overhead report.
+    A split cell's compiled flavors pass the release gate before any of
+    them is dispatched; a violation is recorded as an "invariant" failure.
+    Any other failing cell marks its row rather than aborting the sweep.
+    The overhead report counts the first seed's traced evaluations.
     """
     label, g = resolve_graph(spec)
     arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
@@ -291,13 +301,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     rows: list[dict] = []
     traces: dict[tuple[str, int, int], RunTrace] = {}
     failures: list[dict] = []
-    adversary_reports: dict[str, list[dict]] = {}
-    circuits: dict[str, str] = {}
-    evaluations: dict[tuple[str, int], dict[str, int]] = {}
+    gate_reports: dict[tuple[str, int, int], list[dict]] = {}
 
     for arm in spec.arms:
         for p in spec.p_layers:
-            finals: list[float] = []
             noisy = False  # any dispatched flavor ran on a noisy backend
             for seed in spec.seeds:
                 cfg = OptimizerConfig(
@@ -308,34 +315,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 )
                 try:
                     flavors = arm_flavors(arm, seed, p)
+                    if len(flavors) > 1:
+                        gate_reports[(arm, p, seed)] = _check_partial_knowledge(flavors)
                     noisy = noisy or any(f.flavor.backend.is_noisy for f in flavors)
-                    trace = optimize(flavors, cfg)
-                    # the wire artifacts the provider(s) receive
-                    x = trace.best_params.to_array()
-                    texts = [f.wire_text(x) for f in flavors]
-                    if len(flavors) > 1:
-                        reports = _check_partial_knowledge(flavors, texts)
-                except AssertionError as exc:  # invariant violation: poisons the run
-                    failures.append({"arm": arm, "p": p, "seed": seed,
-                                     "kind": "invariant", "error": str(exc)})
-                    continue
-                except Exception as exc:  # cell failure: record, keep sweeping
-                    failures.append({"arm": arm, "p": p, "seed": seed,
-                                     "kind": "cell", "error": str(exc)})
-                    continue
-                if seed == spec.seeds[0]:
-                    if len(flavors) > 1:
-                        adversary_reports[f"{arm}_p{p}"] = reports
-                        for i, text in enumerate(texts):
-                            circuits[f"{arm}_p{p}_flavor{i}.txt"] = text
-                    else:
-                        circuits[f"{arm}_p{p}.txt"] = texts[0]
-                    counted: dict[str, int] = {}
-                    for e in trace.entries:
-                        counted[e.backend] = counted.get(e.backend, 0) + e.evaluations
-                    evaluations[(arm, p)] = counted
-                traces[(arm, p, seed)] = trace
-                finals.append(trace.final_ar)
+                    traces[(arm, p, seed)] = optimize(flavors, cfg)
+                except Exception as exc:  # record, keep sweeping; an AssertionError poisons the run
+                    kind = "invariant" if isinstance(exc, AssertionError) else "cell"
+                    failures.append({"arm": arm, "p": p, "seed": seed, "kind": kind, "error": str(exc)})
+            finals = [traces[(arm, p, seed)].final_ar for seed in spec.seeds if (arm, p, seed) in traces]
             mean = float(np.mean(finals)) if finals else float("nan")
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
             if not finals:
@@ -345,13 +332,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 arm=arm, p=p, mean_ar=mean, std_ar=std, n_seeds=len(finals),
             )))
 
-    report = compute_overhead(spec, arm_flavors, evaluations)
+    report = compute_overhead(spec, arm_flavors, traces)
     result = ExperimentResult(
         spec=spec, graph_label=label, rows=rows, traces=traces,
         overhead=report, failures=failures,
     )
     if out_dir is not None:
-        _write_outputs(result, adversary_reports, circuits, out_dir)
+        _write_outputs(result, arm_flavors, gate_reports, out_dir)
     return result
 
 
@@ -381,26 +368,29 @@ def read_results(path) -> list[dict]:
                 for rec in reader]
 
 
-def _write_outputs(result: ExperimentResult, adversary_reports: dict,
-                   circuits: dict[str, str], out_dir) -> None:
+def _write_outputs(result: ExperimentResult, arm_flavors, gate_reports: dict, out_dir) -> None:
+    """Write the run's files. Each (arm, p) whose first seed completed also
+    gets that seed's wire texts at its best parameters in circuits/ and, for
+    a split arm, the release gate's extraction reports in adversary.json."""
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    (out / "results.csv").write_text(results_to_csv(result.rows), encoding="utf-8", newline="\n")
-    if circuits:
-        (out / "circuits").mkdir(exist_ok=True)
-        for name, text in circuits.items():
-            (out / "circuits" / name).write_text(text, encoding="utf-8", newline="\n")
-    with open(out / "overhead.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.overhead, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
+
+    adversary_reports = {}
     for (arm, p, seed), trace in result.traces.items():
-        name = f"{arm}_p{p}_seed{seed}.jsonl"
-        (out / "traces" / name).write_text(trace.to_jsonl(), encoding="utf-8", newline="\n")
-    if adversary_reports:
-        with open(out / "adversary.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(adversary_reports, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if result.failures:
-        with open(out / "failures.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(result.failures, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write(f"traces/{arm}_p{p}_seed{seed}.jsonl", trace.to_jsonl())
+        if seed == result.spec.seeds[0]:
+            flavors = arm_flavors(arm, seed, p)
+            (out / "circuits").mkdir(exist_ok=True)
+            for i, f in enumerate(flavors):
+                name = f"{arm}_p{p}_flavor{i}" if len(flavors) > 1 else f"{arm}_p{p}"
+                write(f"circuits/{name}.txt", f.wire_text(trace.best_params.to_array()))
+            if len(flavors) > 1:
+                adversary_reports[f"{arm}_p{p}"] = gate_reports[(arm, p, seed)]
+    write("results.csv", results_to_csv(result.rows))
+    for name, payload in (("overhead.json", result.overhead), ("adversary.json", adversary_reports),
+                          ("failures.json", result.failures)):
+        if payload:
+            write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")

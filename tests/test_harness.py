@@ -230,6 +230,63 @@ class TestRunExperiment:
         reports = json.loads((tmp_path / "out" / "adversary.json").read_text())["split_p1"]
         assert [r["nodes"] for r in reports] == [7, 8]
 
+    def test_release_gate_runs_before_any_dispatch(self, tmp_path, monkeypatch, capsys):
+        # an extractor that sees the whole graph in every flavor must stop
+        # each split cell before a single evaluation leaves the client
+        from splitcut import harness
+        from splitcut.adversary import ExtractionReport
+        from splitcut.obfuscation import CompiledFlavor
+
+        g = benchmark_graph("cycle4")
+        extracted, dispatched = [], []
+        real_expectation = CompiledFlavor.expectation
+
+        def leaky_extract(text):
+            extracted.append(text)
+            return ExtractionReport(g, 0, tuple(range(g.n)), 0)
+
+        def spy_expectation(self, x, shots):
+            dispatched.append(self.flavor.backend.name)
+            return real_expectation(self, x, shots)
+
+        monkeypatch.setattr(harness, "extract_graph", leaky_extract)
+        monkeypatch.setattr(CompiledFlavor, "expectation", spy_expectation)
+        spec_dict = dict(SMALL_SPEC, arms=["split"], iterations=4, shots=64)
+        result = run_experiment(ExperimentSpec.from_dict(spec_dict))
+        assert [(f["seed"], f["kind"]) for f in result.failures] == [(0, "invariant"), (1, "invariant")]
+        assert "not a strict subset" in result.failures[0]["error"]
+        assert not result.ok and result.rows[0]["n_seeds"] == 0
+        assert len(extracted) == 2 * len(spec_dict["seeds"])  # each flavor's text, once per seed
+        config, out = tmp_path / "spec.json", tmp_path / "out"
+        config.write_text(json.dumps(spec_dict))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert [f["kind"] for f in json.loads((out / "failures.json").read_text())] == ["invariant"] * 2
+        assert not (out / "circuits").exists() and not (out / "adversary.json").exists()
+        assert dispatched == []
+
+    def test_failed_first_seed_writes_no_first_seed_artifacts(self, tmp_path, monkeypatch):
+        from splitcut import harness
+
+        real_optimize = harness.optimize
+
+        def optimize_failing_split_seed0(flavors, cfg):
+            if len(flavors) > 1 and cfg.seed == 0:
+                raise RuntimeError("seed 0 lost")
+            return real_optimize(flavors, cfg)
+
+        monkeypatch.setattr(harness, "optimize", optimize_failing_split_seed0)
+        spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, arms=["original", "split"], shots=64))
+        result = run_experiment(spec, out_dir=tmp_path)
+        assert result.ok and [(f["arm"], f["seed"], f["kind"]) for f in result.failures] == [
+            ("split", 0, "cell")]
+        assert [r["n_seeds"] for r in result.rows] == [2, 1]
+        assert sorted(p.name for p in (tmp_path / "circuits").iterdir()) == ["original_p1.txt"]
+        assert not (tmp_path / "adversary.json").exists()
+        written = {e["arm"]: e for e in json.loads((tmp_path / "overhead.json").read_text())["arms"]}
+        static = {e["arm"]: e for e in overhead(spec)["arms"]}
+        assert written["split"] == static["split"]  # SPSA's static counts
+        assert written["original"]["total_shot_evaluations"] == result.traces[("original", 1, 0)].evaluations
+
 
 class TestOverhead:
     def test_two_layer_doubles_problem_two_qubit_gates(self):
@@ -382,6 +439,11 @@ class TestCli:
         negative_backend_seed.write_text(json.dumps(dict(
             SMALL_SPEC, arms=["original", "split"], profiles_file=str(negative_profile),
             backends=["a", "b"])))
+        # two backends for three removed sets used to run two flavors under a three-set label
+        few_backends = tmp_path / "few_backends.json"
+        few_backends.write_text(json.dumps({
+            "graph": "cycle4", "arms": ["split"], "k": 3, "removed_sets": [[[0, 1]], [[1, 2]], [[2, 3]]],
+            "backends": ["ideal1", "ideal2"], "seeds": [0], "shots": 64, "iterations": 6}))
         short_split = tmp_path / "short_split.json"
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
@@ -403,7 +465,8 @@ class TestCli:
                  (["adversary", "effort", "--nodes", "200", "--observed", "0"], "n=200"),
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
                  (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
-                 (["run", "--config", str(short_split)], "'iterations'")]
+                 (["run", "--config", str(short_split)], "'iterations'"),
+                 (["run", "--config", str(few_backends)], "'backends'")]
         # a repeated seed, layer count or arm would be run and counted twice
         for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
                                           ("arms", ["split", "split"])]):
