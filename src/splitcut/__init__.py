@@ -39,8 +39,8 @@ from .obfuscation import (
     OptimizerConfig,
     PrunedFlavor,
     RunTrace,
-    SplitPlan,
     approximation_ratio,
+    check_split,
     compile_flavor,
     exact_optimum,
     make_split_plan,
@@ -64,8 +64,8 @@ __all__ = [
     "Circuit", "CouplingMap", "Gate", "ParamVector", "TranspiledCircuit",
     "build_qaoa", "parse", "serialize", "transpile",
     "BackendProfile", "NoiseModel", "load_backend_profiles", "run_shots", "run_statevector",
-    "CompiledFlavor", "OptimizerConfig", "PrunedFlavor", "RunTrace", "SplitPlan",
-    "approximation_ratio", "compile_flavor", "exact_optimum", "make_split_plan", "optimize", "prune",
+    "CompiledFlavor", "OptimizerConfig", "PrunedFlavor", "RunTrace", "approximation_ratio",
+    "check_split", "compile_flavor", "exact_optimum", "make_split_plan", "optimize", "prune",
     "EffortEstimate", "ExtractionReport", "cross_provider_merge", "effort", "extract_graph",
     "ExperimentSpec", "run_experiment", "overhead",
 ]

@@ -18,7 +18,7 @@ class RoutingError(ValueError):
 
 
 class PlanError(ValueError):
-    """Split plan constraints cannot be satisfied."""
+    """A flavor or a split breaks its constraints against the graph."""
 
 
 class MetricError(ValueError):

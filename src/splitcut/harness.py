@@ -14,6 +14,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .obfuscation import (
     OptimizerConfig,
     PrunedFlavor,
     RunTrace,
-    SplitPlan,
+    check_split,
     compile_flavor,
     make_split_plan,
     optimize,
@@ -99,9 +100,9 @@ class ExperimentSpec:
                 raise ValueError(f"experiment spec key {key!r} repeats a value: {list(values)}")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
             raise ValueError("removed_sets must list one edge set per flavor")
-        if self.removed_sets is not None and len(self.backends) < self.k:
+        if set(self.arms) - {"original"} and len(self.backends) < self.k:
             raise ValueError(f"experiment spec key 'backends' must name a backend for each of the "
-                             f"{self.k} removed sets, got {list(self.backends)}")
+                             f"{self.k} flavors of a split, got {list(self.backends)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -134,42 +135,44 @@ def _plan_seed(seed: int) -> int:
 
 
 def _flavor_table(g: Graph, spec: ExperimentSpec, backends):
-    """``arm_flavors(arm, seed, p)``: the compiled flavors an arm dispatches
-    for one seed -- the unpruned circuit, the seed's first split flavor, or
-    its whole split plan. Each seed is planned and each (flavor, p) compiled
-    once, so every reader of a run gets the same artifacts."""
-    plans: dict[int, SplitPlan] = {}
-    compiled: dict[tuple[PrunedFlavor, int], CompiledFlavor] = {}
+    """``(split, arm_flavors)``. ``split(seed)`` is the seed's split, a tuple
+    of flavors: the spec's ``removed_sets``, built and checked once per run,
+    or a random split planned once per seed. ``arm_flavors(arm, seed, p)`` is
+    the compiled flavors an arm dispatches for one seed -- the unpruned
+    circuit, the split's first flavor, or the whole split. Each (flavor, p)
+    is compiled once, so every reader of a run gets the same artifacts."""
+    splits: dict[int | None, tuple[PrunedFlavor, ...]] = {}
+    compiled = cache(lambda f, p: compile_flavor(g, f, p))
+
+    def split(seed: int) -> tuple[PrunedFlavor, ...]:
+        key = seed if spec.removed_sets is None else None
+        if key not in splits:
+            if key is None:
+                flavors = tuple(PrunedFlavor(rs, b) for rs, b in zip(spec.removed_sets, backends))
+                check_split(g, flavors)
+                splits[key] = flavors
+            else:
+                splits[key] = make_split_plan(g, spec.k, spec.edges_per_flavor,
+                                              backends[: spec.k], seed=_plan_seed(seed))
+        return splits[key]
 
     def arm_flavors(arm: str, seed: int, p: int) -> tuple[CompiledFlavor, ...]:
         if arm == "original":
             flavors = (PrunedFlavor((), backends[0]),)
         else:
-            if seed not in plans:
-                if spec.removed_sets is None:
-                    plans[seed] = make_split_plan(g, spec.k, spec.edges_per_flavor,
-                                                  backends[: spec.k], seed=_plan_seed(seed))
-                else:
-                    plans[seed] = SplitPlan(tuple(PrunedFlavor(rs, b) for rs, b
-                                                  in zip(spec.removed_sets, backends)))
-                    plans[seed].validate(g)
-            flavors = plans[seed].flavors[: 1 if arm == "pruned_only" else None]
-        for f in flavors:
-            if (f, p) not in compiled:
-                compiled[(f, p)] = compile_flavor(g, f, p)
-        return tuple(compiled[(f, p)] for f in flavors)
+            flavors = split(seed)[: 1 if arm == "pruned_only" else None]
+        return tuple(compiled(f, p) for f in flavors)
 
-    return arm_flavors
+    return split, arm_flavors
 
 
-def _spec_label(spec: ExperimentSpec, arm: str) -> str:
+def _spec_label(spec: ExperimentSpec, arm: str, split) -> str:
     if arm == "original":
         return "-"
-    if spec.removed_sets is not None:
-        sets = spec.removed_sets if arm == "split" else spec.removed_sets[:1]
-        return "-".join("+".join(f"{u}.{v}" for u, v in rs) for rs in sets)
     k = spec.k if arm == "split" else 1
-    return f"rand:{k}x{spec.edges_per_flavor}"
+    if spec.removed_sets is None:
+        return f"rand:{k}x{spec.edges_per_flavor}"
+    return "-".join("+".join(f"{u}.{v}" for u, v in f.removed_edges) for f in split(spec.seeds[0])[:k])
 
 
 @dataclass
@@ -209,7 +212,8 @@ def compute_overhead(
     flavors ``arm_flavors`` (see ``_flavor_table``) gives the first seed:
     ``{"baseline": ..., "arms": [...]}``, with static gate counts plus
     dynamic evaluation counts normalized against the single-layer
-    pruned-only baseline (2q-gates x evaluations).
+    pruned-only baseline (2q-gates x evaluations). A spec that runs no
+    pruned arm plans no split, so its baseline is null.
 
     The evaluations of (arm, p) are counted per backend in the first seed's
     trace in ``traces`` (keyed like ``ExperimentResult.traces``); without
@@ -219,8 +223,6 @@ def compute_overhead(
     the single-layer pruned-only baseline; the one final audit evaluation
     is reported but kept out of the ratio.
     """
-    baseline_stats = _circuit_stats(arm_flavors("pruned_only", spec.seeds[0], 1)[0])
-
     def arm_entry(arm: str, p: int) -> dict:
         per_backend = [_circuit_stats(f) for f in arm_flavors(arm, spec.seeds[0], p)]
         static_evals = {
@@ -246,9 +248,12 @@ def compute_overhead(
             "work_2q_x_evals": work if evals_map else None,
         }
 
-    baseline_evals = Spsa.EVALS_PER_STEP * spec.iterations if spec.optimizer == "spsa" else None
-    baseline_work = None if baseline_evals is None else baseline_stats["gates_2q"] * baseline_evals
-    baseline = dict(baseline_stats, evaluations=baseline_evals, work_2q_x_evals=baseline_work)
+    baseline = baseline_work = None
+    if set(spec.arms) - {"original"}:
+        baseline_stats = _circuit_stats(arm_flavors("pruned_only", spec.seeds[0], 1)[0])
+        baseline_evals = Spsa.EVALS_PER_STEP * spec.iterations if spec.optimizer == "spsa" else None
+        baseline_work = None if baseline_evals is None else baseline_stats["gates_2q"] * baseline_evals
+        baseline = dict(baseline_stats, evaluations=baseline_evals, work_2q_x_evals=baseline_work)
 
     arms = []
     for arm in spec.arms:
@@ -265,7 +270,7 @@ def compute_overhead(
 def overhead(spec: ExperimentSpec) -> dict:
     """Static overhead report for a spec (no optimization runs)."""
     _, g = resolve_graph(spec)
-    return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec)))
+    return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec))[1])
 
 
 def _check_partial_knowledge(flavors) -> list[dict]:
@@ -290,18 +295,20 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     write results.csv / traces / overhead.json when out_dir is given.
 
     A split cell's compiled flavors pass the release gate before any of
-    them is dispatched; a violation is recorded as an "invariant" failure.
+    them is dispatched, once per distinct compiled split; a violation is
+    recorded as an "invariant" failure of each cell that would send it.
     Any other failing cell marks its row rather than aborting the sweep.
     The overhead report counts the first seed's traced evaluations.
     """
     label, g = resolve_graph(spec)
-    arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
-    arm_flavors("pruned_only", spec.seeds[0], 1)  # the overhead baseline, before any cell runs
+    split, arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
+    if set(spec.arms) - {"original"}:
+        arm_flavors("pruned_only", spec.seeds[0], 1)  # the overhead baseline, before any cell runs
 
     rows: list[dict] = []
     traces: dict[tuple[str, int, int], RunTrace] = {}
     failures: list[dict] = []
-    gate_reports: dict[tuple[str, int, int], list[dict]] = {}
+    gate_reports: dict[tuple[CompiledFlavor, ...], list[dict]] = {}  # per passed split
 
     for arm in spec.arms:
         for p in spec.p_layers:
@@ -315,8 +322,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 )
                 try:
                     flavors = arm_flavors(arm, seed, p)
-                    if len(flavors) > 1:
-                        gate_reports[(arm, p, seed)] = _check_partial_knowledge(flavors)
+                    if len(flavors) > 1 and flavors not in gate_reports:
+                        gate_reports[flavors] = _check_partial_knowledge(flavors)
                     noisy = noisy or any(f.flavor.backend.is_noisy for f in flavors)
                     traces[(arm, p, seed)] = optimize(flavors, cfg)
                 except Exception as exc:  # record, keep sweeping; an AssertionError poisons the run
@@ -328,7 +335,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             if not finals:
                 std = float("nan")
             rows.append(asdict(ResultRow(
-                graph=label, spec=_spec_label(spec, arm), sim="noisy" if noisy else "ideal",
+                graph=label, spec=_spec_label(spec, arm, split), sim="noisy" if noisy else "ideal",
                 arm=arm, p=p, mean_ar=mean, std_ar=std, n_seeds=len(finals),
             )))
 
@@ -388,7 +395,7 @@ def _write_outputs(result: ExperimentResult, arm_flavors, gate_reports: dict, ou
                 name = f"{arm}_p{p}_flavor{i}" if len(flavors) > 1 else f"{arm}_p{p}"
                 write(f"circuits/{name}.txt", f.wire_text(trace.best_params.to_array()))
             if len(flavors) > 1:
-                adversary_reports[f"{arm}_p{p}"] = gate_reports[(arm, p, seed)]
+                adversary_reports[f"{arm}_p{p}"] = gate_reports[flavors]
     write("results.csv", results_to_csv(result.rows))
     for name, payload in (("overhead.json", result.overhead), ("adversary.json", adversary_reports),
                           ("failures.json", result.failures)):

@@ -1,6 +1,6 @@
-"""Edge-pruned circuit flavors, split-iteration plans, and the alternating
-optimization loop that recovers solution quality while every backend only
-ever sees a strict subgraph.
+"""Edge-pruned circuit flavors, splits of a graph into flavors, and the
+alternating optimization loop that recovers solution quality while every
+backend only ever sees a strict subgraph.
 
 All evaluations feed the optimizer the *full* graph's cut expectation
 computed client-side from the samples, regardless of which pruned flavor
@@ -37,14 +37,18 @@ EXACT_REFINE_STEPS = 40  # Nelder-Mead steps from each start in exact_optimum
 
 
 def prune(g: Graph, removed: Sequence[Edge]) -> Graph:
-    """Remove the given edges; node count is kept so the circuit width
+    """g without the given edges: the one check of a flavor against its
+    graph. Every removed edge must be in g and at least one edge must stay;
+    nothing removed returns g. The node count is kept so the circuit width
     cannot leak how much was pruned."""
     removed_set = {(min(u, v), max(u, v)) for u, v in removed}
     if not removed_set:
-        raise ValueError("removed edge set must be nonempty")
+        return g
     missing = removed_set - set(g.edges)
     if missing:
-        raise ValueError(f"edges not in graph: {sorted(missing)}")
+        raise PlanError(f"flavor removes edges not in the graph: {sorted(missing)}")
+    if len(removed_set) == len(g.edges):
+        raise PlanError("flavor must leave at least one edge in the circuit")
     return Graph(g.n, tuple(e for e in g.edges if e not in removed_set))
 
 
@@ -58,54 +62,35 @@ class PrunedFlavor:
 
     def __post_init__(self):
         normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in self.removed_edges))
+        for a, b in zip(normalized, normalized[1:]):
+            if a == b:
+                raise PlanError(f"flavor removes edge {a} twice")
         object.__setattr__(self, "removed_edges", normalized)
 
-    def validate_against(self, g: Graph) -> None:
-        removed = set(self.removed_edges)
-        if not removed <= set(g.edges):
-            raise PlanError(f"flavor removes edges not in the graph: {sorted(removed - set(g.edges))}")
-        if len(g.edges) > 1 and len(removed) >= len(g.edges):
-            raise PlanError("flavor must leave at least one edge in the circuit")
 
-    def pruned_graph(self, g: Graph) -> Graph:
-        return prune(g, self.removed_edges) if self.removed_edges else g
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """k >= 2 flavors with distinct, nonempty removed sets, alternated
-    round-robin.
+def check_split(g: Graph, flavors: Sequence[PrunedFlavor]) -> None:
+    """Raise PlanError unless the flavors are a split of g: k >= 2 flavors
+    on distinct backends with distinct, nonempty removed sets, each checked
+    by ``prune``, alternated round-robin.
 
     Union rule: no edge is removed by every flavor, so the union of the
     circuits the providers see covers the full graph, while each single
     provider sees a strict subgraph.
     """
-
-    flavors: tuple[PrunedFlavor, ...]
-
-    def __post_init__(self):
-        if len(self.flavors) < 2:
-            raise PlanError("a split plan needs at least 2 flavors")
-        if not all(f.removed_edges for f in self.flavors):
-            raise PlanError("every split flavor must remove at least one edge")
-        removed_sets = [frozenset(f.removed_edges) for f in self.flavors]
-        if len(set(removed_sets)) != len(removed_sets):
-            raise PlanError("flavors must have distinct removed sets")
-        names = [f.backend.name for f in self.flavors]
-        if len(set(names)) != len(names):
-            raise PlanError("flavor backends must have distinct names")
-
-    @property
-    def k(self) -> int:
-        return len(self.flavors)
-
-    def validate(self, g: Graph) -> None:
-        """Assert every invariant against the full graph, union rule included."""
-        for f in self.flavors:
-            f.validate_against(g)
-        removed_everywhere = frozenset.intersection(*(frozenset(f.removed_edges) for f in self.flavors))
-        if removed_everywhere:
-            raise PlanError(f"edges removed from every flavor: {sorted(removed_everywhere)}")
+    if len(flavors) < 2:
+        raise PlanError("a split plan needs at least 2 flavors")
+    if not all(f.removed_edges for f in flavors):
+        raise PlanError("every split flavor must remove at least one edge")
+    removed_sets = [frozenset(f.removed_edges) for f in flavors]
+    if len(set(removed_sets)) != len(removed_sets):
+        raise PlanError("flavors must have distinct removed sets")
+    if len({f.backend.name for f in flavors}) != len(flavors):
+        raise PlanError("flavor backends must have distinct names")
+    for f in flavors:
+        prune(g, f.removed_edges)
+    removed_everywhere = frozenset.intersection(*removed_sets)
+    if removed_everywhere:
+        raise PlanError(f"edges removed from every flavor: {sorted(removed_everywhere)}")
 
 
 def make_split_plan(
@@ -114,8 +99,9 @@ def make_split_plan(
     edges_per_flavor: int,
     backends: Sequence[BackendProfile],
     seed: int,
-) -> SplitPlan:
-    """Sample k distinct removed-edge sets uniformly under the union rule.
+) -> tuple[PrunedFlavor, ...]:
+    """A split of g: k flavors whose removed-edge sets are sampled uniformly
+    under ``check_split``'s rules.
 
     Which edges get pruned is immaterial for final quality, so uniform
     random selection under the constraints is enough.
@@ -133,14 +119,10 @@ def make_split_plan(
             tuple(sorted(g.edges[i] for i in rng.choice(m, size=edges_per_flavor, replace=False)))
             for _ in range(k)
         ]
-        if len({frozenset(p) for p in picks}) != k:
-            continue
-        if frozenset.intersection(*(frozenset(p) for p in picks)):
-            continue
-        flavors = tuple(PrunedFlavor(p, b) for p, b in zip(picks, backends))
-        plan = SplitPlan(flavors)
-        plan.validate(g)
-        return plan
+        if len(set(picks)) == k and not frozenset.intersection(*map(frozenset, picks)):
+            flavors = tuple(PrunedFlavor(p, b) for p, b in zip(picks, backends))
+            check_split(g, flavors)
+            return flavors
     raise PlanError("could not satisfy the union rule; graph too small for this plan")
 
 
@@ -303,9 +285,8 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
     layers: checked against the full graph, built on the flavor's graph and
     routed onto the backend's coupling map when it has one; an unrouted
     circuit carries the identity layout."""
-    flavor.validate_against(g_full)
     # At the angles x = (1, ..., 2p) every rotation's angle 2 * x[j] names its slot j.
-    circ = build_qaoa(flavor.pruned_graph(g_full), ParamVector.from_array(range(1, 2 * p + 1)))
+    circ = build_qaoa(prune(g_full, flavor.removed_edges), ParamVector.from_array(range(1, 2 * p + 1)))
     coupling = flavor.backend.coupling
     if coupling is None:
         routed = TranspiledCircuit(circ, tuple(range(circ.num_qubits)), 0)
@@ -348,8 +329,8 @@ def optimize(flavors: Sequence[CompiledFlavor], cfg: OptimizerConfig) -> RunTrac
 
     Iteration t runs on ``flavors[t % k]``, so every evaluation inside one
     iteration lands on one backend. One flavor with nothing removed is the
-    unobfuscated baseline, one pruned flavor the pruned-only arm, and a
-    split plan's flavors the split arm.
+    unobfuscated baseline, one pruned flavor the pruned-only arm, and the
+    flavors of a split (see ``check_split``) the split arm.
 
     Final quality is the best-observed parameters re-evaluated with a fresh
     16384-shot run on the run's primary flavor (index 0): the same circuit

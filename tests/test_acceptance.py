@@ -16,7 +16,7 @@ from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, cut_value, max_cut
 from splitcut.harness import ExperimentSpec, run_experiment
 from splitcut.obfuscation import (
     FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, compile_flavor, exact_optimum,
-    make_split_plan, optimize,
+    make_split_plan, optimize, prune,
 )
 
 from conftest import random_params
@@ -232,10 +232,11 @@ def test_criterion_8_reverse_engineering_round_trip(ideal_backend, ideal_backend
                 trips += 2
         backends = [ideal_backend, ideal_backend_2, noisy_backend]
         for k in (2, 3) if len(g.edges) > 3 else (2,):
-            plan = make_split_plan(g, k, 1, backends[:k], seed=17)
+            split = make_split_plan(g, k, 1, backends[:k], seed=17)
             reports = []
-            for flavor in plan.flavors:
-                rep = extract_graph(serialize(build_qaoa(flavor.pruned_graph(g), random_params(rng, 2))))
+            for flavor in split:
+                rep = extract_graph(serialize(build_qaoa(prune(g, flavor.removed_edges),
+                                                         random_params(rng, 2))))
                 assert set(rep.recovered_graph.edges) < set(g.edges)
                 reports.append(rep)
             assert cross_provider_merge([r.recovered_graph for r in reports]) == g

@@ -195,13 +195,13 @@ class TestMerge:
 
     def test_three_disjoint_flavors_on_graph6(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
-        plan = make_split_plan(
+        split = make_split_plan(
             g, 3, 1, [ideal_backend, ideal_backend_2, noisy_backend], seed=11
         )
         params = ParamVector((0.5,), (0.2,))
         seen = [
-            extract_graph(serialize(build_qaoa(f.pruned_graph(g), params))).recovered_graph
-            for f in plan.flavors
+            extract_graph(serialize(build_qaoa(prune(g, f.removed_edges), params))).recovered_graph
+            for f in split
         ]
         assert cross_provider_merge(seen) == g
         for recovered in seen:

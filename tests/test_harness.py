@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from splitcut.adversary import extract_graph
 from splitcut.cli import main
-from splitcut.graph import benchmark_graph, graph_to_text, load_graph
+from splitcut.graph import Graph, benchmark_graph, graph_to_text, load_graph
 from splitcut.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -208,9 +209,43 @@ class TestRunExperiment:
         assert result.ok and result.failures == []
         assert len(plans) == len(spec.seeds)
         original = PrunedFlavor((), resolve_backends(spec)[0])
-        flavors = (original, *(f for plan in plans for f in plan.flavors))
+        flavors = (original, *(f for split in plans for f in split))
         expected = {(f, p) for p in (1, 2) for f in flavors}
         assert sorted(compiles, key=repr) == sorted(expected, key=repr)
+
+    def test_fixed_split_is_checked_once_and_gated_once_per_p(self, monkeypatch):
+        # removed_sets name one split for every seed: one check per run and
+        # one release gate (k extractions) per layer count, however many seeds
+        from splitcut import harness
+        from splitcut.obfuscation import check_split
+
+        checks, extracted = [], []
+
+        def counting_check(*args):
+            checks.append(args)
+            return check_split(*args)
+
+        def counting_extract(text):
+            extracted.append(text)
+            return extract_graph(text)
+
+        monkeypatch.setattr(harness, "check_split", counting_check)
+        monkeypatch.setattr(harness, "extract_graph", counting_extract)
+        spec = ExperimentSpec.from_dict(dict(
+            SMALL_SPEC, removed_sets=[[[0, 1]], [[1, 2]]], p_layers=[1, 2], seeds=[0, 1, 2, 3],
+            iterations=4, shots=64,
+        ))
+        result = run_experiment(spec)
+        assert result.ok and result.failures == []
+        assert len(checks) == 1
+        assert len(extracted) == spec.k * len(spec.p_layers)
+
+    def test_spec_label_reads_the_canonical_removed_sets(self):
+        spec = ExperimentSpec.from_dict(dict(
+            SMALL_SPEC, arms=["pruned_only", "split"], removed_sets=[[[1, 0]], [[3, 2], [2, 1]]],
+            seeds=[0], iterations=4, shots=64,
+        ))
+        assert [r["spec"] for r in run_experiment(spec).rows] == ["0.1", "0.1-1.2+2.3"]
 
     def test_split_over_coupling_maps_of_different_sizes(self, tmp_path):
         # each extracted graph has one node per physical qubit of its backend;
@@ -422,7 +457,7 @@ class TestCli:
         bad_profile.write_text(json.dumps([{"name": "x", "readout": 0.1}]))
         profile_key = tmp_path / "profile_key.json"
         profile_key.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(bad_profile),
-                                               backends=["x"])))
+                                               arms=["original"], backends=["x"])))
         names_only = tmp_path / "names_only.json"
         names_only.write_text(json.dumps(["ideal1"]))
         profile_list = tmp_path / "profile_list.json"
@@ -444,6 +479,12 @@ class TestCli:
         few_backends.write_text(json.dumps({
             "graph": "cycle4", "arms": ["split"], "k": 3, "removed_sets": [[[0, 1]], [[1, 2]], [[2, 3]]],
             "backends": ["ideal1", "ideal2"], "seeds": [0], "shots": 64, "iterations": 6}))
+        # a random split needs k backends as much as a fixed one
+        one_backend = tmp_path / "one_backend.json"
+        one_backend.write_text(json.dumps(dict(SMALL_SPEC, arms=["original", "pruned_only"],
+                                               backends=["ideal1"])))
+        repeated_edge = tmp_path / "repeated_edge.json"
+        repeated_edge.write_text(json.dumps(dict(SMALL_SPEC, removed_sets=[[[1, 0], [0, 1]], [[2, 3]]])))
         short_split = tmp_path / "short_split.json"
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
@@ -466,7 +507,10 @@ class TestCli:
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
                  (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
                  (["run", "--config", str(short_split)], "'iterations'"),
-                 (["run", "--config", str(few_backends)], "'backends'")]
+                 (["run", "--config", str(few_backends)], "'backends'"),
+                 (["run", "--config", str(one_backend)], "'backends'"),
+                 (["overhead", "--config", str(one_backend)], "'backends'"),
+                 (["run", "--config", str(repeated_edge)], "edge (0, 1) twice")]
         # a repeated seed, layer count or arm would be run and counted twice
         for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
                                           ("arms", ["split", "split"])]):
@@ -488,7 +532,8 @@ class TestCli:
             profiles = tmp_path / f"typed_profile{i}.json"
             profiles.write_text(json.dumps([{"name": "x", key: value}]))
             spec = tmp_path / f"typed_profile_spec{i}.json"
-            spec.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(profiles), backends=["x"])))
+            spec.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(profiles), arms=["original"],
+                                            backends=["x"])))
             cases.append((["overhead", "--config", str(spec)], repr(key)))
         # an extraction report of the wrong shape names its key
         for i, (report, named) in enumerate([({"nodes": 4, "edges": 3}, "'edges'"),
@@ -524,13 +569,32 @@ class TestCli:
 
         monkeypatch.setattr(harness, "optimize", no_optimize)
         config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"graph": "cycle4", "arms": ["original"],
-                                      "backends": ["ideal1"], "seeds": [0], "iterations": 4}))
+        config.write_text(json.dumps({"graph": "cycle4", "arms": ["original", "split"],
+                                      "edges_per_flavor": 4, "seeds": [0], "iterations": 4}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "splitcut: need exactly 2 backends, got 1\n"
+        assert captured.err == "splitcut: edges_per_flavor must be in [1, 3] for this graph\n"
         assert cells == [] and captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("graph", ["cycle4", "one_edge"])
+    def test_original_only_spec_plans_no_split(self, tmp_path, capsys, graph):
+        # one backend, or a graph with no split at all, is enough for the original arm
+        if graph == "one_edge":
+            graph = str(tmp_path / "one_edge.graph")
+            Path(graph).write_text(graph_to_text(Graph.make(3, [(0, 1)])))
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"graph": graph, "arms": ["original"], "backends": ["ideal1"],
+                                      "seeds": [0], "iterations": 4, "shots": 64}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert "(1 seeds)" in capsys.readouterr().out
+        written = json.loads((out / "overhead.json").read_text())
+        assert written["baseline"] is None
+        assert [e["relative_cost"] for e in written["arms"]] == [None]
+        assert written["arms"][0]["total_shot_evaluations"] == 9
+        assert main(["overhead", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["baseline"] is None
 
     def test_run_command_overrides_p(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

@@ -12,8 +12,8 @@ from splitcut.graph import Graph, benchmark_graph, cut_values_vector
 from splitcut.obfuscation import (
     OptimizerConfig,
     PrunedFlavor,
-    SplitPlan,
     approximation_ratio,
+    check_split,
     compile_flavor,
     exact_optimum,
     make_split_plan,
@@ -45,15 +45,16 @@ class TestPrune:
         assert (0, 1) not in pg.edges
 
     def test_empty_removal_rejected(self):
-        with pytest.raises(ValueError):
-            prune(benchmark_graph("cycle4"), [])
+        # nothing removed is the unpruned flavor's graph
+        g = benchmark_graph("cycle4")
+        assert prune(g, []) == g
 
     def test_k4_minus_two(self):
         g = benchmark_graph("complete4_with_diagonals")
         assert len(prune(g, [(0, 1), (2, 3)]).edges) == 4
 
     def test_absent_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PlanError, match=r"not in the graph: \[\(0, 2\)\]"):
             prune(benchmark_graph("cycle4"), [(0, 2)])
 
     def test_unordered_pairs_accepted(self):
@@ -65,43 +66,47 @@ class TestPlans:
     def test_identical_removed_sets_rejected(self, ideal_backend, ideal_backend_2):
         f1 = PrunedFlavor(((0, 1),), ideal_backend)
         f2 = PrunedFlavor(((0, 1),), ideal_backend_2)
-        with pytest.raises(PlanError):
-            SplitPlan((f1, f2))
+        with pytest.raises(PlanError, match="distinct removed sets"):
+            check_split(benchmark_graph("cycle4"), (f1, f2))
 
     def test_duplicate_backend_names_rejected(self, ideal_backend):
         f1 = PrunedFlavor(((0, 1),), ideal_backend)
         f2 = PrunedFlavor(((1, 2),), ideal_backend)
-        with pytest.raises(PlanError):
-            SplitPlan((f1, f2))
+        with pytest.raises(PlanError, match="distinct names"):
+            check_split(benchmark_graph("cycle4"), (f1, f2))
 
     def test_union_rule_rejects_edge_removed_everywhere(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
         f1 = PrunedFlavor(((0, 1), (1, 2)), ideal_backend)
         f2 = PrunedFlavor(((0, 1), (2, 3)), ideal_backend_2)
-        plan = SplitPlan((f1, f2))
-        with pytest.raises(PlanError):
-            plan.validate(g)
+        with pytest.raises(PlanError, match=r"removed from every flavor: \[\(0, 1\)\]"):
+            check_split(g, (f1, f2))
 
     def test_single_flavor_plans_forbidden(self, ideal_backend):
-        with pytest.raises(PlanError):
-            SplitPlan((PrunedFlavor(((0, 1),), ideal_backend),))
+        with pytest.raises(PlanError, match="at least 2 flavors"):
+            check_split(benchmark_graph("cycle4"), (PrunedFlavor(((0, 1),), ideal_backend),))
 
     def test_flavor_must_leave_an_edge(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle3")
-        flavor = PrunedFlavor(tuple(g.edges), ideal_backend)
-        with pytest.raises(PlanError):
-            flavor.validate_against(g)
-        # the unpruned flavor is valid alone, but never inside a split plan
-        PrunedFlavor((), ideal_backend).validate_against(g)
-        with pytest.raises(PlanError):
-            SplitPlan((PrunedFlavor((), ideal_backend), PrunedFlavor(((0, 1),), ideal_backend_2)))
+        with pytest.raises(PlanError, match="at least one edge"):
+            prune(g, g.edges)
+        with pytest.raises(PlanError, match="at least one edge"):
+            check_split(g, (PrunedFlavor(g.edges, ideal_backend), PrunedFlavor(((0, 1),), ideal_backend_2)))
+        # the unpruned flavor is valid alone, but never inside a split
+        assert prune(g, PrunedFlavor((), ideal_backend).removed_edges) == g
+        with pytest.raises(PlanError, match="remove at least one edge"):
+            check_split(g, (PrunedFlavor((), ideal_backend), PrunedFlavor(((0, 1),), ideal_backend_2)))
+
+    def test_repeated_edge_in_a_flavor_rejected(self, ideal_backend):
+        with pytest.raises(PlanError, match=r"\(0, 1\) twice"):
+            PrunedFlavor(((1, 0), (0, 1)), ideal_backend)
 
     def test_make_split_plan_cycle4(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
-        plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
-        plan.validate(g)
-        assert plan.k == 2
-        assert plan.flavors[0].removed_edges != plan.flavors[1].removed_edges
+        split = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
+        check_split(g, split)
+        assert len(split) == 2
+        assert split[0].removed_edges != split[1].removed_edges
 
     def test_make_split_plan_deterministic(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("graph6")
@@ -116,9 +121,9 @@ class TestPlans:
     def test_three_flavors_on_graph6(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
         backends = [ideal_backend, ideal_backend_2, noisy_backend]
-        plan = make_split_plan(g, 3, 1, backends, seed=3)
-        plan.validate(g)
-        assert plan.k == 3
+        split = make_split_plan(g, 3, 1, backends, seed=3)
+        check_split(g, split)
+        assert len(split) == 3
 
     def test_backend_count_must_match_k(self, ideal_backend):
         g = benchmark_graph("cycle4")
@@ -154,7 +159,7 @@ def reference_evaluation(g_full: Graph, flavor: PrunedFlavor, x, shots: int) -> 
     """One evaluation built from scratch at the angles x: the wire text and
     the full-graph score of ``shots`` samples, through a fresh circuit,
     route, ``run_shots`` and a remap of the tally into logical order."""
-    circ = build_qaoa(flavor.pruned_graph(g_full), ParamVector.from_array(x))
+    circ = build_qaoa(prune(g_full, flavor.removed_edges), ParamVector.from_array(x))
     layout = tuple(range(circ.num_qubits))
     if flavor.backend.coupling is not None:
         routed = transpile(circ, flavor.backend.coupling)
@@ -283,8 +288,8 @@ class TestOptimize:
 
     def test_round_robin_alternation(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
-        plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
-        trace = optimize(compiled(g, plan.flavors), self.cfg())
+        split = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
+        trace = optimize(compiled(g, split), self.cfg())
         backends = [e.backend for e in trace.entries]
         assert backends[::2] == ["ideal1"] * 5
         assert backends[1::2] == ["ideal2"] * 5
@@ -300,9 +305,9 @@ class TestOptimize:
 
     def test_iteration_budget_invariant(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
-        plan = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
+        split = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
         with pytest.raises(ValueError):
-            optimize(compiled(g, plan.flavors), self.cfg(total_iterations=3))
+            optimize(compiled(g, split), self.cfg(total_iterations=3))
 
     def test_qubit_header_hides_pruning(self, ideal_backend):
         g = benchmark_graph("cycle4")
@@ -396,8 +401,8 @@ class TestOptimize:
 
     def test_three_flavor_round_robin(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
-        plan = make_split_plan(
+        split = make_split_plan(
             g, 3, 1, [ideal_backend, ideal_backend_2, noisy_backend], seed=2
         )
-        trace = optimize(compiled(g, plan.flavors), self.cfg(total_iterations=6))
+        trace = optimize(compiled(g, split), self.cfg(total_iterations=6))
         assert [e.flavor for e in trace.entries] == [0, 1, 2, 0, 1, 2]
