@@ -272,21 +272,21 @@ def transpile(c: Circuit, coupling: CouplingMap) -> TranspiledCircuit:
 
 
 def wire_template(c: Circuit) -> str:
-    """The circuit's text with a ``{:.17g}`` field for each angle, in gate
-    order: ``wire_template(c).format(*angles)`` is the wire text."""
+    """The circuit's text with a ``{}`` field for each angle, in gate order:
+    filled with each angle's ``format(angle, ".17g")``, it is the wire text."""
     lines = [f"qubits {c.num_qubits}"]
     for g in c.gates:
         if g.name == "measure":
             lines.append("measure")
         elif g.name in PARAMETRIC:
-            lines.append(f"{g.name} {g.qubits[0]} {{:.17g}}")
+            lines.append(f"{g.name} {g.qubits[0]} {{}}")
         else:
             lines.append(f"{g.name} " + " ".join(str(q) for q in g.qubits))
     return "\n".join(lines) + "\n"
 
 
 def serialize(c: Circuit) -> str:
-    return wire_template(c).format(*(g.angle for g in c.gates if g.angle is not None))
+    return wire_template(c).format(*(format(g.angle, ".17g") for g in c.gates if g.angle is not None))
 
 
 def parse(text: str) -> Circuit:

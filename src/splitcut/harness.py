@@ -98,6 +98,8 @@ class ExperimentSpec:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValueError(f"experiment spec key {key!r} repeats a value: {list(values)}")
+        if set(self.arms) - {"original"} and self.k < 2:
+            raise ValueError(f"experiment spec key 'k' must be >= 2 when a pruned arm runs, got {self.k}")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
             raise ValueError("removed_sets must list one edge set per flavor")
         if set(self.arms) - {"original"} and len(self.backends) < self.k:

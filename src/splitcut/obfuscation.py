@@ -235,8 +235,11 @@ class CompiledFlavor:
 
     ``routed`` is the circuit that leaves the client, with placeholder
     angles; an evaluation at the 2p-vector x = (gammas, betas) only fills
-    in rotation i's angle ``2.0 * x[slots[i]]``. The simulator kernel and
-    the cut vector are built on the first evaluation.
+    in rotation i's angle ``2.0 * x[slots[i]]``. The template numbers its
+    fields by slot, so an evaluation formats each of its 2p angles once.
+    The simulator kernel and the cut vector are built on the first
+    evaluation. Slot j's placeholder is 2(j + 1), so the kernel ties the
+    rotations of one slot: a cost layer is one phase step with one row.
     """
 
     g_full: Graph
@@ -244,14 +247,14 @@ class CompiledFlavor:
     p: int
     routed: TranspiledCircuit
     slots: np.ndarray
-    template: str  # wire_template(routed.circuit)
+    template: str  # the wire text with a field {j} where a rotation reads slot j
 
     def _angles(self, x) -> np.ndarray:
         return 2.0 * np.asarray(x, dtype=float)[self.slots]
 
     def wire_text(self, x) -> str:
         """The wire text at angles x: ``serialize`` of the routed circuit."""
-        return self.template.format(*self._angles(x).tolist())
+        return self.template.format(*[format(2.0 * a, ".17g") for a in np.asarray(x, dtype=float).tolist()])
 
     @cached_property
     def kernel(self) -> Kernel:
@@ -269,10 +272,8 @@ class CompiledFlavor:
     def expectation(self, x, shots: int) -> float:
         """Mean full-graph cut value of ``shots`` samples at angles x, drawn
         with the backend's seed and the wire text as ``run_shots`` draws."""
-        angles = self._angles(x)
-        text = self.template.format(*angles.tolist())
-        rng = shot_rng(self.flavor.backend.seed, shots, text)
-        tally = sample_tally(self.kernel.probabilities(angles), rng, shots)
+        rng = shot_rng(self.flavor.backend.seed, shots, self.wire_text(x))
+        tally = sample_tally(self.kernel.probabilities(self._angles(x)), rng, shots)
         return int(tally @ self.cut) / shots
 
     def exact_expectation(self, x) -> float:
@@ -295,7 +296,8 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
         check_coupling(routed.circuit, coupling)
     slots = np.array([int(g.angle) // 2 - 1 for g in routed.circuit.gates if g.angle is not None],
                      dtype=np.intp)
-    return CompiledFlavor(g_full, flavor, p, routed, slots, wire_template(routed.circuit))
+    template = wire_template(routed.circuit).format(*[f"{{{j}}}" for j in slots.tolist()])
+    return CompiledFlavor(g_full, flavor, p, routed, slots, template)
 
 
 def exact_optimum(flavors: Sequence[CompiledFlavor]) -> tuple[float, np.ndarray]:

@@ -16,7 +16,11 @@ time:
   (Aaronson & Gottesman, PRA 70, 052328, 2004). So the start state is the
   circuit's Clifford product on |0...0>, and each rx/rz becomes a rotation
   about its Pauli conjugated through every later h and cx (as in Bravyi &
-  Gosset, PRL 116, 250501, 2016). The distribution is |psi|^2.
+  Gosset, PRL 116, 250501, 2016). A run of rotations with no X part is
+  diagonal, so it is one phase step, as fast QAOA simulators apply a cost
+  layer (Lykov et al., arXiv:2309.04841), with one real row per distinct
+  compiled angle: rotations compiled at one angle are tied, and evolving
+  them at different angles raises ValueError. The distribution is |psi|^2.
 - Gate noise is the depolarizing channel: after each gate, each touched
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
@@ -48,6 +52,7 @@ execute concurrently.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -250,18 +255,26 @@ class Kernel:
     start: np.ndarray  # the state before the first rotation
     steps: tuple
     order: tuple[int, ...]  # order[q] is the state axis that holds qubit q
+    ties: np.ndarray | None = None  # ties[j]: the rotation whose angle rotation j's phase reads
 
     def __post_init__(self):
         self.start.flags.writeable = False  # evolve returns it when there are no steps
 
     def evolve(self, angles: np.ndarray) -> np.ndarray:
         """The start state through the compiled steps: the flat final state,
-        the amplitudes without gate noise and the Pauli coefficients with it."""
+        the amplitudes without gate noise and the Pauli coefficients with it.
+        Angles that break a tie of a phase step raise ValueError."""
         state = self.start
         if not self.noise.has_gate_noise:
+            if (angles[self.ties] != angles).any():
+                raise ValueError("angles break a tie of the circuit the kernel was compiled from")
             half = 0.5 * angles
-            for (flip, w), c, s in zip(self.steps, np.cos(half).tolist(), np.sin(half).tolist()):
-                state = c * state + s * (w * state[flip])
+            c, s = np.cos(half).tolist(), np.sin(half).tolist()
+            for j, flip, w in self.steps:
+                if flip is None:  # a phase step: j holds the angle of each row of w
+                    state = state * np.exp(-1j * (w @ half[j]))
+                else:
+                    state = c[j] * state + (s[j] * w) * state[flip]
             return state.reshape(-1)
         coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
         shape = (4,) * self.num_qubits
@@ -292,7 +305,7 @@ class Kernel:
         return probs
 
 
-def _frame_kernel(n: int, noise: NoiseModel, skeleton) -> Kernel:
+def _frame_kernel(n: int, noise: NoiseModel, skeleton, angles: np.ndarray) -> Kernel:
     # Rotation j's Pauli (-1)^s X^x Z^z, conjugated through the Cliffords
     # seen so far, is held bit-sliced: bit j of xs[q], zs[q] and sign is its
     # x_q, z_q and s. h and cx keep X^x Z^z Hermitian, so no factor i arises.
@@ -315,23 +328,35 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton) -> Kernel:
     # (-1)^(b_q ^ x_q) along axis q, for each x_q.
     signs = [[np.array([1.0, -1.0]).reshape((1,) * q + (2,) + (1,) * (n - q - 1)) * f
               for f in (1.0, -1.0)] for q in range(n)]
-    steps = []
-    for j in range(rotations):
-        w = math.prod((signs[q][xs[q] >> j & 1] for q in range(n) if zs[q] >> j & 1),
-                      start=np.full((1,) * n, 1j if sign >> j & 1 else -1j))
-        steps.append((tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
-                            for q in range(n)), w))
-    return Kernel(n, noise, start, tuple(steps), tuple(range(n)))
+    steps, ties = [], np.arange(rotations)
+    for diagonal, run in itertools.groupby(range(rotations), lambda j: not any(x >> j & 1 for x in xs)):
+        ws = {j: math.prod((signs[q][xs[q] >> j & 1] for q in range(n) if zs[q] >> j & 1),
+                           start=1j if sign >> j & 1 else -1j) for j in run}
+        if not diagonal:
+            steps += [(j, tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
+                                for q in range(n)), w) for j, w in ws.items()]
+            continue
+        # A run of diagonal rotations is the phase exp(-i/2 sum_j theta_j i w_j):
+        # one row per compiled angle, i w = (-1)^s (-1)^(z.b) summed over it.
+        rows: dict[float, tuple] = {}  # compiled angle -> (the run's first rotation at it, its row)
+        for j, w in ws.items():
+            ties[j], row = rows.setdefault(float(angles[j]), (j, np.zeros((2,) * n)))
+            row += (1j * w).real
+        reps, tables = zip(*rows.values())
+        steps.append((np.array(reps), None, np.stack(tables, axis=-1)))
+    return Kernel(n, noise, start, tuple(steps), tuple(range(n)), ties)
 
 
 def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
     """The circuit's skeleton compiled on the noise model. Without gate
-    noise, each rotation's axis flips and w. With it, one step per block
-    after the leading fixed ones, which fold into the start state: the
-    transposition that brings the block's qubits to the front of the
-    state's axes, its width D, and its transfer matrix, or for the block
-    that holds the j-th rotation, its parts as the columns of a (D*D,
-    parts) array and j. Wider circuits raise CapacityError."""
+    noise, one step per run of diagonal rotations, the rotation whose angle
+    each of its rows reads and the rows, and one per other rotation, its
+    index, axis flips and w. With it, one step per block after the leading
+    fixed ones, which fold into the start state: the transposition that
+    brings the block's qubits to the front of the state's axes, its width
+    D, and its transfer matrix, or for the block that holds the j-th
+    rotation, its parts as the columns of a (D*D, parts) array and j.
+    Wider circuits raise CapacityError."""
     n = c.num_qubits
     limit = MAX_DENSITY_QUBITS if noise.has_gate_noise else MAX_QUBITS
     if n > limit:
@@ -339,7 +364,7 @@ def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
         raise CapacityError(f"{what} is simulated up to {limit} qubits, got {n}")
     skeleton = [(g.name, g.qubits) for g in c.gates if g.name != "measure"]
     if not noise.has_gate_noise:
-        return _frame_kernel(n, noise, skeleton)
+        return _frame_kernel(n, noise, skeleton, _angles(c))
     # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
     shape = (4,) * n
     start = np.zeros(shape)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,23 @@ def expectation_full_cost(g_full: Graph, tally: np.ndarray) -> float:
     if len(tally) != 1 << g_full.n:
         raise ValueError(f"a tally of {len(tally)} outcomes is not over {g_full.n} qubits")
     return int(tally @ cut_values_vector(g_full)) / int(tally.sum())
+
+
+def qaoa_p1_cut(g_full: Graph, g_circuit: Graph, gamma: float, beta: float) -> float:
+    """The full graph's expected cut after one QAOA layer of g_circuit's
+    circuit at (gamma, beta), from the closed-form single-layer Ising
+    <Z_u Z_v> (Ozaeta, van Dam & McMahon, arXiv:2012.03421; Wang et al.,
+    PRA 97, 022304, 2018 for MaxCut) with J = 1 on g_circuit's edges and
+    0 elsewhere. It builds no state, so it checks the simulator from outside."""
+    j = np.zeros((g_full.n, g_full.n))
+    for u, v in g_circuit.edges:
+        j[u, v] = j[v, u] = 1.0
+    total = 0.0
+    for u, v in g_full.edges:
+        ju, jv = np.delete(j[u], (u, v)), np.delete(j[v], (u, v))  # w ranges over the other nodes
+        zz = (0.5 * math.sin(4 * beta) * math.sin(2 * gamma * j[u, v])
+              * (np.prod(np.cos(2 * gamma * ju)) + np.prod(np.cos(2 * gamma * jv)))
+              - 0.5 * math.sin(2 * beta) ** 2
+              * (np.prod(np.cos(2 * gamma * (ju + jv))) - np.prod(np.cos(2 * gamma * (ju - jv)))))
+        total += 0.5 * (1.0 - zz)
+    return total

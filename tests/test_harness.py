@@ -485,6 +485,9 @@ class TestCli:
                                                backends=["ideal1"])))
         repeated_edge = tmp_path / "repeated_edge.json"
         repeated_edge.write_text(json.dumps(dict(SMALL_SPEC, removed_sets=[[[1, 0], [0, 1]], [[2, 3]]])))
+        # k = 1 used to exit 2 with "need k >= 2 flavors", naming no key
+        one_flavor = tmp_path / "one_flavor.json"
+        one_flavor.write_text(json.dumps({"graph": "cycle4", "arms": ["pruned_only"], "k": 1}))
         short_split = tmp_path / "short_split.json"
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
@@ -510,7 +513,8 @@ class TestCli:
                  (["run", "--config", str(few_backends)], "'backends'"),
                  (["run", "--config", str(one_backend)], "'backends'"),
                  (["overhead", "--config", str(one_backend)], "'backends'"),
-                 (["run", "--config", str(repeated_edge)], "edge (0, 1) twice")]
+                 (["run", "--config", str(repeated_edge)], "edge (0, 1) twice"),
+                 (["run", "--config", str(one_flavor)], "'k'")]
         # a repeated seed, layer count or arm would be run and counted twice
         for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
                                           ("arms", ["split", "split"])]):

@@ -22,7 +22,9 @@ from splitcut.obfuscation import (
 )
 from splitcut.simulator import BackendProfile, NoiseModel, outcome_probabilities, run_shots
 
-from conftest import expectation_full_cost, random_coupling, random_params, relabel, remap_counts
+from conftest import (
+    expectation_full_cost, qaoa_p1_cut, random_coupling, random_params, relabel, remap_counts,
+)
 from test_graph import random_graph
 
 
@@ -235,6 +237,18 @@ class TestCompiledFlavor:
 
 
 class TestExactOptimum:
+    def test_exact_expectation_matches_closed_form_at_p1(self, benchmarks, ideal_backend):
+        # an oracle that builds no state: the unpruned and every single-edge
+        # flavor of each benchmark, plain and routed on a line
+        rng = np.random.default_rng(16)
+        for g in benchmarks.values():
+            for b in (ideal_backend, BackendProfile("line", coupling=CouplingMap.line(g.n))):
+                for removed in [()] + [(e,) for e in g.edges]:
+                    cf = compile_flavor(g, PrunedFlavor(removed, b), 1)
+                    for gamma, beta in rng.uniform(-math.pi, math.pi, size=(5, 2)):
+                        expected = qaoa_p1_cut(g, prune(g, removed), gamma, beta)
+                        assert abs(cf.exact_expectation((gamma, beta)) - expected) <= 1e-12
+
     def test_ring_optimum_is_three_quarters(self, ideal_backend):
         # p=1 on rings (Farhi, Goldstone & Gutmann 2014)
         value, _ = exact_optimum(compiled(benchmark_graph("cycle4"), unpruned(ideal_backend)))

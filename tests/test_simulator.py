@@ -138,14 +138,41 @@ class TestStatevector:
 
     @given(clifford_rotation_circuits(), st.floats(0.0, 0.5))
     @example(Circuit(2, (h(0), h(1), rz(1, 0.7), cx(0, 1), h(0), cx(0, 1), h(0))), 0.0)
+    @example(Circuit(3, (h(0), h(1), h(2), rz(0, 0.3), cx(0, 1), rz(1, 1.1), cx(1, 2), rz(2, 0.3),
+                         cx(0, 1), rz(1, -0.8), rx(2, 0.5))), 0.0)
     @settings(max_examples=100, deadline=None)
     def test_phases_match_dense_unitaries(self, c, flip):
-        # QAOA circuits conjugate no rotation into a Y: these do (the
+        # QAOA circuits conjugate no rotation into a Y: these do (the first
         # example's rz becomes -Y0 Y1, which its last h negates), so a wrong
-        # sign of H Y H or a lost global phase shows here
+        # sign of H Y H or a lost global phase shows here. The second
+        # example's rz gates are one phase step with a row per angle, on
+        # overlapping qubits: Z0 + Z2 at 0.3, Z0 Z1 at 1.1 and Z1 at -0.8
         assert np.abs(run_statevector(c) - _dense_statevector(c)).max() < 1e-12
         noise = NoiseModel(readout_flip=flip)
         assert np.abs(outcome_probabilities(c, noise) - kraus_reference(c, noise)).max() < 1e-12
+
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_qaoa_cost_layers_are_one_phase_step_each(self, benchmarks, routed):
+        # every rz of a cost layer, routed or not, is a diagonal Z_u Z_v
+        # rotation at the layer's one angle: one step holding one row
+        for g in benchmarks.values():
+            b = BackendProfile("b", coupling=CouplingMap.line(g.n) if routed else None)
+            for p in (1, 2, 3):
+                kernel = compile_flavor(g, PrunedFlavor((), b), p).kernel
+                phases = [w for _, flip, w in kernel.steps if flip is None]
+                assert [w.shape[-1] for w in phases] == [1] * p
+                assert len(kernel.steps) == p * (g.n + 1)
+
+    def test_angles_that_break_a_compiled_tie_raise(self):
+        c = build_qaoa(benchmark_graph("cycle4"), ParamVector((0.4,), (0.9,)))
+        kernel = compile_kernel(c, NoiseModel())
+        angles = np.array([g.angle for g in c.gates if g.angle is not None])
+        angles[:4] = 1.3  # the cost layer at another angle still ties
+        moved = Circuit(c.num_qubits, tuple(g if g.name != "rz" else rz(g.qubits[0], 1.3) for g in c.gates))
+        assert np.abs(kernel.evolve(angles) - _dense_statevector(moved)).max() < 1e-12
+        angles[1] = 0.2
+        with pytest.raises(ValueError, match="tie"):
+            kernel.evolve(angles)
 
     def test_wide_circuit(self):
         g = benchmark_graph("cycle(16)")
