@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -191,8 +191,10 @@ class RunTrace:
         return ParamVector(self.best_gammas, self.best_betas)
 
     def to_jsonl(self) -> str:
-        summary = asdict(self)
-        lines = [json.dumps(e, sort_keys=True) for e in summary.pop("entries")]
+        names = [f.name for f in fields(TraceEntry)]
+        lines = [json.dumps({name: getattr(e, name) for name in names}, sort_keys=True)
+                 for e in self.entries]
+        summary = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "entries"}
         lines.append(json.dumps({"summary": summary}, sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -249,12 +251,21 @@ class CompiledFlavor:
     slots: np.ndarray
     template: str  # the wire text with a field {j} where a rotation reads slot j
 
+    def _x(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2 * self.p,):
+            raise ValueError(f"expected {2 * self.p} angles (gammas then betas) at p={self.p}, "
+                             f"got shape {x.shape}")
+        return x
+
     def _angles(self, x) -> np.ndarray:
-        return 2.0 * np.asarray(x, dtype=float)[self.slots]
+        return 2.0 * self._x(x)[self.slots]
 
     def wire_text(self, x) -> str:
-        """The wire text at angles x: ``serialize`` of the routed circuit."""
-        return self.template.format(*[format(2.0 * a, ".17g") for a in np.asarray(x, dtype=float).tolist()])
+        """The wire text at angles x: ``serialize`` of the routed circuit.
+        An x that is not a 2p-vector raises ValueError, as in
+        ``expectation`` and ``exact_expectation``."""
+        return self.template.format(*[format(2.0 * a, ".17g") for a in self._x(x).tolist()])
 
     @cached_property
     def kernel(self) -> Kernel:

@@ -8,6 +8,7 @@ still comes from the dataclass.
 """
 from __future__ import annotations
 
+import functools
 import json
 import types
 import typing
@@ -16,9 +17,15 @@ from dataclasses import MISSING, fields
 
 def record_fields(cls) -> dict[str, tuple[object, object]]:
     """Each field of the dataclass ``cls`` as name -> (type, default);
-    the default is ``MISSING`` where the field is required."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
+    the default is ``MISSING`` where the field is required. A fresh dict
+    each call, so a caller may edit it."""
+    return dict(_fields(cls))
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    hints = typing.get_type_hints(cls)  # resolving the annotations is the costly part
+    return tuple((f.name, (hints[f.name], f.default)) for f in fields(cls))
 
 
 def read_record(d, what: str, schema: dict[str, tuple[object, object]]) -> dict:

@@ -25,16 +25,24 @@ time:
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
   Pauli-transfer form (Chow et al., PRL 109, 060501, 2012): the state is the
-  4^n real coefficients Tr(rho P) over the Pauli strings P, consecutive
-  gates on at most two qubits fuse into one block holding at most one
-  rotation, a block with its depolarizing is one 4x4 or 16x16 transfer
-  matrix, stored as K0 + cos(theta) K1 + sin(theta) K2 around a rotation,
-  the blocks before the first rotation are folded into the start state, and
-  the measured distribution is read off the I/Z coefficients. Gate-noise
-  circuits are limited to ``MAX_DENSITY_QUBITS`` (10) qubits.
+  4^n real coefficients Tr(rho P) over the Pauli strings P. Gates fuse into
+  blocks on at most two qubits holding at most two rotations, as
+  state-vector simulators fuse gates (Haener & Steiger, SC'17): a gate
+  joins the latest block on its qubits when it fits, since every later
+  block leaves those qubits alone and the gate with its depolarizing
+  commutes past them, so a QAOA mixer rx joins the last cost block on its
+  qubit. A block with its depolarizing is one 4x4 or 16x16 transfer
+  matrix, multilinear in each rotation's (1, cos theta, sin theta); an
+  evaluation builds the matrices of all blocks of one width and rotation
+  count with one batched product. Fixed blocks that no earlier step
+  touches fold into the start state. The distribution is one precomputed
+  2^n x 2^n matrix, the Walsh transform with the readout flips folded in,
+  applied to the I/Z coefficients. Gate-noise circuits are limited to
+  ``MAX_DENSITY_QUBITS`` (10) qubits, where that matrix takes 8 MiB.
 
 Wider circuits raise ``CapacityError``. Readout flips each measured bit
-independently, applied as a per-bit stochastic map on the distribution.
+independently: a per-bit stochastic map on |psi|^2 without gate noise, a
+factor 1 - 2f on each Z coefficient with it.
 
 Reproducibility: every draw derives its whole random stream from
 (backend.seed, shots, sha256 of the wire text) through numpy's PCG64
@@ -118,10 +126,15 @@ def run_statevector(c: Circuit) -> np.ndarray:
 
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
     """The stream of one draw: PCG64 seeded by (seed, shots, sha256 of the text)."""
+    if seed < 0 or shots < 0:
+        raise ValueError(f"seed and shots must be >= 0, got {seed} and {shots}")
     digest = hashlib.sha256(wire_text.encode("utf-8")).digest()
-    words = np.frombuffer(digest[:16], dtype=np.uint32)
-    seq = np.random.SeedSequence([int(seed), int(shots), *(int(w) for w in words)])
-    return np.random.Generator(np.random.PCG64(seq))
+    # The words numpy makes of the list [seed, shots, *digest words]: each
+    # Python int split into 32-bit words, least significant first.
+    ints = [v >> s & 0xFFFFFFFF for v in (int(seed), int(shots))
+            for s in range(0, max(v.bit_length(), 1), 32)]
+    words = np.concatenate((np.array(ints, dtype=np.uint32), np.frombuffer(digest[:16], dtype=np.uint32)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def sample_tally(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
@@ -166,9 +179,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 _PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
 _PAULI_BASIS = {1: _PAULIS, 2: _kron(_PAULIS[:, None], _PAULIS).reshape(16, 4, 4)}
-# Measuring one qubit reads its I and Z coefficients: P(0) = (r_I + r_Z)/2
-# and P(1) = (r_I - r_Z)/2.
-_MEASURE = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5]])
 
 
 def _gate_table() -> dict:
@@ -223,21 +233,30 @@ def _gate_parts(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
 
 
 def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
-    """Consecutive (name, qubits) gates grouped into blocks on at most two
-    qubits, each holding at most one rotation."""
+    """The (name, qubits) gates grouped into blocks on at most two qubits,
+    each holding at most two rotations, as (qubits, [(name, qubits, j)]),
+    with j the gate's rotation index or None. A gate joins the latest block
+    on its qubits, or the last block when none touches them, if it fits:
+    every later block leaves its qubits alone, so the gate and its
+    depolarizing commute past them."""
     blocks: list[tuple[tuple[int, ...], list]] = []
-    qubits: tuple[int, ...] = ()
-    gates: list = []
+    latest: dict[int, int] = {}  # qubit -> the latest block on it
+    rotations = 0
     for name, gate_qubits in skeleton:
-        joined = qubits + tuple(q for q in gate_qubits if q not in qubits)
-        second_rotation = name in PARAMETRIC and any(g in PARAMETRIC for g, _ in gates)
-        if len(joined) > 2 or second_rotation:
-            blocks.append((qubits, gates))
-            joined, gates = gate_qubits, []
-        qubits = joined
-        gates.append((name, gate_qubits))
-    if gates:
-        blocks.append((qubits, gates))
+        j = None
+        if name in PARAMETRIC:
+            j, rotations = rotations, rotations + 1
+        i = max((latest[q] for q in gate_qubits if q in latest), default=len(blocks) - 1)
+        if i >= 0:
+            qubits, gates = blocks[i]
+            joined = qubits + tuple(q for q in gate_qubits if q not in qubits)
+            held = sum(k is not None for _, _, k in gates) + (j is not None)
+        if i < 0 or len(joined) > 2 or held > 2:  # the gate opens a block
+            i, joined, gates = len(blocks), gate_qubits, []
+            blocks.append((joined, gates))
+        blocks[i] = (joined, gates)
+        gates.append((name, gate_qubits, j))
+        latest.update(dict.fromkeys(gate_qubits, i))
     return blocks
 
 
@@ -252,10 +271,11 @@ class Kernel:
 
     num_qubits: int
     noise: NoiseModel
-    start: np.ndarray  # the state before the first rotation
+    start: np.ndarray  # the state the first step acts on
     steps: tuple
-    order: tuple[int, ...]  # order[q] is the state axis that holds qubit q
     ties: np.ndarray | None = None  # ties[j]: the rotation whose angle rotation j's phase reads
+    groups: dict | None = None  # gate noise: (width, rotation count) -> the blocks' (parts, rotations)
+    readout: tuple | None = None  # gate noise: (gather index, readout matrix)
 
     def __post_init__(self):
         self.start.flags.writeable = False  # evolve returns it when there are no steps
@@ -276,28 +296,35 @@ class Kernel:
                 else:
                     state = c[j] * state + (s[j] * w) * state[flip]
             return state.reshape(-1)
-        coeffs = np.stack((np.ones_like(angles), np.cos(angles), np.sin(angles)), axis=1)
+        coeffs = np.ones((len(angles), 3))
+        np.cos(angles, out=coeffs[:, 1])
+        np.sin(angles, out=coeffs[:, 2])
+        built = {}
+        for (dim, count), (parts, js) in self.groups.items():
+            c = coeffs[js[:, 0]]
+            if count == 2:  # a block's parts are multilinear in its two rotations
+                c = (c[:, :, None] * coeffs[js[:, 1], None, :]).reshape(len(js), 9)
+            built[dim, count] = (parts @ c[:, :, None]).reshape(len(js), dim, dim)
         shape = (4,) * self.num_qubits
-        for perm, dim, mat, j in self.steps:
-            if j is not None:
-                mat = (mat @ coeffs[j]).reshape(dim, dim)
+        for perm, dim, mat in self.steps:
+            if type(mat) is tuple:  # (group, index) of a rotation block's matrix
+                mat = built[mat[0]][mat[1]]
             state = mat @ state.reshape(shape).transpose(perm).reshape(dim, -1)
         return state.reshape(-1)
 
     def probabilities(self, angles: np.ndarray) -> np.ndarray:
         """Exact distribution of the measured bitstrings, indexed like the
-        state: |psi|^2 without gate noise, the I/Z coefficients read out
-        with it, then readout flips on each bit as a 2x2 stochastic map."""
-        n = self.num_qubits
+        state. Without gate noise it is |psi|^2 with readout flips on each
+        bit as a 2x2 stochastic map; with it, the readout matrix applied to
+        the gathered I/Z coefficients."""
         state = self.evolve(angles)
         if self.noise.has_gate_noise:
-            for i in range(n):
-                state = _MEASURE @ state.reshape(2**i, 4, -1)
-            probs = state.reshape((2,) * n).transpose(self.order).reshape(-1)
-        else:
-            probs = np.abs(state) ** 2
+            gather, matrix = self.readout
+            return matrix @ state[gather]
+        probs = np.abs(state) ** 2
         f = self.noise.readout_flip
         if f > 0.0:
+            n = self.num_qubits
             t = probs.reshape((2,) * n)
             for q in range(n):
                 t = (1.0 - f) * t + f * np.flip(t, axis=q)
@@ -344,18 +371,22 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, angles: np.ndarray) -> Ke
             row += (1j * w).real
         reps, tables = zip(*rows.values())
         steps.append((np.array(reps), None, np.stack(tables, axis=-1)))
-    return Kernel(n, noise, start, tuple(steps), tuple(range(n)), ties)
+    return Kernel(n, noise, start, tuple(steps), ties)
 
 
 def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
     """The circuit's skeleton compiled on the noise model. Without gate
     noise, one step per run of diagonal rotations, the rotation whose angle
     each of its rows reads and the rows, and one per other rotation, its
-    index, axis flips and w. With it, one step per block after the leading
-    fixed ones, which fold into the start state: the transposition that
-    brings the block's qubits to the front of the state's axes, its width
-    D, and its transfer matrix, or for the block that holds the j-th
-    rotation, its parts as the columns of a (D*D, parts) array and j.
+    index, axis flips and w. With it, one step per block (``_blocks``) but
+    the fixed ones that no earlier step touches, which fold into the start
+    state: the transposition that brings the block's qubits to the front of
+    the state's axes, its width D, and its transfer matrix, or for a block
+    with rotations the (group, index) of its matrix among those the
+    evaluation builds. A group holds the blocks of one width D and one
+    rotation count r: their parts as a (blocks, D*D, 3^r) array and their
+    rotations as a (blocks, r) array. The readout is the index that
+    gathers the I/Z coefficients by outcome and the readout matrix.
     Wider circuits raise CapacityError."""
     n = c.num_qubits
     limit = MAX_DENSITY_QUBITS if noise.has_gate_noise else MAX_QUBITS
@@ -369,24 +400,48 @@ def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
     shape = (4,) * n
     start = np.zeros(shape)
     start[(slice(0, 4, 3),) * n] = 1.0
-    order = list(range(n))
-    steps, rotations = [], 0
+    folded, kept, stepped = [], [], set()
     for block, gates in _blocks(skeleton):
-        mat = _gate_parts(*gates[0], block, noise)
-        for name, qubits in gates[1:]:
-            mat = _gate_parts(name, qubits, block, noise) @ mat
+        dim = 4 ** len(block)
+        mat = np.eye(dim)[None]
+        for name, qubits, _ in gates:
+            part = _gate_parts(name, qubits, block, noise)
+            mat = (part[None] @ mat[:, None]).reshape(-1, dim, dim)  # parts indexed (earlier, later)
+        js = [j for _, _, j in gates if j is not None]
+        if js or stepped.intersection(block):
+            kept.append((block, mat, js))
+            stepped.update(block)
+        else:  # no step so far touches the block, so it commutes into the start state
+            folded.append((block, mat, js))
+    order = list(range(n))  # order[a] is the qubit on state axis a
+    steps, groups = [], {}
+    for i, (block, mat, js) in enumerate(folded + kept):
         dim = mat.shape[-1]
         perm = tuple(order.index(q) for q in block) + tuple(
-            i for i, q in enumerate(order) if q not in block)
-        order = [order[i] for i in perm]
-        if len(mat) > 1:
-            steps.append((perm, dim, mat.reshape(len(mat), dim * dim).T.copy(), rotations))
-            rotations += 1
-        elif steps:
-            steps.append((perm, dim, mat[0], None))
-        else:
+            a for a, q in enumerate(order) if q not in block)
+        order = [order[a] for a in perm]
+        if i < len(folded):
             start = mat[0] @ start.reshape(shape).transpose(perm).reshape(dim, -1)
-    return Kernel(n, noise, start, tuple(steps), tuple(order.index(q) for q in range(n)))
+        elif js:
+            members = groups.setdefault((dim, len(js)), [])
+            steps.append((perm, dim, ((dim, len(js)), len(members))))
+            members.append((mat.reshape(len(mat), dim * dim).T, js))
+        else:
+            steps.append((perm, dim, mat[0]))
+    groups = {key: (np.stack([m for m, _ in members]), np.array([j for _, j in members]))
+              for key, members in groups.items()}
+    # Bit z_q of outcome index z (qubit 0 most significant) picks Z over I
+    # on qubit q; its coefficient sits at digit 3 on qubit q's axis.
+    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    gather = (3 * bits[:, order] * 4 ** np.arange(n - 1, -1, -1)).sum(axis=1)
+    # P(b) = 2^-n sum_z (-1)^(b.z) (1 - 2f)^|z| r_z: a flip of bit q with
+    # probability f scales Z_q by 1 - 2f. Per qubit the matrix is
+    # [[1, g], [1, -g]] / 2 in rows b_q and columns z_q, with g = 1 - 2f.
+    g = 1.0 - 2.0 * noise.readout_flip
+    matrix = np.ones((1, 1))
+    for _ in range(n):
+        matrix = _kron(matrix, np.array([[0.5, 0.5 * g], [0.5, -0.5 * g]]))
+    return Kernel(n, noise, start, tuple(steps), groups=groups, readout=(gather, matrix))
 
 
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:

@@ -136,7 +136,9 @@ def test_criterion_3_degradation_ordering(ideal_arms, ideal_backend):
             arms["original"] <= a + tol + shot_slack
             and arms["pruned_only"] <= max(b_each) + tol + shot_slack
         )
-        rows.append(f"{name}: A={a:.4f} B={b_mean:.4f} exact gap={a - b_mean:+.4f} "
+        # a rounding-level gap of equal optima prints as +0.0000, never -0.0000
+        shown_gap = a - b_mean if abs(a - b_mean) >= 5e-5 else 0.0
+        rows.append(f"{name}: A={a:.4f} B={b_mean:.4f} exact gap={shown_gap:+.4f} "
                     f"harness gap={arms['original'] - arms['pruned_only']:+.4f}")
     mean_gap = float(np.mean(exact_gaps))
     checks["mean gap>tol"] = mean_gap > tol

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ class TestCompiledFlavor:
         cf = compile_flavor(g, PrunedFlavor(((0, 1),), ideal_backend), 3)
         assert (cf.g_full, cf.p, sorted(set(cf.slots))) == (g, 3, list(range(6)))
 
+    def test_angle_vector_must_hold_2p_entries(self, noisy_backend):
+        # a surplus angle used to be dropped and a missing one an IndexError
+        cf = compile_flavor(benchmark_graph("graph6"), PrunedFlavor((), noisy_backend), 2)
+        for x in ([0.1, 0.2, 0.3, 0.4, 99.0], [0.1, 0.2, 0.3]):
+            for evaluate in (lambda: cf.expectation(x, 64), lambda: cf.exact_expectation(x),
+                             lambda: cf.wire_text(x)):
+                with pytest.raises(ValueError, match="expected 4 angles"):
+                    evaluate()
+
     @pytest.mark.parametrize("routed", [False, True])
     @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.002, 0.02, 0.035)])  # ideal1, hw1
     def test_sampler_matches_exact_distribution_of_its_wire_text(self, routed, noise):
@@ -368,7 +378,13 @@ class TestOptimize:
         assert summary["evaluations"] == 7
         from splitcut.obfuscation import RunTrace
 
-        assert RunTrace.from_jsonl(trace.to_jsonl()) == trace
+        # the field-by-field text is the text of the deep-copying asdict
+        summary = asdict(trace)
+        expected = [json.dumps(e, sort_keys=True) for e in summary.pop("entries")]
+        expected.append(json.dumps({"summary": summary}, sort_keys=True))
+        assert trace.to_jsonl() == "\n".join(expected) + "\n"
+        # the reader edits its field dicts, so a second read must see them whole
+        assert RunTrace.from_jsonl(trace.to_jsonl()) == RunTrace.from_jsonl(trace.to_jsonl()) == trace
 
     def test_trace_reader_rejects_bad_records(self, ideal_backend):
         from splitcut.obfuscation import RunTrace

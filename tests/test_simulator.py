@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from splitcut.circuit import (
-    Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, parse, rx, rz, transpile,
+    Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, parse, rx, rz, serialize,
+    transpile,
 )
 from splitcut.errors import CapacityError, RoutingError
 from splitcut.graph import benchmark_graph, cut_values_vector
@@ -22,6 +24,7 @@ from splitcut.simulator import (
     run_shots,
     run_statevector,
     sample_tally,
+    shot_rng,
 )
 
 from conftest import counts, expectation_full_cost, random_params, relabel, remap_counts
@@ -151,6 +154,14 @@ class TestStatevector:
         noise = NoiseModel(readout_flip=flip)
         assert np.abs(outcome_probabilities(c, noise) - kraus_reference(c, noise)).max() < 1e-12
 
+    @given(clifford_rotation_circuits(), st.floats(0.0, 0.5), st.floats(0.001, 0.5), st.floats(0.0, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_gate_noise_matches_kraus_reference(self, c, p1, p2, flip):
+        # blocks take gates past later blocks on other qubits: random h, rx,
+        # rz and cx orders check that every such move commutes
+        noise = NoiseModel(p1, p2, flip)
+        assert np.abs(outcome_probabilities(c, noise) - kraus_reference(c, noise)).max() < 1e-12
+
     @pytest.mark.parametrize("routed", [False, True])
     def test_qaoa_cost_layers_are_one_phase_step_each(self, benchmarks, routed):
         # every rz of a cost layer, routed or not, is a diagonal Z_u Z_v
@@ -162,6 +173,15 @@ class TestStatevector:
                 phases = [w for _, flip, w in kernel.steps if flip is None]
                 assert [w.shape[-1] for w in phases] == [1] * p
                 assert len(kernel.steps) == p * (g.n + 1)
+
+    def test_gate_noise_fuses_each_mixer_into_a_cost_block(self, benchmarks):
+        # p (|E| + 1) steps at hw1: one block per edge with its ZZ rotation
+        # and at most one mixer rx, plus one rx that finds no room per layer
+        hw1 = load_backend_profiles()["hw1"]
+        steps = {name: len(compile_flavor(g, PrunedFlavor((), hw1), 2).kernel.steps)
+                 for name, g in benchmarks.items()}
+        assert steps == {"cycle3": 8, "cycle4": 10, "complete4_with_diagonals": 14,
+                         "graph5": 14, "graph6": 18}
 
     def test_angles_that_break_a_compiled_tie_raise(self):
         c = build_qaoa(benchmark_graph("cycle4"), ParamVector((0.4,), (0.9,)))
@@ -216,6 +236,17 @@ class TestRunShots:
             g = benchmark_graph("cycle4")
             c = build_qaoa(g, ParamVector((0.4,), (0.3,)))
             assert np.array_equal(run_shots(c, backend, 2048), run_shots(c, backend, 2048))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32, 2**40 + 5])
+    def test_shot_rng_matches_the_seed_list_form(self, seed):
+        # numpy splits each int of a seed list into 32-bit words; shot_rng
+        # hands it those words as one array
+        text = serialize(BELL)
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        words = [int(w) for w in np.frombuffer(digest[:16], dtype=np.uint32)]
+        for shots in (1, 4096, 2**33 + 1):
+            listed = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shots, *words])))
+            assert shot_rng(seed, shots, text).random(8).tolist() == listed.random(8).tolist()
 
     def test_different_seeds_differ(self):
         b1 = BackendProfile("a", seed=1)
