@@ -16,7 +16,12 @@ It records, for the checkout the script sits in:
   50 iterations and 4096 shots) on the noiseless ``ideal1`` and the noisy
   ``hw1`` profile, in seconds and in ms per evaluation (median of a few
   runs in this process). Each run compiles its flavor afresh, so the time
-  covers the build, the route and the kernel as well as the evaluations;
+  covers the build, the route and the kernel as well as the evaluations.
+  The runs go under perfbench's ``speed.SpeedSampler``: ``s`` and
+  ``ms_per_eval`` are wall time less the probes inside the run, and
+  ``reference_s`` and ``ms_per_eval_reference`` the same converted to
+  idle-machine seconds as ``perfbench/run.py`` converts cell times, which
+  is the pair to compare across hosts;
 - the Tier-1 test suite's wall time and pass count (``PYTHONPATH=src
   python -m pytest -q --continue-on-collection-errors``).
 - ``src_lines``, the total ``wc -l`` of ``src/splitcut/*.py``: the
@@ -25,7 +30,8 @@ It records, for the checkout the script sits in:
 With three seeds per workload, each run, traced or not, as long as
 ``BENCHMARK.json``'s ``run_seconds`` (30 s), it takes about a quarter of an
 hour on a 2-vCPU machine.
-Run nothing else meanwhile: the numbers are wall times.
+Run nothing else meanwhile: the numbers other than the reference times
+are wall times.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ import subprocess
 import sys
 from pathlib import Path
 from statistics import median
-from time import perf_counter
+from time import perf_counter, sleep
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -73,7 +79,9 @@ def workload_summary(records: list[dict]) -> dict:
     }
 
 
-def time_optimize(backend_name: str) -> dict:
+def time_optimize(backend_name: str, sampler) -> tuple[list, object]:
+    """OPTIMIZE_REPEATS runs under the running ``sampler``: each run's
+    (start, end, wall time less the probes inside it), and the last trace."""
     from splitcut.graph import benchmark_graph
     from splitcut.obfuscation import OptimizerConfig, PrunedFlavor, compile_flavor, optimize
     from splitcut.simulator import load_backend_profiles
@@ -81,15 +89,33 @@ def time_optimize(backend_name: str) -> dict:
     g = benchmark_graph("graph6")
     flavor = PrunedFlavor((), load_backend_profiles()[backend_name])
     cfg = OptimizerConfig(seed=0)
-    times, evaluations = [], None
+    runs, trace = [], None
     for _ in range(OPTIMIZE_REPEATS):
-        t0 = perf_counter()
+        probed, t0 = sampler.probe_total, perf_counter()
         trace = optimize((compile_flavor(g, flavor, 2),), cfg)
-        times.append(perf_counter() - t0)
-        evaluations = trace.evaluations
-    s = median(times)
-    return {"backend": backend_name, "s": s, "s_first": times[0], "evaluations": evaluations,
-            "ms_per_eval": 1e3 * s / evaluations, "final_ar": trace.final_ar}
+        t1 = perf_counter()
+        runs.append((t0, t1, t1 - t0 - (sampler.probe_total - probed)))
+    return runs, trace
+
+
+def optimize_graph6_p2() -> dict:
+    """``time_optimize`` on ideal1 and hw1, with the medians of the raw and
+    the reference times."""
+    from speed import WINDOW_PAD_S, SpeedSampler  # imports numpy, so after the thread pins
+
+    with SpeedSampler() as sampler:
+        sleep(WINDOW_PAD_S)  # so the first and last runs have probes on both sides
+        timed = {b: time_optimize(b, sampler) for b in ("ideal1", "hw1")}
+        sleep(WINDOW_PAD_S)
+    out = {}
+    for b, (runs, trace) in timed.items():
+        s = median(wall for _, _, wall in runs)
+        ref = median(sampler.reference_s(*run) for run in runs)
+        out[b] = {"backend": b, "s": s, "s_first": runs[0][2], "reference_s": ref,
+                  "evaluations": trace.evaluations, "ms_per_eval": 1e3 * s / trace.evaluations,
+                  "ms_per_eval_reference": 1e3 * ref / trace.evaluations,
+                  "final_ar": trace.final_ar}
+    return out
 
 
 def src_lines() -> int:
@@ -140,10 +166,10 @@ def main(argv=None) -> int:
     # One thread, as perfbench runs; numpy is first imported after this.
     workloads.pin_threads()
     workloads.add_source_path()
-    out["optimize_graph6_p2"] = {b: time_optimize(b) for b in ("ideal1", "hw1")}
+    out["optimize_graph6_p2"] = optimize_graph6_p2()
     for b, m in out["optimize_graph6_p2"].items():
-        print(f"optimize graph6 p=2 {b}: {m['s']:.3f} s, {m['ms_per_eval']:.3f} ms/eval",
-              file=sys.stderr)
+        print(f"optimize graph6 p=2 {b}: {m['s']:.3f} s, {m['ms_per_eval']:.3f} ms/eval, "
+              f"{m['ms_per_eval_reference']:.3f} reference ms/eval", file=sys.stderr)
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")

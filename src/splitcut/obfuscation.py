@@ -239,16 +239,16 @@ class CompiledFlavor:
     angles; an evaluation at the 2p-vector x = (gammas, betas) only fills
     in rotation i's angle ``2.0 * x[slots[i]]``. The template numbers its
     fields by slot, so an evaluation formats each of its 2p angles once.
-    The simulator kernel and the cut vector are built on the first
-    evaluation. Slot j's placeholder is 2(j + 1), so the kernel ties the
-    rotations of one slot: a cost layer is one phase step with one row.
+    The simulator kernel, each rotation reading its slot, and the cut
+    vector are built on the first evaluation. The kernel takes the 2p angles
+    ``2.0 * x``, and a cost layer is one phase step with one row.
     """
 
     g_full: Graph
     flavor: PrunedFlavor
     p: int
     routed: TranspiledCircuit
-    slots: np.ndarray
+    slots: tuple[int, ...]
     template: str  # the wire text with a field {j} where a rotation reads slot j
 
     def _x(self, x) -> np.ndarray:
@@ -258,9 +258,6 @@ class CompiledFlavor:
                              f"got shape {x.shape}")
         return x
 
-    def _angles(self, x) -> np.ndarray:
-        return 2.0 * self._x(x)[self.slots]
-
     def wire_text(self, x) -> str:
         """The wire text at angles x: ``serialize`` of the routed circuit.
         An x that is not a 2p-vector raises ValueError, as in
@@ -269,7 +266,7 @@ class CompiledFlavor:
 
     @cached_property
     def kernel(self) -> Kernel:
-        return compile_kernel(self.routed.circuit, self.flavor.backend.noise)
+        return compile_kernel(self.routed.circuit, self.flavor.backend.noise, self.slots)
 
     @cached_property
     def cut(self) -> np.ndarray:
@@ -284,12 +281,12 @@ class CompiledFlavor:
         """Mean full-graph cut value of ``shots`` samples at angles x, drawn
         with the backend's seed and the wire text as ``run_shots`` draws."""
         rng = shot_rng(self.flavor.backend.seed, shots, self.wire_text(x))
-        tally = sample_tally(self.kernel.probabilities(self._angles(x)), rng, shots)
+        tally = sample_tally(self.kernel.probabilities(2.0 * self._x(x)), rng, shots)
         return int(tally @ self.cut) / shots
 
     def exact_expectation(self, x) -> float:
         """The limit of ``expectation`` at angles x as shots grow."""
-        return float(self.kernel.probabilities(self._angles(x)) @ self.cut)
+        return float(self.kernel.probabilities(2.0 * self._x(x)) @ self.cut)
 
 
 def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavor:
@@ -305,9 +302,8 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
     else:
         routed = transpile(circ, coupling)
         check_coupling(routed.circuit, coupling)
-    slots = np.array([int(g.angle) // 2 - 1 for g in routed.circuit.gates if g.angle is not None],
-                     dtype=np.intp)
-    template = wire_template(routed.circuit).format(*[f"{{{j}}}" for j in slots.tolist()])
+    slots = tuple(int(g.angle) // 2 - 1 for g in routed.circuit.gates if g.angle is not None)
+    template = wire_template(routed.circuit).format(*[f"{{{j}}}" for j in slots])
     return CompiledFlavor(g_full, flavor, p, routed, slots, template)
 
 

@@ -6,10 +6,11 @@ character i is qubit i. Measured outcomes are an int64 tally by index.
 
 ``run_shots`` draws every shot from the exact output distribution of the
 circuit on the backend (``outcome_probabilities``). A circuit skeleton
-compiles on its noise model into a ``Kernel`` that each evaluation only
-fills the angles of; a compiled flavor holds its own. The state takes one of
-two forms, each with one kernel that starts from a state built at compile
-time:
+compiles on its noise model, with the parameter each rotation reads, into a
+``Kernel`` that each evaluation passes one angle per parameter: a compiled
+flavor's 2p QAOA angles, or a bare circuit's distinct angles. The state takes
+one of two forms, each with one kernel that starts from a state built at
+compile time:
 
 - Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``). The h
   and cx gates are Cliffords, which map Pauli strings to Pauli strings
@@ -18,9 +19,8 @@ time:
   about its Pauli conjugated through every later h and cx (as in Bravyi &
   Gosset, PRL 116, 250501, 2016). A run of rotations with no X part is
   diagonal, so it is one phase step, as fast QAOA simulators apply a cost
-  layer (Lykov et al., arXiv:2309.04841), with one real row per distinct
-  compiled angle: rotations compiled at one angle are tied, and evolving
-  them at different angles raises ValueError. The distribution is |psi|^2.
+  layer (Lykov et al., arXiv:2309.04841), with one real row per parameter
+  its rotations read. The distribution is |psi|^2.
 - Gate noise is the depolarizing channel: after each gate, each touched
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
@@ -119,9 +119,14 @@ class BackendProfile:
         return self.noise != NoiseModel()
 
 
+def _parameters(c: Circuit) -> tuple[np.ndarray, np.ndarray]:  # distinct angles, slots
+    return np.unique([g.angle for g in c.gates if g.angle is not None], return_inverse=True)
+
+
 def run_statevector(c: Circuit) -> np.ndarray:
     """Noiseless evolution of |0...0> through the circuit (measurement ignored)."""
-    return compile_kernel(c, NoiseModel()).evolve(_angles(c))
+    angles, slots = _parameters(c)
+    return compile_kernel(c, NoiseModel(), slots).evolve(angles)
 
 
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
@@ -260,51 +265,44 @@ def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
     return blocks
 
 
-def _angles(c: Circuit) -> np.ndarray:
-    return np.array([g.angle for g in c.gates if g.angle is not None])
-
-
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """One circuit skeleton compiled on one noise model by ``compile_kernel``.
-    A run fills in the angles of the skeleton's rotations, in gate order."""
+    A run passes one angle per parameter the skeleton's rotations read."""
 
     num_qubits: int
     noise: NoiseModel
     start: np.ndarray  # the state the first step acts on
     steps: tuple
-    ties: np.ndarray | None = None  # ties[j]: the rotation whose angle rotation j's phase reads
-    groups: dict | None = None  # gate noise: (width, rotation count) -> the blocks' (parts, rotations)
+    groups: dict | None = None  # gate noise: (width, rotation count) -> the blocks' (parts, parameters)
     readout: tuple | None = None  # gate noise: (gather index, readout matrix)
 
     def __post_init__(self):
         self.start.flags.writeable = False  # evolve returns it when there are no steps
 
     def evolve(self, angles: np.ndarray) -> np.ndarray:
-        """The start state through the compiled steps: the flat final state,
-        the amplitudes without gate noise and the Pauli coefficients with it.
-        Angles that break a tie of a phase step raise ValueError."""
+        """The start state through the compiled steps at ``angles[k]`` for
+        parameter k: the flat final state, the amplitudes without gate noise
+        and the Pauli coefficients with it."""
         state = self.start
         if not self.noise.has_gate_noise:
-            if (angles[self.ties] != angles).any():
-                raise ValueError("angles break a tie of the circuit the kernel was compiled from")
             half = 0.5 * angles
             c, s = np.cos(half).tolist(), np.sin(half).tolist()
-            for j, flip, w in self.steps:
-                if flip is None:  # a phase step: j holds the angle of each row of w
-                    state = state * np.exp(-1j * (w @ half[j]))
+            for k, flip, w in self.steps:
+                if flip is None:  # a phase step: k holds the parameter of each row of w
+                    state = state * np.exp(-1j * (w @ half[k]))
                 else:
-                    state = c[j] * state + (s[j] * w) * state[flip]
+                    state = c[k] * state + (s[k] * w) * state[flip]
             return state.reshape(-1)
         coeffs = np.ones((len(angles), 3))
         np.cos(angles, out=coeffs[:, 1])
         np.sin(angles, out=coeffs[:, 2])
         built = {}
-        for (dim, count), (parts, js) in self.groups.items():
-            c = coeffs[js[:, 0]]
+        for (dim, count), (parts, ks) in self.groups.items():
+            c = coeffs[ks[:, 0]]
             if count == 2:  # a block's parts are multilinear in its two rotations
-                c = (c[:, :, None] * coeffs[js[:, 1], None, :]).reshape(len(js), 9)
-            built[dim, count] = (parts @ c[:, :, None]).reshape(len(js), dim, dim)
+                c = (c[:, :, None] * coeffs[ks[:, 1], None, :]).reshape(len(ks), 9)
+            built[dim, count] = (parts @ c[:, :, None]).reshape(len(ks), dim, dim)
         shape = (4,) * self.num_qubits
         for perm, dim, mat in self.steps:
             if type(mat) is tuple:  # (group, index) of a rotation block's matrix
@@ -332,7 +330,7 @@ class Kernel:
         return probs
 
 
-def _frame_kernel(n: int, noise: NoiseModel, skeleton, angles: np.ndarray) -> Kernel:
+def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
     # Rotation j's Pauli (-1)^s X^x Z^z, conjugated through the Cliffords
     # seen so far, is held bit-sliced: bit j of xs[q], zs[q] and sign is its
     # x_q, z_q and s. h and cx keep X^x Z^z Hermitian, so no factor i arises.
@@ -355,38 +353,37 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, angles: np.ndarray) -> Ke
     # (-1)^(b_q ^ x_q) along axis q, for each x_q.
     signs = [[np.array([1.0, -1.0]).reshape((1,) * q + (2,) + (1,) * (n - q - 1)) * f
               for f in (1.0, -1.0)] for q in range(n)]
-    steps, ties = [], np.arange(rotations)
+    steps = []
     for diagonal, run in itertools.groupby(range(rotations), lambda j: not any(x >> j & 1 for x in xs)):
         ws = {j: math.prod((signs[q][xs[q] >> j & 1] for q in range(n) if zs[q] >> j & 1),
                            start=1j if sign >> j & 1 else -1j) for j in run}
         if not diagonal:
-            steps += [(j, tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
-                                for q in range(n)), w) for j, w in ws.items()]
+            steps += [(slots[j], tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
+                                       for q in range(n)), w) for j, w in ws.items()]
             continue
         # A run of diagonal rotations is the phase exp(-i/2 sum_j theta_j i w_j):
-        # one row per compiled angle, i w = (-1)^s (-1)^(z.b) summed over it.
-        rows: dict[float, tuple] = {}  # compiled angle -> (the run's first rotation at it, its row)
+        # one row per parameter, i w = (-1)^s (-1)^(z.b) summed over its rotations.
+        rows = {}
         for j, w in ws.items():
-            ties[j], row = rows.setdefault(float(angles[j]), (j, np.zeros((2,) * n)))
-            row += (1j * w).real
-        reps, tables = zip(*rows.values())
-        steps.append((np.array(reps), None, np.stack(tables, axis=-1)))
-    return Kernel(n, noise, start, tuple(steps), ties)
+            rows[slots[j]] = rows.get(slots[j], np.zeros((2,) * n)) + (1j * w).real
+        steps.append((np.array(list(rows)), None, np.stack(list(rows.values()), axis=-1)))
+    return Kernel(n, noise, start, tuple(steps))
 
 
-def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
-    """The circuit's skeleton compiled on the noise model. Without gate
-    noise, one step per run of diagonal rotations, the rotation whose angle
-    each of its rows reads and the rows, and one per other rotation, its
-    index, axis flips and w. With it, one step per block (``_blocks``) but
-    the fixed ones that no earlier step touches, which fold into the start
-    state: the transposition that brings the block's qubits to the front of
-    the state's axes, its width D, and its transfer matrix, or for a block
-    with rotations the (group, index) of its matrix among those the
-    evaluation builds. A group holds the blocks of one width D and one
-    rotation count r: their parts as a (blocks, D*D, 3^r) array and their
-    rotations as a (blocks, r) array. The readout is the index that
-    gathers the I/Z coefficients by outcome and the readout matrix.
+def compile_kernel(c: Circuit, noise: NoiseModel, slots) -> Kernel:
+    """The circuit's skeleton compiled on the noise model, rotation j (in
+    gate order) reading parameter ``slots[j]``. Without gate noise, one step
+    per run of diagonal rotations, its parameters and one row for each, and
+    one per other rotation, its parameter, axis flips and w. With it, one
+    step per block (``_blocks``) but the fixed ones that no earlier step
+    touches, which fold into the start state: the transposition that brings
+    the block's qubits to the front of the state's axes, its width D, and
+    its transfer matrix, or for a block with rotations the (group, index) of
+    its matrix among those the evaluation builds. A group holds the blocks
+    of one width D and one rotation count r: their parts as a
+    (blocks, D*D, 3^r) array and their rotations' parameters as a
+    (blocks, r) array. The readout is the index that gathers the I/Z
+    coefficients by outcome and the readout matrix.
     Wider circuits raise CapacityError."""
     n = c.num_qubits
     limit = MAX_DENSITY_QUBITS if noise.has_gate_noise else MAX_QUBITS
@@ -395,7 +392,7 @@ def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
         raise CapacityError(f"{what} is simulated up to {limit} qubits, got {n}")
     skeleton = [(g.name, g.qubits) for g in c.gates if g.name != "measure"]
     if not noise.has_gate_noise:
-        return _frame_kernel(n, noise, skeleton, _angles(c))
+        return _frame_kernel(n, noise, skeleton, slots)
     # |0...0> has r = 1 on every string of I and Z, 0 elsewhere.
     shape = (4,) * n
     start = np.zeros(shape)
@@ -407,28 +404,28 @@ def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
         for name, qubits, _ in gates:
             part = _gate_parts(name, qubits, block, noise)
             mat = (part[None] @ mat[:, None]).reshape(-1, dim, dim)  # parts indexed (earlier, later)
-        js = [j for _, _, j in gates if j is not None]
-        if js or stepped.intersection(block):
-            kept.append((block, mat, js))
+        ks = [slots[j] for _, _, j in gates if j is not None]
+        if ks or stepped.intersection(block):
+            kept.append((block, mat, ks))
             stepped.update(block)
         else:  # no step so far touches the block, so it commutes into the start state
-            folded.append((block, mat, js))
+            folded.append((block, mat, ks))
     order = list(range(n))  # order[a] is the qubit on state axis a
     steps, groups = [], {}
-    for i, (block, mat, js) in enumerate(folded + kept):
+    for i, (block, mat, ks) in enumerate(folded + kept):
         dim = mat.shape[-1]
         perm = tuple(order.index(q) for q in block) + tuple(
             a for a, q in enumerate(order) if q not in block)
         order = [order[a] for a in perm]
         if i < len(folded):
             start = mat[0] @ start.reshape(shape).transpose(perm).reshape(dim, -1)
-        elif js:
-            members = groups.setdefault((dim, len(js)), [])
-            steps.append((perm, dim, ((dim, len(js)), len(members))))
-            members.append((mat.reshape(len(mat), dim * dim).T, js))
+        elif ks:
+            members = groups.setdefault((dim, len(ks)), [])
+            steps.append((perm, dim, ((dim, len(ks)), len(members))))
+            members.append((mat.reshape(len(mat), dim * dim).T, ks))
         else:
             steps.append((perm, dim, mat[0]))
-    groups = {key: (np.stack([m for m, _ in members]), np.array([j for _, j in members]))
+    groups = {key: (np.stack([m for m, _ in members]), np.array([k for _, k in members]))
               for key, members in groups.items()}
     # Bit z_q of outcome index z (qubit 0 most significant) picks Z over I
     # on qubit q; its coefficient sits at digit 3 on qubit q's axis.
@@ -447,7 +444,8 @@ def compile_kernel(c: Circuit, noise: NoiseModel) -> Kernel:
 def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Exact distribution of the measured bitstrings, indexed like the
     state: ``Kernel.probabilities`` at the circuit's angles."""
-    return compile_kernel(c, noise).probabilities(_angles(c))
+    angles, slots = _parameters(c)
+    return compile_kernel(c, noise, slots).probabilities(angles)
 
 
 def check_coupling(c: Circuit, coupling: CouplingMap) -> None:
@@ -474,8 +472,9 @@ def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> np.ndarray:
 def backend_from_dict(d: dict) -> BackendProfile:
     """One profile entry: the ``BackendProfile`` and ``NoiseModel`` fields
     by name, except that ``coupling`` lists physical-qubit pairs and
-    ``num_physical`` (default: one past the largest qubit in them) sizes
-    the coupling map. A wrong value type raises ValueError naming the key."""
+    ``num_physical`` (at least, and by default, one past the largest qubit
+    in them) sizes the coupling map. A wrong value type or one of these
+    rules broken raises ValueError naming the key."""
     noise_fields = record_fields(NoiseModel)
     schema = {**record_fields(BackendProfile), **noise_fields,
               "coupling": (tuple[tuple[int, int], ...], None), "num_physical": (int, None)}
@@ -484,9 +483,13 @@ def backend_from_dict(d: dict) -> BackendProfile:
     noise = NoiseModel(**{k: kwargs.pop(k) for k in noise_fields if k in kwargs})
     pairs = kwargs.pop("coupling", None)
     num = kwargs.pop("num_physical", None)
-    coupling = None
-    if pairs:
-        coupling = CouplingMap.from_edges(num or max(max(p) for p in pairs) + 1, pairs)
+    if pairs == ():
+        raise ValueError("backend profile key 'coupling' lists no pair; null means all-to-all")
+    if num is not None and (pairs is None or num <= max(map(max, pairs))):
+        raise ValueError(f"backend profile key 'num_physical' sizes a 'coupling' and must exceed "
+                         f"its every qubit, got {num}")
+    coupling = None if pairs is None else CouplingMap.from_edges(
+        max(map(max, pairs)) + 1 if num is None else num, pairs)
     return BackendProfile(noise=noise, coupling=coupling, **kwargs)
 
 

@@ -532,7 +532,7 @@ class TestCli:
             spec = tmp_path / f"typed_spec{i}.json"
             spec.write_text(json.dumps(dict(SMALL_SPEC, **{key: value})))
             cases.append((["overhead", "--config", str(spec)], repr(key)))
-        for i, (key, value) in enumerate([("coupling", 3), ("p1", "0.1")]):
+        for i, (key, value) in enumerate([("coupling", 3), ("p1", "0.1"), ("coupling", [])]):
             profiles = tmp_path / f"typed_profile{i}.json"
             profiles.write_text(json.dumps([{"name": "x", key: value}]))
             spec = tmp_path / f"typed_profile_spec{i}.json"

@@ -183,16 +183,23 @@ class TestStatevector:
         assert steps == {"cycle3": 8, "cycle4": 10, "complete4_with_diagonals": 14,
                          "graph5": 14, "graph6": 18}
 
-    def test_angles_that_break_a_compiled_tie_raise(self):
-        c = build_qaoa(benchmark_graph("cycle4"), ParamVector((0.4,), (0.9,)))
-        kernel = compile_kernel(c, NoiseModel())
-        angles = np.array([g.angle for g in c.gates if g.angle is not None])
-        angles[:4] = 1.3  # the cost layer at another angle still ties
-        moved = Circuit(c.num_qubits, tuple(g if g.name != "rz" else rz(g.qubits[0], 1.3) for g in c.gates))
-        assert np.abs(kernel.evolve(angles) - _dense_statevector(moved)).max() < 1e-12
-        angles[1] = 0.2
-        with pytest.raises(ValueError, match="tie"):
-            kernel.evolve(angles)
+    @pytest.mark.parametrize("name", ["cycle4", "graph5"])
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.01, 0.03, 0.02)])
+    def test_compiled_once_evolves_at_fresh_angles(self, name, noise):
+        # a QAOA kernel compiles once with each rotation reading its layer's
+        # gamma or beta, then takes only the 2p angles at every evaluation
+        g, p = benchmark_graph(name), 2
+        rng = np.random.default_rng(18)
+        slots = [k for layer in range(p) for k in [layer] * len(g.edges) + [p + layer] * g.n]
+        kernel = compile_kernel(build_qaoa(g, random_params(rng, p)), noise, slots)
+        for _ in range(3):
+            params = random_params(rng, p)
+            angles, c = 2.0 * np.array(params.to_array()), build_qaoa(g, params)
+            if noise.has_gate_noise:
+                got, want = kernel.probabilities(angles), kraus_reference(c, noise)
+            else:
+                got, want = kernel.evolve(angles), _dense_statevector(c)
+            assert np.abs(got - want).max() < 1e-12
 
     def test_wide_circuit(self):
         g = benchmark_graph("cycle(16)")
@@ -208,7 +215,7 @@ class TestStatevector:
     @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(p1=0.01)])
     def test_rotation_free_state_cannot_alter_its_kernel(self, noise):
         # with no steps, evolve hands back the compiled start state itself
-        kernel = compile_kernel(BELL, noise)
+        kernel = compile_kernel(BELL, noise, [])
         with pytest.raises(ValueError):
             kernel.evolve(np.array([]))[0] = 0.0
 
@@ -510,6 +517,17 @@ class TestBackendConfig:
         })
         assert b.coupling.num_physical == 3
         assert b.noise.p1 == 0.001
+        sized = backend_from_dict({"name": "x", "coupling": [[0, 1]], "num_physical": 4})
+        assert sized.coupling == CouplingMap.from_edges(4, [(0, 1)])
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"coupling": []}, "'coupling'"),  # used to load as all-to-all
+        ({"num_physical": 4}, "'num_physical'"),  # used to be ignored
+        ({"coupling": [[0, 1]], "num_physical": 1}, "'num_physical'"),
+    ])
+    def test_backend_from_dict_rejects_misread_coupling(self, fields, key):
+        with pytest.raises(ValueError, match=key):
+            backend_from_dict({"name": "x", **fields})
 
     def test_noise_probability_bounds(self):
         with pytest.raises(ValueError):
