@@ -116,10 +116,6 @@ class ParamVector:
         if not all(math.isfinite(x) for x in self.gammas + self.betas):
             raise ValueError("angles must be finite")
 
-    @property
-    def p(self) -> int:
-        return len(self.gammas)
-
     def to_array(self):
         return list(self.gammas) + list(self.betas)
 

@@ -42,8 +42,12 @@ def _cmd_run(args) -> int:
     spec = ExperimentSpec.from_json_file(args.config)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seeds=(args.seed,))
-    if args.p:
-        spec = dataclasses.replace(spec, p_layers=tuple(int(x) for x in args.p.split(",")))
+    if args.p is not None:
+        try:
+            p_layers = tuple(int(x) for x in args.p.split(","))
+        except ValueError:
+            raise ValueError(f"--p takes comma-separated layer counts, got {args.p!r}") from None
+        spec = dataclasses.replace(spec, p_layers=p_layers)
     result = run_experiment(spec, out_dir=args.out)
     _print_rows(result.rows)
     for failure in result.failures:
@@ -53,10 +57,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    spec = ExperimentSpec.from_json_file(args.config)
-    text = json.dumps(overhead(spec), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    return _emit(overhead(ExperimentSpec.from_json_file(args.config)), args.out)
+
+
+def _emit(payload, out) -> int:
+    """Write payload as sorted, indented JSON to the file out, or print it."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     return 0
@@ -87,12 +95,7 @@ def _cmd_adversary(args) -> int:
                   for path in args.reports]
         merged = cross_provider_merge(graphs)
         payload = {"nodes": merged.n, "edges": [list(e) for e in merged.edges]}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-    return 0
+    return _emit(payload, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,8 +143,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KeyError as exc:
-        print(f"splitcut: missing key {exc}", file=sys.stderr)
     except (OSError, ValueError) as exc:
         print(f"splitcut: {exc}", file=sys.stderr)
     return 2

@@ -143,20 +143,18 @@ def _flavor_table(g: Graph, spec: ExperimentSpec, backends):
     the compiled flavors an arm dispatches for one seed -- the unpruned
     circuit, the split's first flavor, or the whole split. Each (flavor, p)
     is compiled once, so every reader of a run gets the same artifacts."""
-    splits: dict[int | None, tuple[PrunedFlavor, ...]] = {}
     compiled = cache(lambda f, p: compile_flavor(g, f, p))
 
+    @cache
+    def plan(seed: int | None) -> tuple[PrunedFlavor, ...]:  # None: the spec's removed_sets
+        if seed is None:
+            flavors = tuple(PrunedFlavor(rs, b) for rs, b in zip(spec.removed_sets, backends))
+            check_split(g, flavors)
+            return flavors
+        return make_split_plan(g, spec.k, spec.edges_per_flavor, backends[: spec.k], seed=_plan_seed(seed))
+
     def split(seed: int) -> tuple[PrunedFlavor, ...]:
-        key = seed if spec.removed_sets is None else None
-        if key not in splits:
-            if key is None:
-                flavors = tuple(PrunedFlavor(rs, b) for rs, b in zip(spec.removed_sets, backends))
-                check_split(g, flavors)
-                splits[key] = flavors
-            else:
-                splits[key] = make_split_plan(g, spec.k, spec.edges_per_flavor,
-                                              backends[: spec.k], seed=_plan_seed(seed))
-        return splits[key]
+        return plan(seed if spec.removed_sets is None else None)
 
     def arm_flavors(arm: str, seed: int, p: int) -> tuple[CompiledFlavor, ...]:
         if arm == "original":
@@ -193,18 +191,6 @@ class ExperimentResult:
                 and all(r["n_seeds"] > 0 for r in self.rows))
 
 
-def _circuit_stats(cf: CompiledFlavor) -> dict:
-    routed = cf.routed  # angles do not change gate counts
-    counts = routed.circuit.gate_counts()
-    return {
-        "backend": cf.flavor.backend.name,
-        "gates_1q": counts["1q"],
-        "gates_2q": counts["2q"],
-        "swap_added_2q": 3 * routed.swap_count,
-        "depth": routed.circuit.depth(),
-    }
-
-
 def compute_overhead(
     spec: ExperimentSpec,
     arm_flavors,
@@ -217,55 +203,50 @@ def compute_overhead(
     pruned-only baseline (2q-gates x evaluations). A spec that runs no
     pruned arm plans no split, so its baseline is null.
 
-    The evaluations of (arm, p) are counted per backend in the first seed's
-    trace in ``traces`` (keyed like ``ExperimentResult.traces``); without
-    that trace they are derived statically (SPSA makes
-    ``Spsa.EVALS_PER_STEP`` per iteration). The relative cost is
-    sum(2q x evals) over an arm's backends divided by the same product for
-    the single-layer pruned-only baseline; the one final audit evaluation
-    is reported but kept out of the ratio.
+    Flavor i's evaluations are those of the first seed's trace entries with
+    ``flavor == i`` in ``traces`` (keyed like ``ExperimentResult.traces``);
+    without that trace SPSA's are derived statically (``Spsa.EVALS_PER_STEP``
+    on every k-th iteration from i) and Nelder-Mead's are null. The relative
+    cost is sum(2q x evals) over an arm's flavors divided by the same
+    product for the baseline; the one final audit evaluation is reported
+    but kept out of the ratio.
     """
-    def arm_entry(arm: str, p: int) -> dict:
-        per_backend = [_circuit_stats(f) for f in arm_flavors(arm, spec.seeds[0], p)]
-        static_evals = {
-            s["backend"]: Spsa.EVALS_PER_STEP * len(range(i, spec.iterations, len(per_backend)))
-            for i, s in enumerate(per_backend)
-        } if spec.optimizer == "spsa" else {}
-        trace = (traces or {}).get((arm, p, spec.seeds[0]))
-        counted: dict[str, int] = {}
-        for e in trace.entries if trace else ():
-            counted[e.backend] = counted.get(e.backend, 0) + e.evaluations
-        evals_map = counted or static_evals
-        work = 0
-        for stats in per_backend:
-            stats["evaluations"] = evals_map.get(stats["backend"])
-            if stats["evaluations"] is not None:
-                work += stats["gates_2q"] * stats["evaluations"]
-        total_evals = sum(v for v in evals_map.values()) + 1 if evals_map else None
-        return {
-            "arm": arm,
-            "p": p,
-            "per_backend": per_backend,
-            "total_shot_evaluations": total_evals,
-            "work_2q_x_evals": work if evals_map else None,
-        }
+    def flavor_entry(flavors: tuple[CompiledFlavor, ...], i: int, trace: RunTrace | None) -> dict:
+        routed = flavors[i].routed  # angles do not change gate counts
+        counts = routed.circuit.gate_counts()
+        evals = None
+        if trace is not None:
+            evals = sum(e.evaluations for e in trace.entries if e.flavor == i)
+        elif spec.optimizer == "spsa":
+            evals = Spsa.EVALS_PER_STEP * len(range(i, spec.iterations, len(flavors)))
+        return {"backend": flavors[i].flavor.backend.name, "gates_1q": counts["1q"], "gates_2q": counts["2q"],
+                "swap_added_2q": 3 * routed.swap_count, "depth": routed.circuit.depth(), "evaluations": evals}
+
+    def work(entries: list[dict]) -> int | None:
+        counted = entries[0]["evaluations"] is not None  # one source counts every flavor, or none
+        return sum(e["gates_2q"] * e["evaluations"] for e in entries) if counted else None
 
     baseline = baseline_work = None
     if set(spec.arms) - {"original"}:
-        baseline_stats = _circuit_stats(arm_flavors("pruned_only", spec.seeds[0], 1)[0])
-        baseline_evals = Spsa.EVALS_PER_STEP * spec.iterations if spec.optimizer == "spsa" else None
-        baseline_work = None if baseline_evals is None else baseline_stats["gates_2q"] * baseline_evals
-        baseline = dict(baseline_stats, evaluations=baseline_evals, work_2q_x_evals=baseline_work)
+        baseline = flavor_entry(arm_flavors("pruned_only", spec.seeds[0], 1), 0, None)
+        baseline_work = baseline["work_2q_x_evals"] = work([baseline])
 
     arms = []
     for arm in spec.arms:
         for p in spec.p_layers:
-            entry = arm_entry(arm, p)
-            if entry["work_2q_x_evals"] and baseline_work:
-                entry["relative_cost"] = entry["work_2q_x_evals"] / baseline_work
-            else:
-                entry["relative_cost"] = None
-            arms.append(entry)
+            flavors = arm_flavors(arm, spec.seeds[0], p)
+            trace = (traces or {}).get((arm, p, spec.seeds[0]))
+            per_backend = [flavor_entry(flavors, i, trace) for i in range(len(flavors))]
+            arm_work = work(per_backend)
+            arms.append({
+                "arm": arm,
+                "p": p,
+                "per_backend": per_backend,
+                "total_shot_evaluations": None if arm_work is None
+                else sum(e["evaluations"] for e in per_backend) + 1,
+                "work_2q_x_evals": arm_work,
+                "relative_cost": arm_work / baseline_work if arm_work and baseline_work else None,
+            })
     return {"baseline": baseline, "arms": arms}
 
 
@@ -310,7 +291,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     rows: list[dict] = []
     traces: dict[tuple[str, int, int], RunTrace] = {}
     failures: list[dict] = []
-    gate_reports: dict[tuple[CompiledFlavor, ...], list[dict]] = {}  # per passed split
+    gate = cache(_check_partial_knowledge)  # a failing split raises, is not cached, and is checked again
 
     for arm in spec.arms:
         for p in spec.p_layers:
@@ -324,8 +305,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                 )
                 try:
                     flavors = arm_flavors(arm, seed, p)
-                    if len(flavors) > 1 and flavors not in gate_reports:
-                        gate_reports[flavors] = _check_partial_knowledge(flavors)
+                    if len(flavors) > 1:
+                        gate(flavors)
                     noisy = noisy or any(f.flavor.backend.is_noisy for f in flavors)
                     traces[(arm, p, seed)] = optimize(flavors, cfg)
                 except Exception as exc:  # record, keep sweeping; an AssertionError poisons the run
@@ -347,7 +328,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         overhead=report, failures=failures,
     )
     if out_dir is not None:
-        _write_outputs(result, arm_flavors, gate_reports, out_dir)
+        _write_outputs(result, arm_flavors, gate, out_dir)
     return result
 
 
@@ -377,7 +358,7 @@ def read_results(path) -> list[dict]:
                 for rec in reader]
 
 
-def _write_outputs(result: ExperimentResult, arm_flavors, gate_reports: dict, out_dir) -> None:
+def _write_outputs(result: ExperimentResult, arm_flavors, gate, out_dir) -> None:
     """Write the run's files. Each (arm, p) whose first seed completed also
     gets that seed's wire texts at its best parameters in circuits/ and, for
     a split arm, the release gate's extraction reports in adversary.json."""
@@ -397,7 +378,7 @@ def _write_outputs(result: ExperimentResult, arm_flavors, gate_reports: dict, ou
                 name = f"{arm}_p{p}_flavor{i}" if len(flavors) > 1 else f"{arm}_p{p}"
                 write(f"circuits/{name}.txt", f.wire_text(trace.best_params.to_array()))
             if len(flavors) > 1:
-                adversary_reports[f"{arm}_p{p}"] = gate_reports[flavors]
+                adversary_reports[f"{arm}_p{p}"] = gate(flavors)
     write("results.csv", results_to_csv(result.rows))
     for name, payload in (("overhead.json", result.overhead), ("adversary.json", adversary_reports),
                           ("failures.json", result.failures)):

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -94,21 +93,26 @@ def expectation_full_cost(g_full: Graph, tally: np.ndarray) -> float:
     return int(tally @ cut_values_vector(g_full)) / int(tally.sum())
 
 
-def qaoa_p1_cut(g_full: Graph, g_circuit: Graph, gamma: float, beta: float) -> float:
+def qaoa_p1_cut(g_full: Graph, g_circuit: Graph, gamma, beta):
     """The full graph's expected cut after one QAOA layer of g_circuit's
     circuit at (gamma, beta), from the closed-form single-layer Ising
     <Z_u Z_v> (Ozaeta, van Dam & McMahon, arXiv:2012.03421; Wang et al.,
     PRA 97, 022304, 2018 for MaxCut) with J = 1 on g_circuit's edges and
-    0 elsewhere. It builds no state, so it checks the simulator from outside."""
+    0 elsewhere. It builds no state, so it checks the simulator from outside.
+    gamma and beta may be arrays of one shape, giving the value at each point."""
     j = np.zeros((g_full.n, g_full.n))
     for u, v in g_circuit.edges:
         j[u, v] = j[v, u] = 1.0
-    total = 0.0
-    for u, v in g_full.edges:
-        ju, jv = np.delete(j[u], (u, v)), np.delete(j[v], (u, v))  # w ranges over the other nodes
-        zz = (0.5 * math.sin(4 * beta) * math.sin(2 * gamma * j[u, v])
-              * (np.prod(np.cos(2 * gamma * ju)) + np.prod(np.cos(2 * gamma * jv)))
-              - 0.5 * math.sin(2 * beta) ** 2
-              * (np.prod(np.cos(2 * gamma * (ju + jv))) - np.prod(np.cos(2 * gamma * (ju - jv)))))
-        total += 0.5 * (1.0 - zz)
-    return total
+    u, v = np.array(g_full.edges, dtype=int).reshape(-1, 2).T  # one row per full-graph edge
+    ju, jv = j[u], j[v]
+    # w ranges over the nodes other than u and v: a zero coupling adds a factor cos(0) = 1
+    ju[np.arange(len(u)), v] = jv[np.arange(len(u)), u] = 0.0
+    g2 = 2 * np.asarray(gamma, dtype=float)[..., None, None]
+    beta = np.asarray(beta, dtype=float)[..., None]
+
+    def prod_cos(w):
+        return np.prod(np.cos(g2 * w), axis=-1)
+
+    zz = (0.5 * np.sin(4 * beta) * np.sin(g2[..., 0] * j[u, v]) * (prod_cos(ju) + prod_cos(jv))
+          - 0.5 * np.sin(2 * beta) ** 2 * (prod_cos(ju + jv) - prod_cos(ju - jv)))
+    return np.sum(0.5 * (1.0 - zz), axis=-1)

@@ -359,21 +359,26 @@ class TestOverhead:
         split_evals = {b["backend"]: b["evaluations"] for b in entries["split"]["per_backend"]}
         assert split_evals == {"ideal1": 8, "ideal2": 8}
 
-    def test_counted_evaluations_come_from_the_first_seed(self, tmp_path):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_counted_evaluations_come_from_the_first_seed(self, tmp_path, k):
         # Nelder-Mead makes a varying number of evaluations per iteration and
-        # per seed; the report counts the first seed's, per backend
+        # per seed; the report counts the first seed's, per flavor, listed in
+        # flavor order
         spec = ExperimentSpec.from_dict(dict(
-            SMALL_SPEC, arms=["original", "split"], seeds=[0, 1, 2], optimizer="nelder_mead",
+            SMALL_SPEC, arms=["original", "split"], seeds=[0, 1, 2], optimizer="nelder_mead", k=k,
+            backends=["ideal1", "ideal2", "hw1"],
         ))
         result = run_experiment(spec, out_dir=tmp_path)
         written = json.loads((tmp_path / "overhead.json").read_text())
         for entry in written["arms"]:
             trace = result.traces[(entry["arm"], 1, 0)]
-            counted: dict[str, int] = {}
+            counted = [0] * len(entry["per_backend"])
             for e in trace.entries:
-                counted[e.backend] = counted.get(e.backend, 0) + e.evaluations
-            assert {b["backend"]: b["evaluations"] for b in entry["per_backend"]} == counted
+                assert entry["per_backend"][e.flavor]["backend"] == e.backend
+                counted[e.flavor] += e.evaluations
+            assert [b["evaluations"] for b in entry["per_backend"]] == counted
             assert entry["total_shot_evaluations"] == trace.evaluations
+        assert [len(e["per_backend"]) for e in written["arms"]] == [1, k]
 
 
 class TestCli:
@@ -509,6 +514,9 @@ class TestCli:
                  (["adversary", "effort", "--nodes", "200", "--observed", "0"], "n=200"),
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
                  (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
+                 # an empty --p used to run the spec's own layer counts
+                 (["run", "--config", str(small_spec), "--p", ""], "--p"),
+                 (["run", "--config", str(small_spec), "--p", "1,,2"], "'1,,2'"),
                  (["run", "--config", str(short_split)], "'iterations'"),
                  (["run", "--config", str(few_backends)], "'backends'"),
                  (["run", "--config", str(one_backend)], "'backends'"),

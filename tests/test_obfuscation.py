@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, parse, serialize, transpile
 from splitcut.errors import MetricError, PlanError
@@ -258,6 +259,21 @@ class TestExactOptimum:
                     for gamma, beta in rng.uniform(-math.pi, math.pi, size=(5, 2)):
                         expected = qaoa_p1_cut(g, prune(g, removed), gamma, beta)
                         assert abs(cf.exact_expectation((gamma, beta)) - expected) <= 1e-12
+
+    def test_optima_match_the_closed_form_maximum(self, benchmarks, ideal_backend):
+        # criterion 3's A and every B_e, checked by a maximizer that builds no
+        # state: the closed form on a grid offset by half a step from
+        # exact_optimum's, refined by scipy's Nelder-Mead
+        gammas, betas = math.pi / 16 * (np.indices((16, 8)) + 0.5)
+        for g in benchmarks.values():
+            for removed in [()] + [(e,) for e in g.edges]:
+                h = prune(g, removed)
+                grid = qaoa_p1_cut(g, h, gammas, betas)
+                best = np.unravel_index(np.argmax(grid), grid.shape)
+                fit = minimize(lambda x: -qaoa_p1_cut(g, h, *x), [gammas[best], betas[best]],
+                               method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-14})
+                value, _ = exact_optimum(compiled(g, (PrunedFlavor(removed, ideal_backend),)))
+                assert abs(value + fit.fun) <= 1e-8, (g.edges, removed)
 
     def test_ring_optimum_is_three_quarters(self, ideal_backend):
         # p=1 on rings (Farhi, Goldstone & Gutmann 2014)
