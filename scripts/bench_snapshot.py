@@ -83,16 +83,15 @@ def time_optimize(backend_name: str, sampler) -> tuple[list, object]:
     """OPTIMIZE_REPEATS runs under the running ``sampler``: each run's
     (start, end, wall time less the probes inside it), and the last trace."""
     from splitcut.graph import benchmark_graph
-    from splitcut.obfuscation import OptimizerConfig, PrunedFlavor, compile_flavor, optimize
+    from splitcut.obfuscation import PrunedFlavor, compile_flavor, optimize
     from splitcut.simulator import load_backend_profiles
 
     g = benchmark_graph("graph6")
     flavor = PrunedFlavor((), load_backend_profiles()[backend_name])
-    cfg = OptimizerConfig(seed=0)
     runs, trace = [], None
     for _ in range(OPTIMIZE_REPEATS):
         probed, t0 = sampler.probe_total, perf_counter()
-        trace = optimize((compile_flavor(g, flavor, 2),), cfg)
+        trace = optimize((compile_flavor(g, flavor, 2),), seed=0)
         t1 = perf_counter()
         runs.append((t0, t1, t1 - t0 - (sampler.probe_total - probed)))
     return runs, trace

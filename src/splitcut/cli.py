@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .adversary import cross_provider_merge, effort, extract_graph, report_graph
 from .errors import CapacityError
-from .graph import benchmark_graph, graph_to_text, load_graph, max_cut_bruteforce, save_graph
-from .harness import ExperimentSpec, overhead, run_experiment
+from .graph import benchmark_graph, graph_to_text, max_cut_bruteforce, save_graph
+from .harness import ExperimentSpec, overhead, resolve_graph, run_experiment
 
 
 def _cmd_graph(args) -> int:
@@ -30,7 +30,7 @@ def _cmd_graph(args) -> int:
         else:
             sys.stdout.write(graph_to_text(g))
         return 0
-    g = load_graph(args.file) if Path(args.file).exists() else benchmark_graph(args.file)
+    _, g = resolve_graph(args.file)
     cmax, witness = max_cut_bruteforce(g)
     print(f"nodes: {g.n}")
     print(f"edges ({len(g.edges)}): {' '.join(f'{u}-{v}' for u, v in g.edges)}")

@@ -22,8 +22,8 @@ import numpy as np
 from .adversary import cross_provider_merge, extract_graph
 from .graph import Graph, benchmark_graph, load_graph
 from .obfuscation import (
+    OPTIMIZERS,
     CompiledFlavor,
-    OptimizerConfig,
     PrunedFlavor,
     RunTrace,
     check_split,
@@ -78,7 +78,7 @@ class ExperimentSpec:
         for arm in self.arms:
             if arm not in ARMS:
                 raise ValueError(f"unknown arm {arm!r}")
-        if self.optimizer not in ("spsa", "nelder_mead"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"experiment spec key 'optimizer' must be 'spsa' or 'nelder_mead', "
                              f"got {self.optimizer!r}")
         if self.shots < 1:
@@ -101,7 +101,8 @@ class ExperimentSpec:
         if set(self.arms) - {"original"} and self.k < 2:
             raise ValueError(f"experiment spec key 'k' must be >= 2 when a pruned arm runs, got {self.k}")
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
-            raise ValueError("removed_sets must list one edge set per flavor")
+            raise ValueError(f"experiment spec key 'removed_sets' must list one edge set for each of the "
+                             f"{self.k} flavors, got {len(self.removed_sets)}")
         if set(self.arms) - {"original"} and len(self.backends) < self.k:
             raise ValueError(f"experiment spec key 'backends' must name a backend for each of the "
                              f"{self.k} flavors of a split, got {list(self.backends)}")
@@ -118,17 +119,19 @@ class ExperimentSpec:
             return cls.from_dict(json.load(fh))
 
 
-def resolve_graph(spec: ExperimentSpec) -> tuple[str, Graph]:
-    if os.path.exists(spec.graph):
-        return Path(spec.graph).stem, load_graph(spec.graph)
-    return spec.graph, benchmark_graph(spec.graph)
+def resolve_graph(name: str) -> tuple[str, Graph]:
+    """``(label, graph)`` for a graph file path (labelled by its stem) or a
+    benchmark id."""
+    if os.path.exists(name):
+        return Path(name).stem, load_graph(name)
+    return name, benchmark_graph(name)
 
 
 def resolve_backends(spec: ExperimentSpec) -> list[BackendProfile]:
     profiles = load_backend_profiles(spec.profiles_file)
     missing = [b for b in spec.backends if b not in profiles]
     if missing:
-        raise ValueError(f"unknown backend profiles: {missing}")
+        raise ValueError(f"experiment spec key 'backends' names unknown backend profiles: {missing}")
     return [profiles[b] for b in spec.backends]
 
 
@@ -252,7 +255,7 @@ def compute_overhead(
 
 def overhead(spec: ExperimentSpec) -> dict:
     """Static overhead report for a spec (no optimization runs)."""
-    _, g = resolve_graph(spec)
+    _, g = resolve_graph(spec.graph)
     return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec))[1])
 
 
@@ -283,7 +286,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     Any other failing cell marks its row rather than aborting the sweep.
     The overhead report counts the first seed's traced evaluations.
     """
-    label, g = resolve_graph(spec)
+    label, g = resolve_graph(spec.graph)
     split, arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
     if set(spec.arms) - {"original"}:
         arm_flavors("pruned_only", spec.seeds[0], 1)  # the overhead baseline, before any cell runs
@@ -297,18 +300,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         for p in spec.p_layers:
             noisy = False  # any dispatched flavor ran on a noisy backend
             for seed in spec.seeds:
-                cfg = OptimizerConfig(
-                    method=spec.optimizer,
-                    total_iterations=spec.iterations,
-                    shots=spec.shots,
-                    seed=seed,
-                )
                 try:
                     flavors = arm_flavors(arm, seed, p)
                     if len(flavors) > 1:
                         gate(flavors)
                     noisy = noisy or any(f.flavor.backend.is_noisy for f in flavors)
-                    traces[(arm, p, seed)] = optimize(flavors, cfg)
+                    traces[(arm, p, seed)] = optimize(flavors, optimizer=spec.optimizer,
+                                                      iterations=spec.iterations, shots=spec.shots, seed=seed)
                 except Exception as exc:  # record, keep sweeping; an AssertionError poisons the run
                     kind = "invariant" if isinstance(exc, AssertionError) else "cell"
                     failures.append({"arm": arm, "p": p, "seed": seed, "kind": kind, "error": str(exc)})

@@ -33,6 +33,7 @@ from .simulator import (
 )
 
 FINAL_EVAL_SHOTS = 16384
+OPTIMIZERS = ("spsa", "nelder_mead")
 EXACT_REFINE_STEPS = 40  # Nelder-Mead steps from each start in exact_optimum
 
 
@@ -124,26 +125,6 @@ def make_split_plan(
             check_split(g, flavors)
             return flavors
     raise PlanError("could not satisfy the union rule; graph too small for this plan")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for one optimization run. ``seed`` drives initialization and
-    the SPSA perturbation stream; evaluation shot noise is governed by the
-    backend seeds. SPSA's gains are ``Spsa``'s defaults."""
-
-    method: str = "spsa"  # or "nelder_mead"
-    total_iterations: int = 50
-    shots: int = 4096
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("spsa", "nelder_mead"):
-            raise ValueError(f"unknown optimizer {self.method!r}")
-        if self.total_iterations < 1:
-            raise ValueError("total_iterations must be >= 1")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -325,21 +306,32 @@ def exact_optimum(flavors: Sequence[CompiledFlavor]) -> tuple[float, np.ndarray]
     return max(((fx, x) for x, fx in evals), key=lambda e: e[0])
 
 
-def _init_params(cfg: OptimizerConfig, p: int) -> ParamVector:
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, p, 101]))
+def _init_params(seed: int, p: int) -> ParamVector:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, p, 101]))
     gammas = rng.uniform(0.0, math.pi, size=p)
     betas = rng.uniform(0.0, math.pi / 2.0, size=p)
     return ParamVector(tuple(gammas), tuple(betas))
 
 
-def optimize(flavors: Sequence[CompiledFlavor], cfg: OptimizerConfig) -> RunTrace:
+def optimize(
+    flavors: Sequence[CompiledFlavor],
+    *,
+    optimizer: str = "spsa",
+    iterations: int = 50,
+    shots: int = 4096,
+    seed: int = 0,
+) -> RunTrace:
     """Run the (possibly alternating) shot-based optimization loop on the
-    compiled flavors of one graph at one layer count.
+    compiled flavors of one graph at one layer count, with one of
+    ``OPTIMIZERS`` for ``iterations`` steps of ``shots``-shot evaluations.
 
     Iteration t runs on ``flavors[t % k]``, so every evaluation inside one
     iteration lands on one backend. One flavor with nothing removed is the
     unobfuscated baseline, one pruned flavor the pruned-only arm, and the
-    flavors of a split (see ``check_split``) the split arm.
+    flavors of a split (see ``check_split``) the split arm; a split runs
+    every flavor at least twice. ``seed`` drives initialization and the
+    SPSA perturbation stream; evaluation shot noise is governed by the
+    backend seeds. SPSA's gains are ``Spsa``'s defaults.
 
     Final quality is the best-observed parameters re-evaluated with a fresh
     16384-shot run on the run's primary flavor (index 0): the same circuit
@@ -352,39 +344,31 @@ def optimize(flavors: Sequence[CompiledFlavor], cfg: OptimizerConfig) -> RunTrac
     g_full, p = flavors[0].g_full, flavors[0].p
     if any(f.g_full != g_full or f.p != p for f in flavors):
         raise ValueError("flavors must be compiled from one graph at one layer count")
-    if cfg.total_iterations < 2 * k and k > 1:
-        raise ValueError(f"total_iterations must be >= {2 * k} for a {k}-flavor plan")
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    least = 2 * k if k > 1 else 1
+    if iterations < least:
+        raise ValueError(f"iterations must be >= {least} for a {k}-flavor run, got {iterations}")
     cmax, _ = max_cut_bruteforce(g_full)
     if cmax < 1:
         raise MetricError("edgeless graph: approximation ratio undefined")
 
-    x0 = np.array(_init_params(cfg, p).to_array())
-    if cfg.method == "spsa":
-        opt_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, p, 202]))
-        opt = Spsa(x0, opt_rng)
+    x0 = np.array(_init_params(seed, p).to_array())
+    if optimizer == "spsa":
+        opt = Spsa(x0, np.random.default_rng(np.random.SeedSequence([seed, p, 202])))
     else:
         opt = NelderMead(x0)
 
     entries: list[TraceEntry] = []
     best_x: np.ndarray | None = None
     best_f = -math.inf
-    evaluations = 0
 
-    for t in range(cfg.total_iterations):
+    for t in range(iterations):
         fl = flavors[t % k]
-
-        def objective(x, fl=fl):
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(
-                    f"non-finite parameters at iteration {t}", trace=tuple(entries)
-                )
-            return fl.expectation(x, cfg.shots)
-
-        evals = opt.step(objective)
-        evaluations += len(evals)
+        evals = opt.step(lambda x: fl.expectation(x, shots))
         for x, fx in evals:
-            if not math.isfinite(fx):
-                raise DivergenceError(f"non-finite objective at iteration {t}", trace=tuple(entries))
             if fx > best_f:
                 best_f, best_x = fx, np.array(x, dtype=float)
         if not np.all(np.isfinite(opt.x)):
@@ -404,7 +388,6 @@ def optimize(flavors: Sequence[CompiledFlavor], cfg: OptimizerConfig) -> RunTrac
 
     best_params = ParamVector.from_array(best_x)
     final_expectation = flavors[0].expectation(best_x, FINAL_EVAL_SHOTS)
-    evaluations += 1
 
     return RunTrace(
         entries=tuple(entries),
@@ -415,7 +398,6 @@ def optimize(flavors: Sequence[CompiledFlavor], cfg: OptimizerConfig) -> RunTrac
         final_expectation=final_expectation,
         final_ar=approximation_ratio(final_expectation, cmax),
         cmax=cmax,
-        evaluations=evaluations,
-        shots=cfg.shots,
+        evaluations=sum(e.evaluations for e in entries) + 1,  # the final audit evaluation
+        shots=shots,
     )
-

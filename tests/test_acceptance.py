@@ -15,7 +15,7 @@ from splitcut.circuit import CouplingMap, build_qaoa, serialize, transpile
 from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, cut_value, max_cut_bruteforce
 from splitcut.harness import ExperimentSpec, run_experiment
 from splitcut.obfuscation import (
-    FINAL_EVAL_SHOTS, OptimizerConfig, PrunedFlavor, compile_flavor, exact_optimum,
+    FINAL_EVAL_SHOTS, PrunedFlavor, compile_flavor, exact_optimum,
     make_split_plan, optimize, prune,
 )
 
@@ -98,8 +98,7 @@ def test_criterion_2_ideal_qaoa_sanity(ideal_backend):
     grid_ar = max(flavor.exact_expectation((gm, bt)) for gm in axis for bt in axis) / cmax
     finals = []
     for seed in SEEDS:
-        cfg = OptimizerConfig(total_iterations=50, shots=4096, seed=seed)
-        finals.append(optimize((flavor,), cfg).final_ar)
+        finals.append(optimize((flavor,), iterations=50, shots=4096, seed=seed).final_ar)
     hits = sum(1 for ar in finals if ar >= 0.70)
     ok = abs(grid_ar - 0.75) <= 0.01 and hits >= 8
     assert report(2, ok, f"grid AR={grid_ar:.4f} (want 0.75 +/- 0.01); "

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,12 +218,3 @@ class TestMerge:
     def test_empty_report_list_rejected(self):
         with pytest.raises(ValueError):
             cross_provider_merge([])
-
-    def test_adversary_demo_script_runs(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, str(root / "scripts" / "adversary_demo.py")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert "full graph recovered: True" in done.stdout

@@ -168,6 +168,9 @@ class TestSerialization:
         ("qubits 2\nmeasure\nh 0\n", 3),
         ("qubits 2\ncx 0 0\n", 2),
         ("qubits 2\nqubits 2\n", 2),
+        ("qubits 2\ncx 0\n", 2),  # wrong argument count
+        ("qubits 2\nh x\n", 2),   # bad qubit index
+        ("", 1),                   # empty text
     ])
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(CircuitParseError) as err:

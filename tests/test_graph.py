@@ -177,6 +177,8 @@ class TestTextFormat:
         "n 3\ne 0\n",         # missing endpoint
         "n 3\ne 0 5\n",       # endpoint out of range
         "",                    # empty
+        "n 3\nn 3\n",         # duplicate header
+        "n 3\ne 0 x\n",       # non-integer endpoint
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(GraphFormatError):

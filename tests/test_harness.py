@@ -304,10 +304,10 @@ class TestRunExperiment:
 
         real_optimize = harness.optimize
 
-        def optimize_failing_split_seed0(flavors, cfg):
-            if len(flavors) > 1 and cfg.seed == 0:
+        def optimize_failing_split_seed0(flavors, **knobs):
+            if len(flavors) > 1 and knobs["seed"] == 0:
                 raise RuntimeError("seed 0 lost")
-            return real_optimize(flavors, cfg)
+            return real_optimize(flavors, **knobs)
 
         monkeypatch.setattr(harness, "optimize", optimize_failing_split_seed0)
         spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, arms=["original", "split"], shots=64))
@@ -389,6 +389,9 @@ class TestCli:
         assert main(["graph", "show", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "max cut: 4" in printed
+        # a file and a benchmark id resolve through one rule
+        assert main(["graph", "show", "cycle4"]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_adversary_effort_command(self, capsys):
         assert main(["adversary", "effort", "--nodes", "10", "--observed", "9"]) == 0
@@ -493,6 +496,11 @@ class TestCli:
         # k = 1 used to exit 2 with "need k >= 2 flavors", naming no key
         one_flavor = tmp_path / "one_flavor.json"
         one_flavor.write_text(json.dumps({"graph": "cycle4", "arms": ["pruned_only"], "k": 1}))
+        # these two messages used to name no key
+        removed_sets_k = tmp_path / "removed_sets_k.json"
+        removed_sets_k.write_text(json.dumps(dict(SMALL_SPEC, removed_sets=[[[0, 1]]])))
+        unknown_backend = tmp_path / "unknown_backend.json"
+        unknown_backend.write_text(json.dumps(dict(SMALL_SPEC, backends=["ideal1", "nope"])))
         short_split = tmp_path / "short_split.json"
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
@@ -522,7 +530,9 @@ class TestCli:
                  (["run", "--config", str(one_backend)], "'backends'"),
                  (["overhead", "--config", str(one_backend)], "'backends'"),
                  (["run", "--config", str(repeated_edge)], "edge (0, 1) twice"),
-                 (["run", "--config", str(one_flavor)], "'k'")]
+                 (["run", "--config", str(one_flavor)], "'k'"),
+                 (["run", "--config", str(removed_sets_k)], "'removed_sets'"),
+                 (["overhead", "--config", str(unknown_backend)], "'backends'")]
         # a repeated seed, layer count or arm would be run and counted twice
         for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
                                           ("arms", ["split", "split"])]):
@@ -575,7 +585,7 @@ class TestCli:
 
         cells = []
 
-        def no_optimize(*args):
+        def no_optimize(*args, **knobs):
             cells.append(args)
             raise RuntimeError("a cell ran")
 

@@ -1,6 +1,7 @@
+import inspect
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, parse, serial
 from splitcut.errors import MetricError, PlanError
 from splitcut.graph import Graph, benchmark_graph, cut_values_vector
 from splitcut.obfuscation import (
-    OptimizerConfig,
     PrunedFlavor,
     approximation_ratio,
     check_split,
@@ -295,14 +295,12 @@ class TestExactOptimum:
 
 
 class TestOptimize:
-    def cfg(self, **kw):
-        base = dict(total_iterations=10, shots=256, seed=1)
-        base.update(kw)
-        return OptimizerConfig(**base)
+    def knobs(self, **kw):
+        return {"iterations": 10, "shots": 256, "seed": 1, **kw}
 
     def test_empty_flavor_tuple_rejected(self):
         with pytest.raises(ValueError):
-            optimize((), self.cfg())
+            optimize((), **self.knobs())
 
     def test_rejects_flavors_of_different_graphs_or_layer_counts(self, ideal_backend,
                                                                  ideal_backend_2):
@@ -312,12 +310,12 @@ class TestOptimize:
                       compile_flavor(Graph.make(4, [(0, 1), (1, 2), (2, 3)]),
                                      PrunedFlavor(((1, 2),), ideal_backend_2), 1)):
             with pytest.raises(ValueError, match="one graph at one layer count"):
-                optimize((first, other), self.cfg())
+                optimize((first, other), **self.knobs())
 
     def test_trace_shape_and_determinism(self, ideal_backend):
         g = benchmark_graph("cycle4")
-        t1 = optimize(compiled(g, unpruned(ideal_backend)), self.cfg())
-        t2 = optimize(compiled(g, unpruned(ideal_backend)), self.cfg())
+        t1 = optimize(compiled(g, unpruned(ideal_backend)), **self.knobs())
+        t2 = optimize(compiled(g, unpruned(ideal_backend)), **self.knobs())
         assert t1 == t2
         assert len(t1.entries) == 10
         assert t1.evaluations == 21  # 2 per iteration + final audit
@@ -329,7 +327,7 @@ class TestOptimize:
     def test_round_robin_alternation(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
         split = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
-        trace = optimize(compiled(g, split), self.cfg())
+        trace = optimize(compiled(g, split), **self.knobs())
         backends = [e.backend for e in trace.entries]
         assert backends[::2] == ["ideal1"] * 5
         assert backends[1::2] == ["ideal2"] * 5
@@ -339,15 +337,31 @@ class TestOptimize:
     def test_pruned_only_single_flavor(self, ideal_backend):
         g = benchmark_graph("cycle4")
         flavor = PrunedFlavor(((0, 1),), ideal_backend)
-        trace = optimize(compiled(g, (flavor,)), self.cfg())
+        trace = optimize(compiled(g, (flavor,)), **self.knobs())
         assert {e.backend for e in trace.entries} == {"ideal1"}
         assert {e.flavor for e in trace.entries} == {0}
 
     def test_iteration_budget_invariant(self, ideal_backend, ideal_backend_2):
         g = benchmark_graph("cycle4")
         split = make_split_plan(g, 2, 1, [ideal_backend, ideal_backend_2], seed=0)
-        with pytest.raises(ValueError):
-            optimize(compiled(g, split), self.cfg(total_iterations=3))
+        with pytest.raises(ValueError, match="iterations must be >= 4"):  # each flavor runs twice
+            optimize(compiled(g, split), **self.knobs(iterations=3))
+
+    @pytest.mark.parametrize("knob,value", [("shots", 0), ("optimizer", "adam"), ("iterations", 0)])
+    def test_rejects_knobs_no_run_can_use(self, ideal_backend, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            optimize(compiled(benchmark_graph("cycle4"), unpruned(ideal_backend)), **self.knobs(**{knob: value}))
+
+    def test_knobs_match_the_experiment_spec(self):
+        # the harness passes a spec's optimizer, iterations and shots by name,
+        # so both sides must agree on the names and on the defaults
+        from splitcut.harness import ExperimentSpec
+
+        params = inspect.signature(optimize).parameters
+        defaults = {f.name: f.default for f in fields(ExperimentSpec)}
+        for name in ("optimizer", "iterations", "shots"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default == defaults[name]
 
     def test_qubit_header_hides_pruning(self, ideal_backend):
         g = benchmark_graph("cycle4")
@@ -357,18 +371,17 @@ class TestOptimize:
         assert full_header == pruned_header == "qubits 4"
 
     def test_initialization_pairs_across_arms(self):
-        # init depends only on (seed, p): arms of one seed start equal,
-        # other config fields must not perturb it
+        # init depends only on (seed, p): arms of one seed start equal
         from splitcut.obfuscation import _init_params
 
-        assert _init_params(self.cfg(seed=7), 1) == _init_params(self.cfg(seed=7, shots=999), 1)
-        assert _init_params(self.cfg(seed=7), 1) != _init_params(self.cfg(seed=8), 1)
-        assert _init_params(self.cfg(seed=7), 1) != _init_params(self.cfg(seed=7), 2)
+        assert _init_params(7, 1) == _init_params(7, 1)
+        assert _init_params(7, 1) != _init_params(8, 1)
+        assert _init_params(7, 1) != _init_params(7, 2)
 
     def test_nelder_mead_runs(self, ideal_backend):
         g = benchmark_graph("cycle4")
-        cfg = self.cfg(method="nelder_mead", total_iterations=15)
-        trace = optimize(compiled(g, unpruned(ideal_backend)), cfg)
+        trace = optimize(compiled(g, unpruned(ideal_backend)),
+                         **self.knobs(optimizer="nelder_mead", iterations=15))
         assert len(trace.entries) == 15
         assert trace.evaluations > 15
         assert sum(e.evaluations for e in trace.entries) + 1 == trace.evaluations
@@ -377,13 +390,13 @@ class TestOptimize:
         from splitcut.obfuscation import _init_params
 
         for seed in range(30):
-            pv = _init_params(OptimizerConfig(seed=seed), 3)
+            pv = _init_params(seed, 3)
             assert all(0 <= gm < math.pi for gm in pv.gammas)
             assert all(0 <= bt < math.pi / 2 for bt in pv.betas)
 
     def test_trace_jsonl_round_trip(self, ideal_backend):
         g = benchmark_graph("cycle3")
-        trace = optimize(compiled(g, unpruned(ideal_backend)), self.cfg(total_iterations=3))
+        trace = optimize(compiled(g, unpruned(ideal_backend)), **self.knobs(iterations=3))
         lines = trace.to_jsonl().strip().split("\n")
         assert len(lines) == 4
         entry = json.loads(lines[0])
@@ -406,7 +419,7 @@ class TestOptimize:
         from splitcut.obfuscation import RunTrace
 
         trace = optimize(compiled(benchmark_graph("cycle3"), unpruned(ideal_backend)),
-                         self.cfg(total_iterations=2))
+                         **self.knobs(iterations=2))
         entry, second, last = (json.loads(line) for line in trace.to_jsonl().splitlines())
         unequal = dict(entry, betas=entry["betas"] + [0.1])
         non_finite = {"summary": dict(last["summary"], best_gammas=[math.inf])}
@@ -428,13 +441,13 @@ class TestOptimize:
         monkeypatch.setattr(obfuscation, "Spsa", DivergingSpsa)
         g = benchmark_graph("cycle4")
         with pytest.raises(DivergenceError) as err:
-            optimize(compiled(g, unpruned(ideal_backend)), self.cfg(total_iterations=10))
+            optimize(compiled(g, unpruned(ideal_backend)), **self.knobs(iterations=10))
         assert err.value.trace is not None  # diagnostic trace of completed iterations
 
     def test_transpiles_for_coupled_backend(self):
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
-        trace = optimize(compiled(g, unpruned(backend)), self.cfg(total_iterations=4))
+        trace = optimize(compiled(g, unpruned(backend)), **self.knobs(iterations=4))
         assert len(trace.entries) == 4
 
     def test_routed_run_reaches_unrouted_quality(self):
@@ -442,13 +455,13 @@ class TestOptimize:
         # pin the AR near the uniform floor (0.75 for this graph)
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
-        cfg = self.cfg(total_iterations=30, shots=2048, seed=0)
-        assert optimize(compiled(g, unpruned(backend)), cfg).final_ar >= 0.85
+        trace = optimize(compiled(g, unpruned(backend)), **self.knobs(iterations=30, shots=2048, seed=0))
+        assert trace.final_ar >= 0.85
 
     def test_three_flavor_round_robin(self, ideal_backend, ideal_backend_2, noisy_backend):
         g = benchmark_graph("graph6")
         split = make_split_plan(
             g, 3, 1, [ideal_backend, ideal_backend_2, noisy_backend], seed=2
         )
-        trace = optimize(compiled(g, split), self.cfg(total_iterations=6))
+        trace = optimize(compiled(g, split), **self.knobs(iterations=6))
         assert [e.flavor for e in trace.entries] == [0, 1, 2, 0, 1, 2]
