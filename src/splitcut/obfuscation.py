@@ -104,8 +104,10 @@ def make_split_plan(
     """A split of g: k flavors whose removed-edge sets are sampled uniformly
     under ``check_split``'s rules.
 
-    Which edges get pruned is immaterial for final quality, so uniform
-    random selection under the constraints is enough.
+    Which edges get pruned does matter for quality: on graph5 the exact p=1
+    optimum with one edge pruned lies between 0.787 and 0.838, around the
+    unpruned 0.822 (``scripts/landscape_study.py``). Uniform selection is
+    the unbiased default: it favours no edge.
     """
     if k < 2:
         raise PlanError("need k >= 2 flavors")
@@ -232,18 +234,22 @@ class CompiledFlavor:
     slots: tuple[int, ...]
     template: str  # the wire text with a field {j} where a rotation reads slot j
 
-    def _x(self, x) -> np.ndarray:
+    def _angles(self, x) -> np.ndarray:
+        # The kernel's 2p angles 2 * x, one per slot.
         x = np.asarray(x, dtype=float)
         if x.shape != (2 * self.p,):
             raise ValueError(f"expected {2 * self.p} angles (gammas then betas) at p={self.p}, "
                              f"got shape {x.shape}")
-        return x
+        return 2.0 * x
+
+    def _text(self, angles: np.ndarray) -> str:
+        return self.template.format(*[format(a, ".17g") for a in angles.tolist()])
 
     def wire_text(self, x) -> str:
         """The wire text at angles x: ``serialize`` of the routed circuit.
         An x that is not a 2p-vector raises ValueError, as in
         ``expectation`` and ``exact_expectation``."""
-        return self.template.format(*[format(2.0 * a, ".17g") for a in self._x(x).tolist()])
+        return self._text(self._angles(x))
 
     @cached_property
     def kernel(self) -> Kernel:
@@ -261,13 +267,14 @@ class CompiledFlavor:
     def expectation(self, x, shots: int) -> float:
         """Mean full-graph cut value of ``shots`` samples at angles x, drawn
         with the backend's seed and the wire text as ``run_shots`` draws."""
-        rng = shot_rng(self.flavor.backend.seed, shots, self.wire_text(x))
-        tally = sample_tally(self.kernel.probabilities(2.0 * self._x(x)), rng, shots)
+        angles = self._angles(x)
+        rng = shot_rng(self.flavor.backend.seed, shots, self._text(angles))
+        tally = sample_tally(self.kernel.probabilities(angles), rng, shots)
         return int(tally @ self.cut) / shots
 
     def exact_expectation(self, x) -> float:
         """The limit of ``expectation`` at angles x as shots grow."""
-        return float(self.kernel.probabilities(2.0 * self._x(x)) @ self.cut)
+        return float(self.kernel.probabilities(self._angles(x)) @ self.cut)
 
 
 def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavor:
@@ -311,6 +318,17 @@ def _init_params(seed: int, p: int) -> ParamVector:
     gammas = rng.uniform(0.0, math.pi, size=p)
     betas = rng.uniform(0.0, math.pi / 2.0, size=p)
     return ParamVector(tuple(gammas), tuple(betas))
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` bit for bit, without numpy's per-call cost:
+    numpy adds fewer than 8 values left to right from 0.0, and 8 or more pairwise."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def optimize(
@@ -371,17 +389,17 @@ def optimize(
         for x, fx in evals:
             if fx > best_f:
                 best_f, best_x = fx, np.array(x, dtype=float)
-        if not np.all(np.isfinite(opt.x)):
+        xs = opt.x.tolist()
+        if not all(map(math.isfinite, xs)):
             raise DivergenceError(f"parameters diverged at iteration {t}", trace=tuple(entries))
-        mean_f = float(np.mean([fx for _, fx in evals]))
-        params = ParamVector.from_array(opt.x)
+        mean_f = _mean([fx for _, fx in evals])
         entries.append(TraceEntry(
             iteration=t,
             backend=fl.flavor.backend.name,
             flavor=t % k,
             evaluations=len(evals),
-            gammas=params.gammas,
-            betas=params.betas,
+            gammas=tuple(xs[:p]),
+            betas=tuple(xs[p:]),
             expectation=mean_f,
             ar=approximation_ratio(mean_f, cmax),
         ))

@@ -34,8 +34,9 @@ class Spsa:
         ak = self.a / (self.A + self.k + 1) ** self.alpha
         ck = self.c / (self.k + 1) ** self.gamma
         delta = self.rng.integers(0, 2, size=self.x.shape) * 2 - 1
-        x_plus = self.x + ck * delta
-        x_minus = self.x - ck * delta
+        shift = ck * delta
+        x_plus = self.x + shift
+        x_minus = self.x - shift
         f_plus = float(objective(x_plus))
         f_minus = float(objective(x_minus))
         grad = (f_plus - f_minus) / (2.0 * ck) * delta

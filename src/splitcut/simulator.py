@@ -46,19 +46,21 @@ factor 1 - 2f on each Z coefficient with it.
 
 Reproducibility: every draw derives its whole random stream from
 (backend.seed, shots, sha256 of the wire text) through numpy's PCG64
-(``shot_rng``). Identical inputs give bit-identical counts on any platform;
-the generator is recorded in run traces as ``numpy-pcg64``. The stream is
-used for exactly one draw (``sample_tally``): ``random(shots)`` uniforms,
-sorted and counted against the CDF of the clipped, normalized
-distribution. That is the tally ``np.bincount`` of
-``choice(2^n, size=shots, p=probs)`` gives from the same stream, without a
-binary search per shot.
+(``shot_rng``), which computes the seed words of each (seed, shots) pair
+once and appends the digest's words to them on each draw. Identical inputs
+give bit-identical counts on any platform; the generator is recorded in run
+traces as ``numpy-pcg64``. The stream is used for exactly one draw
+(``sample_tally``): ``random(shots)`` uniforms, sorted and counted against
+the CDF of the clipped, normalized distribution. That is the tally
+``np.bincount`` of ``choice(2^n, size=shots, p=probs)`` gives from the same
+stream, without a binary search per shot.
 
 A single run owns its state and is single-threaded; independent runs can
 execute concurrently.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -129,16 +131,21 @@ def run_statevector(c: Circuit) -> np.ndarray:
     return compile_kernel(c, NoiseModel(), slots).evolve(angles)
 
 
+@functools.lru_cache(maxsize=256)
+def _seed_words(seed: int, shots: int) -> bytes:
+    # The words numpy makes of the list [seed, shots], once per pair: each
+    # Python int split into 32-bit words, least significant first. A draw
+    # appends the digest's words.
+    ints = [v >> s & 0xFFFFFFFF for v in (seed, shots) for s in range(0, max(v.bit_length(), 1), 32)]
+    return np.array(ints, dtype=np.uint32).tobytes()
+
+
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
     """The stream of one draw: PCG64 seeded by (seed, shots, sha256 of the text)."""
     if seed < 0 or shots < 0:
         raise ValueError(f"seed and shots must be >= 0, got {seed} and {shots}")
     digest = hashlib.sha256(wire_text.encode("utf-8")).digest()
-    # The words numpy makes of the list [seed, shots, *digest words]: each
-    # Python int split into 32-bit words, least significant first.
-    ints = [v >> s & 0xFFFFFFFF for v in (int(seed), int(shots))
-            for s in range(0, max(v.bit_length(), 1), 32)]
-    words = np.concatenate((np.array(ints, dtype=np.uint32), np.frombuffer(digest[:16], dtype=np.uint32)))
+    words = np.frombuffer(_seed_words(int(seed), int(shots)) + digest[:16], dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
@@ -153,10 +160,13 @@ def sample_tally(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.
         raise ValueError("outcome probabilities must be finite with positive mass")
     # choice's CDF after a leading 0: outcome k is drawn by the uniforms in
     # [cdf[k], cdf[k + 1]).
+    p /= total
     cdf = np.zeros(len(p) + 1)
-    np.cumsum(p / total, out=cdf[1:])
+    p.cumsum(out=cdf[1:])
     cdf /= cdf[-1]
-    below = np.sort(rng.random(shots)).searchsorted(cdf, side="left")
+    uniforms = rng.random(shots)
+    uniforms.sort()
+    below = uniforms.searchsorted(cdf, side="left")
     return below[1:] - below[:-1]
 
 

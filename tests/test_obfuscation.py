@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -443,6 +444,34 @@ class TestOptimize:
         with pytest.raises(DivergenceError) as err:
             optimize(compiled(g, unpruned(ideal_backend)), **self.knobs(iterations=10))
         assert err.value.trace is not None  # diagnostic trace of completed iterations
+
+    @pytest.mark.parametrize("graph,backend,knobs,digest", [
+        pytest.param("graph6", "ideal_backend", {},
+                     "35d846ca158c714989c4662de5c5eb31cccaaf207b49bc5cb2a5047085221d17",
+                     id="graph6-spsa-ideal1"),
+        pytest.param("graph6", "noisy_backend", {},
+                     "15b3a15b8ca4b1572dc9495bad2b395f1c20a0c8c6cf388e3ed4f500826b2926",
+                     id="graph6-spsa-hw1"),
+        # 1000 shots is not a power of two, so the order in which a step's
+        # values are added shows in its mean
+        pytest.param("graph5", "ideal_backend", {"optimizer": "nelder_mead", "shots": 1000},
+                     "8814008a5009eed71b1f4c22d60501411c7d2f2f2ba00f238a6493a754a67722",
+                     id="graph5-nelder_mead-ideal1-1000shots"),
+    ])
+    def test_trace_bytes_are_pinned(self, request, graph, backend, knobs, digest):
+        # the RNG contract: every draw, angle and mean of these runs as first
+        # recorded, so a faster evaluation or step may not move one bit
+        flavor = PrunedFlavor((), request.getfixturevalue(backend))
+        trace = optimize((compile_flavor(benchmark_graph(graph), flavor, 2),), **knobs)
+        assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == digest
+
+    def test_step_mean_adds_in_numpys_order(self):
+        from splitcut.obfuscation import _mean
+
+        rng = np.random.default_rng(5)
+        for n in range(1, 20):
+            values = (rng.integers(0, 7000, size=n) / 1000).tolist()
+            assert _mean(values) == float(np.mean(values))
 
     def test_transpiles_for_coupled_backend(self):
         backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)

@@ -255,6 +255,13 @@ class TestRunShots:
             listed = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shots, *words])))
             assert shot_rng(seed, shots, text).random(8).tolist() == listed.random(8).tolist()
 
+    def test_shot_rng_rejects_negatives_once_its_words_are_cached(self):
+        text = serialize(BELL)
+        shot_rng(3, 16, text)
+        for seed, shots in ((-3, 16), (3, -16)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                shot_rng(seed, shots, text)
+
     def test_different_seeds_differ(self):
         b1 = BackendProfile("a", seed=1)
         b2 = BackendProfile("b", seed=2)
@@ -396,6 +403,12 @@ class TestSampleTally:
         clipped = np.maximum(probs, 0.0)
         outcomes = np.random.default_rng(seed).choice(size, size=shots, p=clipped / clipped.sum())
         assert np.array_equal(tally, np.bincount(outcomes, minlength=size))
+
+    def test_leaves_probs_unchanged(self):
+        probs = np.array([0.25, -1e-17, 0.5, 0.0, -0.5, 0.75])
+        before = probs.copy()
+        sample_tally(probs, np.random.default_rng(0), 64)
+        assert probs.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("probs", [[0.5, np.nan, 0.5, 0.0], [0.0] * 4, [np.inf, 1.0],
                                        [-0.5, 0.0]])
