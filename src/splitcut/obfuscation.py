@@ -143,9 +143,6 @@ class TraceEntry:
     expectation: float
     ar: float
 
-    def __post_init__(self):
-        ParamVector(self.gammas, self.betas)  # rejects unequal-length or non-finite angles
-
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -191,10 +188,10 @@ class RunTrace:
         entry_fields = record_fields(TraceEntry)
         summary_fields = record_fields(cls)
         del summary_fields["entries"]
-        return cls(
-            entries=tuple(TraceEntry(**read_record(e, "trace entry", entry_fields)) for e in entries),
-            **read_record(last["summary"], "trace summary", summary_fields),
-        )
+        entries = tuple(TraceEntry(**read_record(e, "trace entry", entry_fields)) for e in entries)
+        for e in entries:  # optimize checks its own angles; text from outside is checked here
+            ParamVector(e.gammas, e.betas)  # rejects unequal-length or non-finite angles
+        return cls(entries=entries, **read_record(last["summary"], "trace summary", summary_fields))
 
 
 def approximation_ratio(expectation: float, cmax: int) -> float:
@@ -224,7 +221,8 @@ class CompiledFlavor:
     fields by slot, so an evaluation formats each of its 2p angles once.
     The simulator kernel, each rotation reading its slot, and the cut
     vector are built on the first evaluation. The kernel takes the 2p angles
-    ``2.0 * x``, and a cost layer is one phase step with one row.
+    ``2.0 * x``, and a cost layer is one phase step with one row, as is a
+    mixer layer in the Hadamard basis on up to 7 qubits.
     """
 
     g_full: Graph

@@ -251,9 +251,11 @@ class TestCompiledFlavor:
 class TestExactOptimum:
     def test_exact_expectation_matches_closed_form_at_p1(self, benchmarks, ideal_backend):
         # an oracle that builds no state: the unpruned and every single-edge
-        # flavor of each benchmark, plain and routed on a line
+        # flavor of each benchmark, plain and routed on a line, and of one
+        # ring on each side of the width where a mixer layer stops being one
+        # Hadamard-basis step
         rng = np.random.default_rng(16)
-        for g in benchmarks.values():
+        for g in [*benchmarks.values(), benchmark_graph("cycle(7)"), benchmark_graph("cycle(8)")]:
             for b in (ideal_backend, BackendProfile("line", coupling=CouplingMap.line(g.n))):
                 for removed in [()] + [(e,) for e in g.edges]:
                     cf = compile_flavor(g, PrunedFlavor(removed, b), 1)
@@ -424,9 +426,11 @@ class TestOptimize:
         entry, second, last = (json.loads(line) for line in trace.to_jsonl().splitlines())
         unequal = dict(entry, betas=entry["betas"] + [0.1])
         non_finite = {"summary": dict(last["summary"], best_gammas=[math.inf])}
+        non_finite_entry = dict(second, gammas=[math.nan])
         unknown = dict(entry, note=1)
         for lines, message in (([unequal, second, last], "equal length"),
                                ([entry, second, non_finite], "finite"),
+                               ([entry, non_finite_entry, last], "finite"),
                                ([entry, unknown, last], "note")):
             with pytest.raises(ValueError, match=message):
                 RunTrace.from_jsonl("\n".join(json.dumps(line) for line in lines))

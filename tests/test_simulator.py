@@ -143,13 +143,16 @@ class TestStatevector:
     @example(Circuit(2, (h(0), h(1), rz(1, 0.7), cx(0, 1), h(0), cx(0, 1), h(0))), 0.0)
     @example(Circuit(3, (h(0), h(1), h(2), rz(0, 0.3), cx(0, 1), rz(1, 1.1), cx(1, 2), rz(2, 0.3),
                          cx(0, 1), rz(1, -0.8), rx(2, 0.5))), 0.0)
+    @example(Circuit(2, (h(0), h(1), cx(0, 1), rx(0, 0.4), rx(1, 1.3), cx(0, 1))), 0.0)
     @settings(max_examples=100, deadline=None)
     def test_phases_match_dense_unitaries(self, c, flip):
         # QAOA circuits conjugate no rotation into a Y: these do (the first
         # example's rz becomes -Y0 Y1, which its last h negates), so a wrong
         # sign of H Y H or a lost global phase shows here. The second
         # example's rz gates are one phase step with a row per angle, on
-        # overlapping qubits: Z0 + Z2 at 0.3, Z0 Z1 at 1.1 and Z1 at -0.8
+        # overlapping qubits: Z0 + Z2 at 0.3, Z0 Z1 at 1.1 and Z1 at -0.8.
+        # The third's rx gates are one Hadamard-basis step with two rows on
+        # overlapping qubits: X0 X1 at 0.4 and X1 at 1.3
         assert np.abs(run_statevector(c) - _dense_statevector(c)).max() < 1e-12
         noise = NoiseModel(readout_flip=flip)
         assert np.abs(outcome_probabilities(c, noise) - kraus_reference(c, noise)).max() < 1e-12
@@ -165,14 +168,18 @@ class TestStatevector:
     @pytest.mark.parametrize("routed", [False, True])
     def test_qaoa_cost_layers_are_one_phase_step_each(self, benchmarks, routed):
         # every rz of a cost layer, routed or not, is a diagonal Z_u Z_v
-        # rotation at the layer's one angle: one step holding one row
+        # rotation at the layer's one angle, and every rx of a mixer layer an
+        # X-only rotation at its one angle, since the later cx and SWAPs keep
+        # X strings X strings: one phase step and one Hadamard-basis step
+        # per layer, each holding one row
         for g in benchmarks.values():
             b = BackendProfile("b", coupling=CouplingMap.line(g.n) if routed else None)
             for p in (1, 2, 3):
                 kernel = compile_flavor(g, PrunedFlavor((), b), p).kernel
-                phases = [w for _, flip, w in kernel.steps if flip is None]
-                assert [w.shape[-1] for w in phases] == [1] * p
-                assert len(kernel.steps) == p * (g.n + 1)
+                kinds = ["phase" if how is None else "hadamard" if isinstance(how, np.ndarray)
+                         else "rotation" for _, how, _ in kernel.steps]
+                assert kinds == ["phase", "hadamard"] * p
+                assert [w.shape[-1] for _, _, w in kernel.steps] == [1] * (2 * p)
 
     def test_gate_noise_fuses_each_mixer_into_a_cost_block(self, benchmarks):
         # p (|E| + 1) steps at hw1: one block per edge with its ZZ rotation
@@ -549,7 +556,20 @@ class TestBackendConfig:
             NoiseModel(readout_flip=-0.1)
 
     def test_duplicate_profile_names_rejected(self, tmp_path):
+        # a text that fails to parse is not cached: every call raises
         path = tmp_path / "profiles.json"
         path.write_text('[{"name": "a", "seed": 1}, {"name": "a", "seed": 2}]')
-        with pytest.raises(ValueError):
-            load_backend_profiles(path)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate"):
+                load_backend_profiles(path)
+
+    def test_each_call_returns_its_own_profiles(self, tmp_path):
+        # each text is parsed once, so the dict a caller edits must be a copy
+        path = tmp_path / "profiles.json"
+        path.write_text('[{"name": "a", "seed": 1}]')
+        for load in (load_backend_profiles, lambda: load_backend_profiles(path)):
+            first = load()
+            names = set(first)
+            first.clear()
+            first["x"] = BackendProfile("x")
+            assert set(load()) == names
