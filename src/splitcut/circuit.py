@@ -102,8 +102,9 @@ class Circuit:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """The 2p shared variational angles: per-layer cost angles (gammas)
-    and mixer angles (betas)."""
+    """``build_qaoa``'s 2p angles: per-layer cost angles (gammas) and
+    mixer angles (betas). The client carries them as the 2p-vector
+    x = gammas + betas."""
 
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
@@ -115,16 +116,6 @@ class ParamVector:
             raise ValueError("need at least one layer")
         if not all(math.isfinite(x) for x in self.gammas + self.betas):
             raise ValueError("angles must be finite")
-
-    def to_array(self):
-        return list(self.gammas) + list(self.betas)
-
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "ParamVector":
-        if len(values) % 2 != 0:
-            raise ValueError("parameter array must have even length")
-        p = len(values) // 2
-        return cls(tuple(float(v) for v in values[:p]), tuple(float(v) for v in values[p:]))
 
 
 def build_qaoa(g: Graph, params: ParamVector) -> Circuit:

@@ -26,7 +26,7 @@ class MetricError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Optimizer hit a non-finite objective. Carries the partial trace."""
+    """Optimizer parameters became non-finite. Carries the partial trace."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)

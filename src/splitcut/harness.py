@@ -94,7 +94,7 @@ class ExperimentSpec:
         if not self.p_layers or min(self.p_layers) < 1:
             raise ValueError(f"experiment spec key 'p_layers' must hold at least one layer count, "
                              f"each >= 1, got {list(self.p_layers)}")
-        for key in ("seeds", "p_layers", "arms"):
+        for key in ("seeds", "p_layers", "arms", "backends"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValueError(f"experiment spec key {key!r} repeats a value: {list(values)}")
@@ -374,7 +374,7 @@ def _write_outputs(result: ExperimentResult, arm_flavors, gate, out_dir) -> None
             (out / "circuits").mkdir(exist_ok=True)
             for i, f in enumerate(flavors):
                 name = f"{arm}_p{p}_flavor{i}" if len(flavors) > 1 else f"{arm}_p{p}"
-                write(f"circuits/{name}.txt", f.wire_text(trace.best_params.to_array()))
+                write(f"circuits/{name}.txt", f.wire_text(trace.best_gammas + trace.best_betas))
             if len(flavors) > 1:
                 adversary_reports[f"{arm}_p{p}"] = gate(flavors)
     write("results.csv", results_to_csv(result.rows))

@@ -163,13 +163,6 @@ class RunTrace:
     shots: int
     rng_algorithm: str = RNG_ALGORITHM
 
-    def __post_init__(self):
-        ParamVector(self.best_gammas, self.best_betas)  # rejects unequal-length or non-finite angles
-
-    @property
-    def best_params(self) -> ParamVector:
-        return ParamVector(self.best_gammas, self.best_betas)
-
     def to_jsonl(self) -> str:
         names = [f.name for f in fields(TraceEntry)]
         lines = [json.dumps({name: getattr(e, name) for name in names}, sort_keys=True)
@@ -189,9 +182,11 @@ class RunTrace:
         summary_fields = record_fields(cls)
         del summary_fields["entries"]
         entries = tuple(TraceEntry(**read_record(e, "trace entry", entry_fields)) for e in entries)
-        for e in entries:  # optimize checks its own angles; text from outside is checked here
-            ParamVector(e.gammas, e.betas)  # rejects unequal-length or non-finite angles
-        return cls(entries=entries, **read_record(last["summary"], "trace summary", summary_fields))
+        summary = read_record(last["summary"], "trace summary", summary_fields)
+        angles = [(e.gammas, e.betas) for e in entries] + [(summary["best_gammas"], summary["best_betas"])]
+        for gammas, betas in angles:  # optimize checks its own angles; text from outside is checked here
+            ParamVector(gammas, betas)  # rejects unequal-length or non-finite angles
+        return cls(entries=entries, **summary)
 
 
 def approximation_ratio(expectation: float, cmax: int) -> float:
@@ -281,7 +276,8 @@ def compile_flavor(g_full: Graph, flavor: PrunedFlavor, p: int) -> CompiledFlavo
     routed onto the backend's coupling map when it has one; an unrouted
     circuit carries the identity layout."""
     # At the angles x = (1, ..., 2p) every rotation's angle 2 * x[j] names its slot j.
-    circ = build_qaoa(prune(g_full, flavor.removed_edges), ParamVector.from_array(range(1, 2 * p + 1)))
+    params = ParamVector(tuple(range(1, p + 1)), tuple(range(p + 1, 2 * p + 1)))
+    circ = build_qaoa(prune(g_full, flavor.removed_edges), params)
     coupling = flavor.backend.coupling
     if coupling is None:
         routed = TranspiledCircuit(circ, tuple(range(circ.num_qubits)), 0)
@@ -311,11 +307,12 @@ def exact_optimum(flavors: Sequence[CompiledFlavor]) -> tuple[float, np.ndarray]
     return max(((fx, x) for x, fx in evals), key=lambda e: e[0])
 
 
-def _init_params(seed: int, p: int) -> ParamVector:
+def _init_params(seed: int, p: int) -> np.ndarray:
+    """The starting 2p-vector x: p gammas in [0, pi), then p betas in [0, pi/2)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, p, 101]))
     gammas = rng.uniform(0.0, math.pi, size=p)
     betas = rng.uniform(0.0, math.pi / 2.0, size=p)
-    return ParamVector(tuple(gammas), tuple(betas))
+    return np.concatenate([gammas, betas])
 
 
 def _mean(values: list[float]) -> float:
@@ -371,7 +368,7 @@ def optimize(
     if cmax < 1:
         raise MetricError("edgeless graph: approximation ratio undefined")
 
-    x0 = np.array(_init_params(seed, p).to_array())
+    x0 = _init_params(seed, p)
     if optimizer == "spsa":
         opt = Spsa(x0, np.random.default_rng(np.random.SeedSequence([seed, p, 202])))
     else:
@@ -402,13 +399,13 @@ def optimize(
             ar=approximation_ratio(mean_f, cmax),
         ))
 
-    best_params = ParamVector.from_array(best_x)
     final_expectation = flavors[0].expectation(best_x, FINAL_EVAL_SHOTS)
+    best = best_x.tolist()
 
     return RunTrace(
         entries=tuple(entries),
-        best_gammas=best_params.gammas,
-        best_betas=best_params.betas,
+        best_gammas=tuple(best[:p]),
+        best_betas=tuple(best[p:]),
         best_observed_expectation=best_f,
         best_observed_ar=approximation_ratio(best_f, cmax),
         final_expectation=final_expectation,

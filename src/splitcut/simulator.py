@@ -153,9 +153,10 @@ def _seed_words(seed: int, shots: int) -> bytes:
 
 
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
-    """The stream of one draw: PCG64 seeded by (seed, shots, sha256 of the text)."""
-    if seed < 0 or shots < 0:
-        raise ValueError(f"seed and shots must be >= 0, got {seed} and {shots}")
+    """The stream of one draw: PCG64 seeded by (seed, shots, sha256 of the text).
+    The one shots check of ``run_shots`` and ``CompiledFlavor.expectation``."""
+    if seed < 0 or shots < 1:
+        raise ValueError(f"seed must be >= 0 and shots >= 1, got {seed} and {shots}")
     digest = hashlib.sha256(wire_text.encode("utf-8")).digest()
     words = np.frombuffer(_seed_words(int(seed), int(shots)) + digest[:16], dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(words))  # PCG64 builds SeedSequence(words)
@@ -514,8 +515,6 @@ def check_coupling(c: Circuit, coupling: CouplingMap) -> None:
 def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> np.ndarray:
     """Sample measurement counts for the circuit on the given backend: the
     int64 tally of ``sample_tally``, one entry per bitstring index."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     if backend.coupling is not None:
         check_coupling(c, backend.coupling)
     probs = outcome_probabilities(c, backend.noise)

@@ -105,10 +105,6 @@ class TestCircuitType:
 
 
 class TestParamVector:
-    def test_round_trip_array(self):
-        pv = ParamVector((0.1, 0.2), (0.3, 0.4))
-        assert ParamVector.from_array(pv.to_array()) == pv
-
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ParamVector((0.1,), (0.2, 0.3))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -146,6 +147,18 @@ class TestRunExperiment:
             for item in sorted((tmp_path / "a" / sub).iterdir()):
                 twin = tmp_path / "b" / sub / item.name
                 assert item.read_bytes() == twin.read_bytes()
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # every file a run writes, as first recorded: a change to the code
+        # that writes traces, circuits or reports may not move one byte
+        spec = ExperimentSpec.from_dict(dict(
+            graph="graph5", arms=["original", "pruned_only", "split"], p_layers=[1, 2],
+            seeds=[0, 1], backends=["hw1", "ideal2"], iterations=8))
+        run_experiment(spec, out_dir=tmp_path)
+        names = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+        listing = "".join(f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  {n}\n" for n in names)
+        assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == (
+            "5629f44fbe0bb15fb3078039bfae237d884c5f63e0d9be486005e8031481f409")
 
     def test_graph_file_input(self, tmp_path):
         path = tmp_path / "ring.graph"
@@ -533,9 +546,11 @@ class TestCli:
                  (["run", "--config", str(one_flavor)], "'k'"),
                  (["run", "--config", str(removed_sets_k)], "'removed_sets'"),
                  (["overhead", "--config", str(unknown_backend)], "'backends'")]
-        # a repeated seed, layer count or arm would be run and counted twice
+        # a repeated seed, layer count or arm would be run and counted twice;
+        # a repeated backend used to exit 2 naming no key
         for i, (key, value) in enumerate([("seeds", [0, 0]), ("p_layers", [1, 2, 1]),
-                                          ("arms", ["split", "split"])]):
+                                          ("arms", ["split", "split"]),
+                                          ("backends", ["ideal1", "ideal1"])]):
             spec = tmp_path / f"repeat_spec{i}.json"
             spec.write_text(json.dumps(dict(SMALL_SPEC, **{key: value})))
             cases.append((["run", "--config", str(spec)], repr(key)))

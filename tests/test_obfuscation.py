@@ -164,7 +164,8 @@ def reference_evaluation(g_full: Graph, flavor: PrunedFlavor, x, shots: int) -> 
     """One evaluation built from scratch at the angles x: the wire text and
     the full-graph score of ``shots`` samples, through a fresh circuit,
     route, ``run_shots`` and a remap of the tally into logical order."""
-    circ = build_qaoa(prune(g_full, flavor.removed_edges), ParamVector.from_array(x))
+    p = len(x) // 2
+    circ = build_qaoa(prune(g_full, flavor.removed_edges), ParamVector(tuple(x[:p]), tuple(x[p:])))
     layout = tuple(range(circ.num_qubits))
     if flavor.backend.coupling is not None:
         routed = transpile(circ, flavor.backend.coupling)
@@ -193,6 +194,12 @@ class TestCompiledFlavor:
             text, score = reference_evaluation(g, flavor, x, shots)
             assert compiled.wire_text(x) == text
             assert compiled.expectation(x, shots) == score
+
+    def test_rejects_zero_shots(self, ideal_backend):
+        # the one shots rule of both samplers, not a division by zero
+        (cf,) = compiled(benchmark_graph("cycle4"), unpruned(ideal_backend))
+        with pytest.raises(ValueError, match="shots >= 1"):
+            cf.expectation(np.array([0.3, 0.2]), 0)
 
     def test_rejects_unrouted_coupling(self, monkeypatch):
         # a circuit that slipped past routing is refused before any evaluation
@@ -237,7 +244,8 @@ class TestCompiledFlavor:
         g = benchmark_graph("graph6")
         b = BackendProfile("b", noise, CouplingMap.line(g.n + 1) if routed else None, seed=21)
         cf = compile_flavor(g, PrunedFlavor((g.edges[-1],), b), 2)
-        x = random_params(np.random.default_rng(5), 2).to_array()
+        params = random_params(np.random.default_rng(5), 2)
+        x = params.gammas + params.betas
         m, layout = cf.routed.circuit.num_qubits, cf.routed.final_layout
         assert (layout != tuple(range(g.n))) == routed
         probs = outcome_probabilities(parse(cf.wire_text(x)), noise)
@@ -377,9 +385,9 @@ class TestOptimize:
         # init depends only on (seed, p): arms of one seed start equal
         from splitcut.obfuscation import _init_params
 
-        assert _init_params(7, 1) == _init_params(7, 1)
-        assert _init_params(7, 1) != _init_params(8, 1)
-        assert _init_params(7, 1) != _init_params(7, 2)
+        assert np.array_equal(_init_params(7, 1), _init_params(7, 1))
+        assert not np.array_equal(_init_params(7, 1), _init_params(8, 1))
+        assert not np.array_equal(_init_params(7, 1), _init_params(7, 2))
 
     def test_nelder_mead_runs(self, ideal_backend):
         g = benchmark_graph("cycle4")
@@ -393,9 +401,10 @@ class TestOptimize:
         from splitcut.obfuscation import _init_params
 
         for seed in range(30):
-            pv = _init_params(seed, 3)
-            assert all(0 <= gm < math.pi for gm in pv.gammas)
-            assert all(0 <= bt < math.pi / 2 for bt in pv.betas)
+            x = _init_params(seed, 3)
+            assert x.shape == (6,)
+            assert all(0 <= gm < math.pi for gm in x[:3])
+            assert all(0 <= bt < math.pi / 2 for bt in x[3:])
 
     def test_trace_jsonl_round_trip(self, ideal_backend):
         g = benchmark_graph("cycle3")

@@ -201,7 +201,7 @@ class TestStatevector:
         kernel = compile_kernel(build_qaoa(g, random_params(rng, p)), noise, slots)
         for _ in range(3):
             params = random_params(rng, p)
-            angles, c = 2.0 * np.array(params.to_array()), build_qaoa(g, params)
+            angles, c = 2.0 * np.array(params.gammas + params.betas), build_qaoa(g, params)
             if noise.has_gate_noise:
                 got, want = kernel.probabilities(angles), kraus_reference(c, noise)
             else:
@@ -294,7 +294,7 @@ class TestRunShots:
         g = benchmark_graph("cycle4")
         params = ParamVector((-0.3927,), (0.3927,))  # near the p=1 ring optimum
         c = build_qaoa(g, params)
-        ideal_e = compile_flavor(g, PrunedFlavor((), ideal_backend), 1).exact_expectation(params.to_array())
+        ideal_e = compile_flavor(g, PrunedFlavor((), ideal_backend), 1).exact_expectation(params.gammas + params.betas)
         noisy_es = []
         for seed in range(10):
             backend = BackendProfile(f"n{seed}", noise=NoiseModel(0.002, 0.02, 0.035), seed=seed)
