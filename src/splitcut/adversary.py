@@ -4,10 +4,10 @@ and size the search an adversary faces to complete a pruned graph.
 The extractor is a streaming pattern matcher over the wire format. It keeps
 a physical->logical map, consumes cx(a,b) cx(b,a) cx(a,b) as a SWAP (map
 update) and cx(a,b) rz(b,.) cx(a,b) as a ZZ edge between the mapped qubits,
-and skips single-qubit rotations and the measurement. Matching is greedy
-longest-match: when both could start at a cx, the exact 3-cx swap signature
-wins. Repeated ZZ blocks on one pair (one per layer) collapse into a single
-edge. Everything here is a pure function.
+and skips single-qubit rotations and the measurement. Both patterns open
+and close with the same cx(a,b), so the middle gate alone tells them apart
+and no run of gates can match both. Repeated ZZ blocks on one pair (one per
+layer) collapse into a single edge. Everything here is a pure function.
 """
 from __future__ import annotations
 
@@ -68,22 +68,15 @@ def extract_graph(text: str) -> ExtractionReport:
         if g.name in ("h", "rx", "measure"):
             i += 1
             continue
-        if g.name == "cx":
+        if g.name == "cx" and i + 2 < len(gates) and gates[i + 2] == g:
             a, b = g.qubits
-            if (
-                i + 2 < len(gates)
-                and gates[i + 1].name == "cx" and gates[i + 1].qubits == (b, a)
-                and gates[i + 2].name == "cx" and gates[i + 2].qubits == (a, b)
-            ):
+            mid = gates[i + 1]
+            if (mid.name, mid.qubits) == ("cx", (b, a)):
                 p2l[a], p2l[b] = p2l[b], p2l[a]
                 swaps += 1
                 i += 3
                 continue
-            if (
-                i + 2 < len(gates)
-                and gates[i + 1].name == "rz" and gates[i + 1].qubits == (b,)
-                and gates[i + 2].name == "cx" and gates[i + 2].qubits == (a, b)
-            ):
+            if (mid.name, mid.qubits) == ("rz", (b,)):
                 u, v = p2l[a], p2l[b]
                 edges.add((min(u, v), max(u, v)))
                 i += 3

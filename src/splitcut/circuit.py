@@ -174,9 +174,6 @@ class CouplingMap:
             adj[v].append(u)
         return {q: tuple(sorted(nbs)) for q, nbs in adj.items()}
 
-    def neighbors(self, q: int) -> list[int]:
-        return list(self._adjacency.get(q, ()))
-
     def shortest_path(self, a: int, b: int) -> list[int]:
         """BFS shortest path from a to b; RoutingError if disconnected."""
         if a == b:
@@ -185,7 +182,7 @@ class CouplingMap:
         queue = deque([a])
         while queue:
             cur = queue.popleft()
-            for nb in self.neighbors(cur):
+            for nb in self._adjacency[cur]:
                 if nb not in prev:
                     prev[nb] = cur
                     if nb == b:
@@ -316,8 +313,6 @@ def parse(text: str) -> Circuit:
                 angle = float(args[-1])
             except ValueError:
                 raise CircuitParseError(lineno, f"bad angle {args[-1]!r}") from None
-            if not math.isfinite(angle):
-                raise CircuitParseError(lineno, f"non-finite angle {args[-1]!r}")
         try:
             gates.append(Gate(op, tuple(qubits), angle))
         except ValueError as exc:

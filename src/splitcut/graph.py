@@ -55,12 +55,8 @@ class Graph:
     @classmethod
     def make(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build a Graph from unordered edge pairs, rejecting loops and duplicates."""
-        normalized = []
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            normalized.append((min(u, v), max(u, v)))
+        pairs = [(int(e[0]), int(e[1])) for e in edges]
+        normalized = [(min(u, v), max(u, v)) for u, v in pairs]
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate edges")
         return cls(n, tuple(sorted(normalized)))

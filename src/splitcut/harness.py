@@ -73,11 +73,9 @@ class ExperimentSpec:
     optimizer: str = "spsa"
 
     def __post_init__(self):
-        if not self.arms:
-            raise ValueError("need at least one arm")
-        for arm in self.arms:
-            if arm not in ARMS:
-                raise ValueError(f"unknown arm {arm!r}")
+        if not self.arms or set(self.arms) - set(ARMS):
+            raise ValueError(f"experiment spec key 'arms' must hold one or more of {list(ARMS)}, "
+                             f"got {list(self.arms)}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"experiment spec key 'optimizer' must be 'spsa' or 'nelder_mead', "
                              f"got {self.optimizer!r}")
@@ -86,11 +84,9 @@ class ExperimentSpec:
         least = 2 * self.k if "split" in self.arms else 1  # a split arm runs every flavor twice
         if self.iterations < least:
             raise ValueError(f"experiment spec key 'iterations' must be >= {least}, got {self.iterations}")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if min(self.seeds) < 0:
-            raise ValueError(f"experiment spec key 'seeds' must hold non-negative integers, "
-                             f"got {min(self.seeds)}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"experiment spec key 'seeds' must hold at least one seed, each >= 0, "
+                             f"got {list(self.seeds)}")
         if not self.p_layers or min(self.p_layers) < 1:
             raise ValueError(f"experiment spec key 'p_layers' must hold at least one layer count, "
                              f"each >= 1, got {list(self.p_layers)}")
@@ -103,9 +99,10 @@ class ExperimentSpec:
         if self.removed_sets is not None and len(self.removed_sets) != self.k:
             raise ValueError(f"experiment spec key 'removed_sets' must list one edge set for each of the "
                              f"{self.k} flavors, got {len(self.removed_sets)}")
-        if set(self.arms) - {"original"} and len(self.backends) < self.k:
+        flavors = self.k if set(self.arms) - {"original"} else 1  # the original arm sends one
+        if len(self.backends) < flavors:
             raise ValueError(f"experiment spec key 'backends' must name a backend for each of the "
-                             f"{self.k} flavors of a split, got {list(self.backends)}")
+                             f"{flavors} flavor(s) a run sends, got {list(self.backends)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":

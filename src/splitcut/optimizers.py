@@ -48,38 +48,27 @@ class Spsa:
 class NelderMead:
     """Classic simplex search (reflection/expansion/contraction/shrink).
 
-    The initial simplex is evaluated lazily on the first step, so those
-    evaluations land on iteration 0's objective. Intended for ideal
-    backends; simplex values measured on earlier iterations' objectives are
-    reused as-is. The initial simplex offsets x0 by ``STEP`` along each axis.
+    The initial simplex is x0 and x0 offset by ``STEP`` along each axis, in
+    axis order. The first step only evaluates it, so those evaluations land
+    on iteration 0's objective, and until then ``x`` is x0. Intended for
+    ideal backends; simplex values measured on earlier iterations'
+    objectives are reused as-is.
     """
 
     STEP = 0.3
 
     def __init__(self, x0):
-        self.x0 = np.asarray(x0, dtype=float).copy()
-        self.simplex: list[np.ndarray] | None = None
-        self.values: list[float] | None = None
+        x0 = np.asarray(x0, dtype=float)
+        self.simplex = [x0.copy() for _ in range(len(x0) + 1)]
+        for i, p in enumerate(self.simplex[1:]):
+            p[i] += self.STEP
+        self.values: list[float] = []
 
     @property
     def x(self) -> np.ndarray:
-        if self.simplex is None:
-            return self.x0
-        best = int(np.argmax(self.values))
-        return self.simplex[best]
+        return self.simplex[int(np.argmax(self.values))] if self.values else self.simplex[0]
 
-    def _init_simplex(self, objective) -> list[tuple[np.ndarray, float]]:
-        dim = len(self.x0)
-        points = [self.x0.copy()]
-        for i in range(dim):
-            p = self.x0.copy()
-            p[i] += self.STEP
-            points.append(p)
-        self.simplex = points
-        self.values = [float(objective(p)) for p in points]
-        return list(zip(points, self.values))
-
-    def step_simplex(self, objective) -> list[tuple[np.ndarray, float]]:
+    def step(self, objective) -> list[tuple[np.ndarray, float]]:
         evals: list[tuple[np.ndarray, float]] = []
 
         def f(x) -> float:
@@ -87,6 +76,9 @@ class NelderMead:
             evals.append((x, v))
             return v
 
+        if not self.values:
+            self.values = [f(p) for p in self.simplex]
+            return evals
         order = np.argsort(self.values)  # ascending: worst first under maximization
         worst, second_worst, best = order[0], order[1], order[-1]
         centroid = np.mean([self.simplex[i] for i in order[1:]], axis=0)
@@ -115,8 +107,3 @@ class NelderMead:
                     self.simplex[i] = shrunk
                     self.values[i] = f(shrunk)
         return evals
-
-    def step(self, objective) -> list[tuple[np.ndarray, float]]:
-        if self.simplex is None:
-            return self._init_simplex(objective)
-        return self.step_simplex(objective)

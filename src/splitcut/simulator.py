@@ -20,12 +20,13 @@ compile time:
   Gosset, PRL 116, 250501, 2016). A run of rotations with no X part is
   diagonal, so it is one phase step, as fast QAOA simulators apply a cost
   layer (Lykov et al., arXiv:2309.04841), with one real row per parameter
-  its rotations read. On up to 7 qubits a run with no Z part, such as a
-  QAOA mixer layer, is one phase step in the Hadamard basis, H^n times
-  the phase times H^n, with its rows built over the X bits; on wider
-  states the two dense H^n products cost more than the rotations, so each
-  is its own step there, as is every rotation with both an X and a Z
-  part. The distribution is |psi|^2.
+  its rotations read: a QAOA cost layer reads one, so ``complete(20)``
+  holds one 8 MiB row per layer, not one per edge. On up to 7 qubits a
+  run with no Z part, such as a QAOA mixer layer, is one phase step in the
+  Hadamard basis, H^n times the phase times H^n, with its rows built over
+  the X bits; on wider states the two dense H^n products cost more than
+  the rotations, so each is its own step there, as is every rotation with
+  both an X and a Z part. The distribution is |psi|^2.
 - Gate noise is the depolarizing channel: after each gate, each touched
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the

@@ -90,6 +90,10 @@ class TestExtract:
         report = extract_graph(serialize(c))
         assert report.unmatched_gates == 3  # two lone cx and one lone rz
         assert report.recovered_graph.edges == ()
+        # a cx(a,b) ... cx(a,b) frame is a pattern only with cx(b,a) or rz(b) inside
+        for middle in (rz(0, 0.5), cx(0, 1)):
+            report = extract_graph(serialize(Circuit(2, (cx(0, 1), middle, cx(0, 1)))))
+            assert (report.recovered_graph.edges, report.swap_count, report.unmatched_gates) == ((), 0, 3)
 
     def test_extraction_complements_pruning_on_random_graphs(self):
         rng = np.random.default_rng(31)

@@ -107,7 +107,7 @@ class TestBruteForce:
 
 class TestGraphType:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop on node 1"):
             Graph.make(3, [(1, 1)])
 
     def test_rejects_duplicate_edges(self):

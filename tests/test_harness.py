@@ -521,7 +521,7 @@ class TestCli:
         cases = [(["run", "--config", str(tmp_path / "missing.json")], ""),
                  (["run", "--config", str(bad_json)], ""),
                  (["overhead", "--config", str(no_graph)], "'graph'"),
-                 (["run", "--config", str(bad_arm), "--p", "1,2"], ""),
+                 (["run", "--config", str(bad_arm), "--p", "1,2"], "'arms'"),
                  (["run", "--config", str(unknown_key)], "'seed'"),
                  (["run", "--config", str(not_object)], ""),
                  (["run", "--config", str(profile_key)], "'readout'"),
@@ -554,8 +554,15 @@ class TestCli:
             spec = tmp_path / f"repeat_spec{i}.json"
             spec.write_text(json.dumps(dict(SMALL_SPEC, **{key: value})))
             cases.append((["run", "--config", str(spec)], repr(key)))
-        # values no run can use are rejected by the spec, naming the key, in both commands
-        for i, fields in enumerate([{"optimizer": "adam"}, {"shots": 0}, {"iterations": 0, "arms": ["original"]}]):
+        # an empty backends list used to exit 1 with an IndexError traceback
+        no_backends = tmp_path / "no_backends.json"
+        no_backends.write_text(json.dumps({"graph": "cycle4", "arms": ["original"], "backends": [],
+                                           "seeds": [0], "iterations": 4}))
+        cases += [([cmd, "--config", str(no_backends)], "'backends'") for cmd in ("run", "overhead")]
+        # values no run can use are rejected by the spec, naming the key, in both commands;
+        # the last three messages used to name no key
+        for i, fields in enumerate([{"optimizer": "adam"}, {"shots": 0}, {"iterations": 0, "arms": ["original"]},
+                                    {"arms": []}, {"arms": ["orig"]}, {"seeds": []}]):
             spec = tmp_path / f"value_spec{i}.json"
             spec.write_text(json.dumps(dict(SMALL_SPEC, **fields)))
             cases += [([cmd, "--config", str(spec)], repr(next(iter(fields)))) for cmd in ("run", "overhead")]

@@ -32,9 +32,14 @@ def test_spsa_deterministic_given_rng_seed():
 
 
 def test_nelder_mead_initial_simplex_then_moves():
-    opt = NelderMead(np.zeros(2))
+    x0 = np.array([0.5, -0.25])
+    opt = NelderMead(x0)
+    assert np.array_equal(opt.x, x0)
     first = opt.step(bowl)
-    assert len(first) == 3  # dim + 1 vertices
+    # dim + 1 vertices: x0, then x0 + STEP * e_i in axis order
+    assert [x.tolist() for x, _ in first] == [[0.5, -0.25], [0.5 + NelderMead.STEP, -0.25],
+                                              [0.5, -0.25 + NelderMead.STEP]]
+    assert [fx for _, fx in first] == [bowl(x) for x, _ in first]
     total = 0
     for _ in range(60):
         total += len(opt.step(bowl))
