@@ -12,11 +12,13 @@ It records, for the checkout the script sits in:
   of ``perfbench/run.py --trace 1``, the median of each per-layer metric
   with every run's value, and the ``missing_targets`` (span targets that
   no longer exist in the code);
-- ``compile_flavor`` plus ``optimize`` on graph6 at p=2 (SPSA, the default
-  50 iterations and 4096 shots) on the noiseless ``ideal1`` and the noisy
-  ``hw1`` profile, in seconds and in ms per evaluation (median of a few
-  runs in this process). Each run compiles its flavor afresh, so the time
-  covers the build, the route and the kernel as well as the evaluations.
+- ``compile_flavor`` plus ``optimize`` on graph6 at p=2 (the default 50
+  iterations and 4096 shots): SPSA on the noiseless ``ideal1`` and the
+  noisy ``hw1`` profile, and Nelder-Mead on perfbench's routed ``line1``
+  profile (``perfbench/line6_backends.json``), in seconds and in ms per
+  evaluation (median of a few runs in this process). Each run compiles its
+  flavor afresh, so the time covers the build, the route and the kernel as
+  well as the evaluations.
   The runs go under perfbench's ``speed.SpeedSampler``: ``s`` and
   ``ms_per_eval`` are wall time less the probes inside the run, and
   ``reference_s`` and ``ms_per_eval_reference`` the same converted to
@@ -79,6 +81,11 @@ def workload_summary(records: list[dict]) -> dict:
     }
 
 
+# backend -> (its profiles file, None for the bundled one; optimizer)
+OPTIMIZE_RUNS = {"ideal1": (None, "spsa"), "hw1": (None, "spsa"),
+                 "line1": (BENCH / "line6_backends.json", "nelder_mead")}
+
+
 def time_optimize(backend_name: str, sampler) -> tuple[list, object]:
     """OPTIMIZE_REPEATS runs under the running ``sampler``: each run's
     (start, end, wall time less the probes inside it), and the last trace."""
@@ -86,32 +93,34 @@ def time_optimize(backend_name: str, sampler) -> tuple[list, object]:
     from splitcut.obfuscation import PrunedFlavor, compile_flavor, optimize
     from splitcut.simulator import load_backend_profiles
 
+    profiles, optimizer = OPTIMIZE_RUNS[backend_name]
     g = benchmark_graph("graph6")
-    flavor = PrunedFlavor((), load_backend_profiles()[backend_name])
+    flavor = PrunedFlavor((), load_backend_profiles(profiles)[backend_name])
     runs, trace = [], None
     for _ in range(OPTIMIZE_REPEATS):
         probed, t0 = sampler.probe_total, perf_counter()
-        trace = optimize((compile_flavor(g, flavor, 2),), seed=0)
+        trace = optimize((compile_flavor(g, flavor, 2),), optimizer=optimizer, seed=0)
         t1 = perf_counter()
         runs.append((t0, t1, t1 - t0 - (sampler.probe_total - probed)))
     return runs, trace
 
 
 def optimize_graph6_p2() -> dict:
-    """``time_optimize`` on ideal1 and hw1, with the medians of the raw and
-    the reference times."""
+    """``time_optimize`` on each of ``OPTIMIZE_RUNS``, with the medians of
+    the raw and the reference times."""
     from speed import WINDOW_PAD_S, SpeedSampler  # imports numpy, so after the thread pins
 
     with SpeedSampler() as sampler:
         sleep(WINDOW_PAD_S)  # so the first and last runs have probes on both sides
-        timed = {b: time_optimize(b, sampler) for b in ("ideal1", "hw1")}
+        timed = {b: time_optimize(b, sampler) for b in OPTIMIZE_RUNS}
         sleep(WINDOW_PAD_S)
     out = {}
     for b, (runs, trace) in timed.items():
         s = median(wall for _, _, wall in runs)
         ref = median(sampler.reference_s(*run) for run in runs)
-        out[b] = {"backend": b, "s": s, "s_first": runs[0][2], "reference_s": ref,
-                  "evaluations": trace.evaluations, "ms_per_eval": 1e3 * s / trace.evaluations,
+        out[b] = {"backend": b, "optimizer": OPTIMIZE_RUNS[b][1], "s": s, "s_first": runs[0][2],
+                  "reference_s": ref, "evaluations": trace.evaluations,
+                  "ms_per_eval": 1e3 * s / trace.evaluations,
                   "ms_per_eval_reference": 1e3 * ref / trace.evaluations,
                   "final_ar": trace.final_ar}
     return out
@@ -167,8 +176,9 @@ def main(argv=None) -> int:
     workloads.add_source_path()
     out["optimize_graph6_p2"] = optimize_graph6_p2()
     for b, m in out["optimize_graph6_p2"].items():
-        print(f"optimize graph6 p=2 {b}: {m['s']:.3f} s, {m['ms_per_eval']:.3f} ms/eval, "
-              f"{m['ms_per_eval_reference']:.3f} reference ms/eval", file=sys.stderr)
+        print(f"optimize graph6 p=2 {b} {m['optimizer']}: {m['s']:.3f} s, "
+              f"{m['ms_per_eval']:.3f} ms/eval, {m['ms_per_eval_reference']:.3f} reference ms/eval",
+              file=sys.stderr)
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -48,25 +48,28 @@ class Spsa:
 class NelderMead:
     """Classic simplex search (reflection/expansion/contraction/shrink).
 
-    The initial simplex is x0 and x0 offset by ``STEP`` along each axis, in
-    axis order. The first step only evaluates it, so those evaluations land
-    on iteration 0's objective, and until then ``x`` is x0. Intended for
-    ideal backends; simplex values measured on earlier iterations'
-    objectives are reused as-is.
+    The simplex is one (n + 1, n) array: x0, then x0 offset by ``STEP``
+    along each axis, in axis order. The first step only evaluates it, so
+    those evaluations land on iteration 0's objective, and until then ``x``
+    is x0. Ties between values are broken in ``np.argsort``'s order.
+    Intended for ideal backends; simplex values measured on earlier
+    iterations' objectives are reused as-is. Every point a step returns,
+    and ``x``, is an array of its own: a later step overwrites simplex rows
+    in place.
     """
 
     STEP = 0.3
 
     def __init__(self, x0):
         x0 = np.asarray(x0, dtype=float)
-        self.simplex = [x0.copy() for _ in range(len(x0) + 1)]
-        for i, p in enumerate(self.simplex[1:]):
-            p[i] += self.STEP
-        self.values: list[float] = []
+        self.simplex = np.repeat(x0[None], len(x0) + 1, axis=0)
+        for i in range(len(x0)):  # only coordinate i: adding 0.0 would turn -0.0 into +0.0
+            self.simplex[i + 1, i] += self.STEP
+        self.values = np.empty(0)  # one per vertex from the first step on
 
     @property
     def x(self) -> np.ndarray:
-        return self.simplex[int(np.argmax(self.values))] if self.values else self.simplex[0]
+        return self.simplex[int(self.values.argmax()) if len(self.values) else 0].copy()
 
     def step(self, objective) -> list[tuple[np.ndarray, float]]:
         evals: list[tuple[np.ndarray, float]] = []
@@ -76,34 +79,33 @@ class NelderMead:
             evals.append((x, v))
             return v
 
-        if not self.values:
-            self.values = [f(p) for p in self.simplex]
+        simplex, values = self.simplex, self.values
+        if not len(values):
+            self.values = np.array([f(p) for p in simplex.copy()])
             return evals
-        order = np.argsort(self.values)  # ascending: worst first under maximization
-        worst, second_worst, best = order[0], order[1], order[-1]
-        centroid = np.mean([self.simplex[i] for i in order[1:]], axis=0)
-        reflected = centroid + (centroid - self.simplex[worst])
+        order = values.argsort()  # ascending: worst first under maximization
+        worst, second_worst, best = order[[0, 1, -1]].tolist()
+        centroid = simplex[order[1:]].mean(axis=0)
+        away = centroid - simplex[worst]
+        reflected = centroid + away
         f_r = f(reflected)
-        if f_r > self.values[best]:
-            expanded = centroid + 2.0 * (centroid - self.simplex[worst])
+        if f_r > values[best]:
+            expanded = centroid + 2.0 * away
             f_e = f(expanded)
             if f_e > f_r:
-                self.simplex[worst], self.values[worst] = expanded, f_e
+                simplex[worst], values[worst] = expanded, f_e
             else:
-                self.simplex[worst], self.values[worst] = reflected, f_r
-        elif f_r > self.values[second_worst]:
-            self.simplex[worst], self.values[worst] = reflected, f_r
+                simplex[worst], values[worst] = reflected, f_r
+        elif f_r > values[second_worst]:
+            simplex[worst], values[worst] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (self.simplex[worst] - centroid)
+            contracted = centroid + 0.5 * (simplex[worst] - centroid)
             f_c = f(contracted)
-            if f_c > self.values[worst]:
-                self.simplex[worst], self.values[worst] = contracted, f_c
+            if f_c > values[worst]:
+                simplex[worst], values[worst] = contracted, f_c
             else:
-                best_point = self.simplex[best].copy()
-                for i in range(len(self.simplex)):
-                    if i == best:
-                        continue
-                    shrunk = best_point + 0.5 * (self.simplex[i] - best_point)
-                    self.simplex[i] = shrunk
-                    self.values[i] = f(shrunk)
+                shrunk = simplex[best] + 0.5 * (simplex - simplex[best])
+                for i in range(len(simplex)):
+                    if i != best:  # best + 0.0 would turn -0.0 into +0.0
+                        simplex[i], values[i] = shrunk[i], f(shrunk[i])
         return evals

@@ -12,21 +12,23 @@ flavor's 2p QAOA angles, or a bare circuit's distinct angles. The state takes
 one of two forms, each with one kernel that starts from a state built at
 compile time:
 
-- Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``). The h
-  and cx gates are Cliffords, which map Pauli strings to Pauli strings
-  (Aaronson & Gottesman, PRA 70, 052328, 2004). So the start state is the
-  circuit's Clifford product on |0...0>, and each rx/rz becomes a rotation
-  about its Pauli conjugated through every later h and cx (as in Bravyi &
-  Gosset, PRL 116, 250501, 2016). A run of rotations with no X part is
-  diagonal, so it is one phase step, as fast QAOA simulators apply a cost
-  layer (Lykov et al., arXiv:2309.04841), with one real row per parameter
-  its rotations read: a QAOA cost layer reads one, so ``complete(20)``
-  holds one 8 MiB row per layer, not one per edge. On up to 7 qubits a
-  run with no Z part, such as a QAOA mixer layer, is one phase step in the
-  Hadamard basis, H^n times the phase times H^n, with its rows built over
-  the X bits; on wider states the two dense H^n products cost more than
-  the rotations, so each is its own step there, as is every rotation with
-  both an X and a Z part. The distribution is |psi|^2.
+- Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), held
+  flat. The h and cx gates are Cliffords, which map Pauli strings to Pauli
+  strings (Aaronson & Gottesman, PRA 70, 052328, 2004). So the start state
+  is the circuit's Clifford product on |0...0>, and each rx/rz becomes a
+  rotation about its Pauli conjugated through every later h and cx (as in
+  Bravyi & Gosset, PRL 116, 250501, 2016). A run of rotations with no X
+  part is diagonal, so it is one phase step, as fast QAOA simulators apply
+  a cost layer (Lykov et al., arXiv:2309.04841), with one row per
+  parameter its rotations read, stored already scaled by -i/2 so that the
+  step is ``state * exp(rows @ angles)``: a QAOA cost layer reads one, so
+  ``complete(20)`` holds one complex 16 MiB row per layer, not one per
+  edge. On up to 7 qubits a run with no Z part, such as a QAOA mixer
+  layer, is one phase step in the Hadamard basis, H^n times the phase
+  times H^n, with its rows built over the X bits; on wider states the two
+  dense H^n products cost more than the rotations, so each is its own step
+  there, as is every rotation with both an X and a Z part. The
+  distribution is |psi|^2.
 - Gate noise is the depolarizing channel: after each gate, each touched
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
@@ -186,8 +188,9 @@ def sample_tally(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.
 
 # -- the compiled kernels ---------------------------------------------------
 #
-# Without gate noise the state has one axis of length 2 per qubit. A Pauli
-# P = (-1)^s X^x Z^z acts as (P t)[b] = (-1)^s (-1)^(z.(b^x)) t[b^x], so
+# Without gate noise a single rotation views the flat state with one axis
+# of length 2 per qubit. A Pauli P = (-1)^s X^x Z^z acts on that view t as
+# (P t)[b] = (-1)^s (-1)^(z.(b^x)) t[b^x], so
 # exp(-i theta/2 P) is t -> cos(theta/2) t + sin(theta/2) w t[b^x] with
 # w[b] = -i (-1)^s (-1)^(z.(b^x)), which varies only along the axes in z.
 # With gate noise the state is the real tensor r[P] = Tr(rho P), one axis of
@@ -307,22 +310,26 @@ class Kernel:
     def evolve(self, angles: np.ndarray) -> np.ndarray:
         """The start state through the compiled steps at ``angles[k]`` for
         parameter k: the flat final state, the amplitudes without gate noise
-        and the Pauli coefficients with it."""
+        and the Pauli coefficients with it. Without gate noise a phase step
+        multiplies the flat state by ``exp(rows @ angles[k])``, its rows
+        scaled by -i/2 at compile time, in the Hadamard basis between two
+        products with H^n; a single rotation views the state as one axis
+        of length 2 per qubit for its axis flips."""
         state = self.start
         if not self.noise.has_gate_noise:
-            half = 0.5 * angles
-            c = s = None  # cos and sin of half, built at the first single rotation
+            c = s = None  # cos and sin of the half angles, built at the first single rotation
             for k, how, w in self.steps:
                 if how is None:  # a phase step: k holds the parameter of each row of w
-                    state = state * np.exp(-1j * (w @ half[k]))
+                    state = state * np.exp(w @ angles[k])
                 elif type(how) is tuple:  # one rotation: how flips the axes in its X part
                     if c is None:
+                        half = 0.5 * angles
                         c, s = np.cos(half).tolist(), np.sin(half).tolist()
-                    state = c[k] * state + (s[k] * w) * state[how]
+                    t = state.reshape((2,) * self.num_qubits)
+                    state = (c[k] * t + (s[k] * w) * t[how]).reshape(-1)
                 else:  # a phase step in the Hadamard basis: how is H^n
-                    phase = np.exp(-1j * (w @ half[k]))
-                    state = (how @ (phase * (how @ state.reshape(-1)))).reshape(state.shape)
-            return state.reshape(-1)
+                    state = how @ (np.exp(w @ angles[k]) * (how @ state))
+            return state
         coeffs = np.ones((len(angles), 3))
         np.cos(angles, out=coeffs[:, 1])
         np.sin(angles, out=coeffs[:, 2])
@@ -412,32 +419,32 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
             continue
         # A run of rotations (-1)^s Z^u, or (-1)^s X^u conjugated by H^n to
         # (-1)^s Z^u, is the phase exp(-i/2 sum_j theta_j (-1)^s (-1)^(u.b)):
-        # one row per parameter, summed over its rotations.
+        # one flat row per parameter, summed over its rotations and scaled
+        # by -i/2. The rows hold small integers, so the scaling is exact.
         bits, rows = zs if basis == "z" else xs, {}
         for j in run:
             row = math.prod((signs[q][0] for q in range(n) if bits[q] >> j & 1),
                             start=-1.0 if sign >> j & 1 else 1.0)
             rows[slots[j]] = rows.get(slots[j], np.zeros((2,) * n)) + row
-        w = np.stack(list(rows.values()), axis=-1)
-        if basis == "z":
-            steps.append((np.array(list(rows)), None, w))
-        else:
-            steps.append((np.array(list(rows)), _hadamard(n), w.reshape(2**n, -1)))
-    return Kernel(n, noise, start, tuple(steps))
+        w = -0.5j * np.stack(list(rows.values()), axis=-1).reshape(2**n, -1)
+        steps.append((np.array(list(rows)), None if basis == "z" else _hadamard(n), w))
+    return Kernel(n, noise, start.reshape(-1), tuple(steps))
 
 
 def compile_kernel(c: Circuit, noise: NoiseModel, slots) -> Kernel:
     """The circuit's skeleton compiled on the noise model, rotation j (in
-    gate order) reading parameter ``slots[j]``. Without gate noise, one step
-    per run of diagonal rotations, its parameters, None and one row for
-    each; on up to ``_HADAMARD_QUBITS`` qubits one per run of X-only
-    rotations, its parameters, H^n and one flat row for each; and one per
-    other rotation, its parameter, axis flips and w. With it, one
-    step per block (``_blocks``) but the fixed ones that no earlier step
-    touches, which fold into the start state: the transposition that brings
-    the block's qubits to the front of the state's axes, its width D, and
-    its transfer matrix, or for a block with rotations the (group, index) of
-    its matrix among those the evaluation builds. A group holds the blocks
+    gate order) reading parameter ``slots[j]``. Without gate noise the start
+    state is flat, with one step per run of diagonal rotations, its
+    parameters, None and one flat row for each, scaled by -i/2 (a complex
+    row of 2^n amplitudes: 16 MiB at 20 qubits); on up to
+    ``_HADAMARD_QUBITS`` qubits one per run of X-only rotations, its
+    parameters, H^n and one such row for each; and one per other rotation,
+    its parameter, axis flips and w. With it, one step per block
+    (``_blocks``) but the fixed ones that no earlier step touches, which
+    fold into the start state: the transposition that brings the block's
+    qubits to the front of the state's axes, its width D, and its transfer
+    matrix, or for a block with rotations the (group, index) of its matrix
+    among those the evaluation builds. A group holds the blocks
     of one width D and one rotation count r: their parts as a
     (blocks, D*D, 3^r) array and their rotations' parameters as a
     (blocks, r) array. The readout is the index that gathers the I/Z

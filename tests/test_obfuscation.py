@@ -36,6 +36,11 @@ def unpruned(backend):
     return (PrunedFlavor((), backend),)
 
 
+@pytest.fixture(scope="module")
+def line6_backend():
+    return BackendProfile("line1", coupling=CouplingMap.line(6), seed=31)
+
+
 def compiled(g, flavors, p=1):
     """The flavors as ``optimize`` takes them: compiled on g at p layers."""
     return tuple(compile_flavor(g, f, p) for f in flavors)
@@ -470,6 +475,10 @@ class TestOptimize:
         pytest.param("graph5", "ideal_backend", {"optimizer": "nelder_mead", "shots": 1000},
                      "8814008a5009eed71b1f4c22d60501411c7d2f2f2ba00f238a6493a754a67722",
                      id="graph5-nelder_mead-ideal1-1000shots"),
+        # every evaluation SWAP-routed onto a line and remapped back
+        pytest.param("graph6", "line6_backend", {"optimizer": "nelder_mead"},
+                     "55f236aa8a5bda80b5b620acb3c28a839c8ee9e1752ad7da09c0e5354f9bfafd",
+                     id="graph6-nelder_mead-line6"),
     ])
     def test_trace_bytes_are_pinned(self, request, graph, backend, knobs, digest):
         # the RNG contract: every draw, angle and mean of these runs as first

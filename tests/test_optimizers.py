@@ -45,6 +45,12 @@ def test_nelder_mead_initial_simplex_then_moves():
         total += len(opt.step(bowl))
     assert bowl(opt.x) > 4.99
     assert total >= 60  # at least one evaluation per iteration
+    # later steps overwrite simplex rows in place, not the points handed out
+    assert [x.tolist() for x, _ in first] == [[0.5, -0.25], [0.5 + NelderMead.STEP, -0.25],
+                                              [0.5, -0.25 + NelderMead.STEP]]
+    x = opt.x
+    opt.simplex[:] = 0.0
+    assert bowl(x) > 4.99
 
 
 def test_nelder_mead_tracks_best_vertex():
@@ -52,3 +58,29 @@ def test_nelder_mead_tracks_best_vertex():
     for _ in range(100):
         opt.step(bowl)
     assert np.allclose(opt.x, [1.0, -2.0], atol=0.05)
+
+
+def test_nelder_mead_breaks_ties_in_argsort_order():
+    # the initial values [1, 2, 0, 0, 2] tie twice; numpy's argsort may
+    # order the tied 0s unlike a stable sort (it does under AVX-512), and
+    # the worst vertex, reflected through the mean of the others taken in
+    # argsort order, is the next step's first point
+    values = [1.0, 2.0, 0.0, 0.0, 2.0]
+    x0 = np.array([0.1, 0.2, 0.3, 0.4])
+    opt = NelderMead(x0)
+    replies = iter(values)
+    first = opt.step(lambda x: next(replies))
+    assert [v for _, v in first] == values
+    order = np.argsort(values)
+    vertices = [x0] + [x0 + NelderMead.STEP * np.eye(4)[i] for i in range(4)]
+    centroid = np.mean([vertices[i] for i in order[1:]], axis=0)
+    reflected = centroid + (centroid - vertices[order[0]])
+    second = opt.step(lambda x: 0.0)
+    assert np.array_equal(second[0][0], reflected)
+
+
+def test_nelder_mead_offsets_only_coordinate_i():
+    # -0.0 + 0.0 is +0.0, which a wire text would print as "0", not "-0"
+    first = NelderMead(np.array([-0.0, -0.0])).step(bowl)
+    assert [np.signbit(x).tolist() for x, _ in first] == [[True, True], [False, True],
+                                                          [True, False]]
