@@ -24,10 +24,3 @@ class PlanError(ValueError):
 class MetricError(ValueError):
     """Approximation ratio is undefined or out of range for the given inputs."""
 
-
-class DivergenceError(RuntimeError):
-    """Optimizer parameters became non-finite. Carries the partial trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace

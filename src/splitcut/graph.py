@@ -54,12 +54,9 @@ class Graph:
 
     @classmethod
     def make(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a Graph from unordered edge pairs, rejecting loops and duplicates."""
+        """Build a Graph from unordered edge pairs; Graph rejects loops and duplicates."""
         pairs = [(int(e[0]), int(e[1])) for e in edges]
-        normalized = [(min(u, v), max(u, v)) for u, v in pairs]
-        if len(set(normalized)) != len(normalized):
-            raise ValueError("duplicate edges")
-        return cls(n, tuple(sorted(normalized)))
+        return cls(n, tuple(sorted((min(u, v), max(u, v)) for u, v in pairs)))
 
 
 def _as_bits(a: Sequence[int] | str, n: int) -> tuple[int, ...]:

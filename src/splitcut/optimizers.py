@@ -51,7 +51,7 @@ class NelderMead:
     The simplex is one (n + 1, n) array: x0, then x0 offset by ``STEP``
     along each axis, in axis order. The first step only evaluates it, so
     those evaluations land on iteration 0's objective, and until then ``x``
-    is x0. Ties between values are broken in ``np.argsort``'s order.
+    is x0. Tied values keep vertex order (a stable sort) on every CPU.
     Intended for ideal backends; simplex values measured on earlier
     iterations' objectives are reused as-is. Every point a step returns,
     and ``x``, is an array of its own: a later step overwrites simplex rows
@@ -83,7 +83,7 @@ class NelderMead:
         if not len(values):
             self.values = np.array([f(p) for p in simplex.copy()])
             return evals
-        order = values.argsort()  # ascending: worst first under maximization
+        order = values.argsort(kind="stable")  # ascending: worst first under maximization
         worst, second_worst, best = order[[0, 1, -1]].tolist()
         centroid = simplex[order[1:]].mean(axis=0)
         away = centroid - simplex[worst]

@@ -157,7 +157,7 @@ def _seed_words(seed: int, shots: int) -> bytes:
 
 def shot_rng(seed: int, shots: int, wire_text: str) -> np.random.Generator:
     """The stream of one draw: PCG64 seeded by (seed, shots, sha256 of the text).
-    The one shots check of ``run_shots`` and ``CompiledFlavor.expectation``."""
+    The one shots check of ``run_shots``, ``CompiledFlavor.expectation`` and ``optimize``."""
     if seed < 0 or shots < 1:
         raise ValueError(f"seed must be >= 0 and shots >= 1, got {seed} and {shots}")
     digest = hashlib.sha256(wire_text.encode("utf-8")).digest()

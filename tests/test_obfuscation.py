@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 
 from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, parse, serialize, transpile
 from splitcut.errors import MetricError, PlanError
-from splitcut.graph import Graph, benchmark_graph, cut_values_vector
+from splitcut.graph import Graph, benchmark_graph, cut_values_vector, max_cut_bruteforce
 from splitcut.obfuscation import (
     PrunedFlavor,
     approximation_ratio,
@@ -205,6 +205,15 @@ class TestCompiledFlavor:
         (cf,) = compiled(benchmark_graph("cycle4"), unpruned(ideal_backend))
         with pytest.raises(ValueError, match="shots >= 1"):
             cf.expectation(np.array([0.3, 0.2]), 0)
+
+    @pytest.mark.parametrize("backend", ["ideal_backend", "noisy_backend"])
+    def test_rejects_non_finite_angles(self, request, backend):
+        # where a diverged optimizer would stop: the draw refuses the
+        # non-finite distribution before any tally is scored
+        (cf,) = compiled(benchmark_graph("cycle4"), unpruned(request.getfixturevalue(backend)))
+        for x in ([math.nan, 0.2], [0.3, math.inf], [-math.inf, 0.2]):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                cf.expectation(np.array(x), 64)
 
     def test_rejects_unrouted_coupling(self, monkeypatch):
         # a circuit that slipped past routing is refused before any evaluation
@@ -449,19 +458,21 @@ class TestOptimize:
             with pytest.raises(ValueError, match=message):
                 RunTrace.from_jsonl("\n".join(json.dumps(line) for line in lines))
 
-    def test_divergence_aborts_with_partial_trace(self, ideal_backend, monkeypatch):
-        from splitcut import obfuscation
-        from splitcut.errors import DivergenceError
-        from splitcut.optimizers import Spsa
+    def test_edgeless_graph_has_no_ratio(self, ideal_backend):
+        # cmax is 0, so the ratio of iteration 0 is undefined
+        with pytest.raises(MetricError, match="cmax"):
+            optimize(compiled(Graph(3, ()), unpruned(ideal_backend)), **self.knobs())
 
-        class DivergingSpsa(Spsa):
-            a = float("inf")
-
-        monkeypatch.setattr(obfuscation, "Spsa", DivergingSpsa)
-        g = benchmark_graph("cycle4")
-        with pytest.raises(DivergenceError) as err:
-            optimize(compiled(g, unpruned(ideal_backend)), **self.knobs(iterations=10))
-        assert err.value.trace is not None  # diagnostic trace of completed iterations
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_cmax_is_the_max_cut(self, benchmarks, routed):
+        # cmax is read off the cut vector that scores the shots; "routed"
+        # runs on a line with one spare qubit, which cuts nothing
+        for g in benchmarks.values():
+            b = BackendProfile("b", coupling=CouplingMap.line(g.n + 1) if routed else None, seed=3)
+            flavors = compiled(g, unpruned(b))
+            assert flavors[0].routed.circuit.num_qubits == g.n + routed
+            trace = optimize(flavors, **self.knobs(iterations=1, shots=16))
+            assert trace.cmax == max_cut_bruteforce(g)[0]
 
     @pytest.mark.parametrize("graph,backend,knobs,digest", [
         pytest.param("graph6", "ideal_backend", {},

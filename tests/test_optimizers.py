@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 
 from splitcut.optimizers import NelderMead, Spsa
@@ -60,18 +63,19 @@ def test_nelder_mead_tracks_best_vertex():
     assert np.allclose(opt.x, [1.0, -2.0], atol=0.05)
 
 
-def test_nelder_mead_breaks_ties_in_argsort_order():
-    # the initial values [1, 2, 0, 0, 2] tie twice; numpy's argsort may
-    # order the tied 0s unlike a stable sort (it does under AVX-512), and
-    # the worst vertex, reflected through the mean of the others taken in
-    # argsort order, is the next step's first point
+def test_nelder_mead_breaks_ties_in_stable_order():
+    # the initial values [1, 2, 0, 0, 2] tie twice; a stable sort orders
+    # them [2, 3, 0, 1, 4] on every CPU (numpy's default sort gives
+    # [3, 2, 0, 1, 4] under AVX-512), and the worst vertex, reflected
+    # through the mean of the others taken in that order, is the next
+    # step's first point
     values = [1.0, 2.0, 0.0, 0.0, 2.0]
     x0 = np.array([0.1, 0.2, 0.3, 0.4])
     opt = NelderMead(x0)
     replies = iter(values)
     first = opt.step(lambda x: next(replies))
     assert [v for _, v in first] == values
-    order = np.argsort(values)
+    order = [2, 3, 0, 1, 4]
     vertices = [x0] + [x0 + NelderMead.STEP * np.eye(4)[i] for i in range(4)]
     centroid = np.mean([vertices[i] for i in order[1:]], axis=0)
     reflected = centroid + (centroid - vertices[order[0]])
@@ -84,3 +88,21 @@ def test_nelder_mead_offsets_only_coordinate_i():
     first = NelderMead(np.array([-0.0, -0.0])).step(bowl)
     assert [np.signbit(x).tolist() for x, _ in first] == [[True, True], [False, True],
                                                           [True, False]]
+
+
+def test_every_argsort_in_the_package_is_stable():
+    # numpy's default argsort orders ties by CPU dispatch; a stable sort
+    # gives the optimizers the same steps on every CPU
+    package = Path(__file__).resolve().parents[1] / "src" / "splitcut"
+    calls, unstable = 0, []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) != "argsort":
+                continue
+            calls += 1
+            kind = next((k.value for k in node.keywords if k.arg == "kind"), None)
+            if not (isinstance(kind, ast.Constant) and kind.value == "stable"):
+                unstable.append(f"{path.name}:{node.lineno}")
+    assert calls >= 2  # NelderMead.step and exact_optimum
+    assert unstable == []
