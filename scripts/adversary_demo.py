@@ -4,8 +4,8 @@ each provider of a two-flavor split sees and why only collusion completes
 the picture.
 """
 from splitcut.adversary import cross_provider_merge, effort, extract_graph
-from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, serialize, transpile
-from splitcut.graph import benchmark_graph
+from splitcut.circuit import ParamVector, build_qaoa, serialize, transpile
+from splitcut.graph import Graph, benchmark_graph
 from splitcut.obfuscation import prune
 
 
@@ -20,7 +20,7 @@ def main():
     params = ParamVector((0.42,), (0.31,))
 
     print("== full circuit on a line-coupled device ==")
-    routed = transpile(build_qaoa(g, params), CouplingMap.line(4))
+    routed = transpile(build_qaoa(g, params), Graph(4, ((0, 1), (1, 2), (2, 3))))
     wire = serialize(routed.circuit)
     print("\n".join(wire.splitlines()[:6]) + "\n...")
     show("recovered", extract_graph(wire))

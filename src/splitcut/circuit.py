@@ -1,6 +1,6 @@
-"""Gate-level circuit IR, the layered QAOA builder, coupling-map routing,
-and the line-oriented text format that stands in for the artifact a client
-ships to a hardware provider.
+"""Gate-level circuit IR, the layered QAOA builder, routing onto a device's
+coupling graph, and the line-oriented text format that stands in for the
+artifact a client ships to a hardware provider.
 
 Circuits are immutable value objects; everything here is a pure function.
 """
@@ -9,11 +9,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import CircuitParseError, RoutingError
-from .graph import Edge, Graph
+from .graph import Graph
 
 GATE_ARITY = {"h": 1, "rx": 1, "rz": 1, "cx": 2, "measure": 0}
 PARAMETRIC = frozenset({"rx", "rz"})
@@ -137,61 +135,7 @@ def build_qaoa(g: Graph, params: ParamVector) -> Circuit:
     return Circuit(g.n, tuple(gates))
 
 
-# -- coupling maps and routing -------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingMap:
-    """Physical-qubit pairs on which cx is natively allowed."""
-
-    num_physical: int
-    allowed: frozenset[Edge]
-
-    def __post_init__(self):
-        for u, v in self.allowed:
-            if not (0 <= u < v < self.num_physical):
-                raise ValueError(f"coupling pair ({u},{v}) not canonical")
-
-    @classmethod
-    def from_edges(cls, num_physical: int, pairs: Iterable[Sequence[int]]) -> "CouplingMap":
-        norm = frozenset((min(a, b), max(a, b)) for a, b in pairs)
-        return cls(num_physical, norm)
-
-    @classmethod
-    def line(cls, n: int) -> "CouplingMap":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    def allows(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.allowed
-
-    @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        # Built on first use and kept out of the fields, so equality and
-        # hashing still see only (num_physical, allowed).
-        adj: dict[int, list[int]] = {q: [] for q in range(self.num_physical)}
-        for u, v in self.allowed:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {q: tuple(sorted(nbs)) for q, nbs in adj.items()}
-
-    def shortest_path(self, a: int, b: int) -> list[int]:
-        """BFS shortest path from a to b; RoutingError if disconnected."""
-        if a == b:
-            return [a]
-        prev = {a: None}
-        queue = deque([a])
-        while queue:
-            cur = queue.popleft()
-            for nb in self._adjacency[cur]:
-                if nb not in prev:
-                    prev[nb] = cur
-                    if nb == b:
-                        path = [b]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    queue.append(nb)
-        raise RoutingError(f"no path between physical qubits {a} and {b}")
+# -- routing ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -204,20 +148,42 @@ class TranspiledCircuit:
     swap_count: int
 
 
-def transpile(c: Circuit, coupling: CouplingMap) -> TranspiledCircuit:
-    """Route ``c`` onto ``coupling`` with greedy shortest-path SWAP insertion.
+def transpile(c: Circuit, coupling: Graph) -> TranspiledCircuit:
+    """Route ``c`` onto ``coupling``, the graph on a device's physical
+    qubits whose edges are the pairs a cx may act on, with greedy
+    shortest-path SWAP insertion.
 
     Logical qubit q starts on physical qubit q. Each SWAP is emitted as the
     three-gate block cx(a,b), cx(b,a), cx(a,b). The first qubit of a blocked
-    cx is walked along a shortest path until adjacent to the second.
+    cx is walked along a breadth-first shortest path, which tries neighbours
+    in ascending order, until adjacent to the second.
     """
-    if coupling.num_physical < c.num_qubits:
-        raise RoutingError(
-            f"coupling map has {coupling.num_physical} qubits, circuit needs {c.num_qubits}"
-        )
+    if coupling.n < c.num_qubits:
+        raise RoutingError(f"coupling map has {coupling.n} qubits, circuit needs {c.num_qubits}")
+    # Canonical sorted edges list each qubit's neighbours in ascending order.
+    adjacency: list[list[int]] = [[] for _ in range(coupling.n)]
+    for u, v in coupling.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     l2p = list(range(c.num_qubits))
     gates: list[Gate] = []
     swaps = 0
+
+    def shortest_path(a: int, b: int) -> list[int]:
+        prev = {a: None}
+        queue = deque([a])
+        while queue:
+            cur = queue.popleft()
+            for nb in adjacency[cur]:
+                if nb not in prev:
+                    prev[nb] = cur
+                    if nb == b:
+                        path = [b]
+                        while prev[path[-1]] is not None:
+                            path.append(prev[path[-1]])
+                        return path[::-1]
+                    queue.append(nb)
+        raise RoutingError(f"no path between physical qubits {a} and {b}")
 
     def emit_swap(a: int, b: int):
         nonlocal swaps
@@ -236,14 +202,14 @@ def transpile(c: Circuit, coupling: CouplingMap) -> TranspiledCircuit:
             gates.append(Gate(g.name, (l2p[g.qubits[0]],), g.angle))
         else:
             u, v = g.qubits
-            if not coupling.allows(l2p[u], l2p[v]):
-                path = coupling.shortest_path(l2p[u], l2p[v])
+            if l2p[v] not in adjacency[l2p[u]]:
+                path = shortest_path(l2p[u], l2p[v])
                 for k in range(len(path) - 2):
                     emit_swap(path[k], path[k + 1])
             gates.append(cx(l2p[u], l2p[v]))
 
     return TranspiledCircuit(
-        circuit=Circuit(coupling.num_physical, tuple(gates)),
+        circuit=Circuit(coupling.n, tuple(gates)),
         final_layout=tuple(l2p),
         swap_count=swaps,
     )

@@ -252,10 +252,11 @@ class CompiledFlavor:
     def cut(self) -> np.ndarray:
         """The full graph's cut value of every physical outcome: the graph
         relabelled onto the physical qubits that hold its nodes at
-        measurement, so spare qubits cut nothing."""
+        measurement, so spare qubits cut nothing. Sized by the kernel,
+        which raises CapacityError on a circuit too wide to simulate."""
         layout = self.routed.final_layout
         edges = [(layout[u], layout[v]) for u, v in self.g_full.edges]
-        return cut_values_vector(Graph.make(self.routed.circuit.num_qubits, edges))
+        return cut_values_vector(Graph.make(self.kernel.num_qubits, edges))
 
     def expectation(self, x, shots: int) -> float:
         """Mean full-graph cut value of ``shots`` samples at angles x, drawn

@@ -56,12 +56,15 @@ Reproducibility: every draw derives its whole random stream from
 (backend.seed, shots, sha256 of the wire text) through numpy's PCG64
 (``shot_rng``), which computes the seed words of each (seed, shots) pair
 once and appends the digest's words to them on each draw. Identical inputs
-give bit-identical counts on any platform; the generator is recorded in run
-traces as ``numpy-pcg64``. The stream is used for exactly one draw
-(``sample_tally``): ``random(shots)`` uniforms, sorted and counted against
-the CDF of the clipped, normalized distribution. That is the tally
-``np.bincount`` of ``choice(2^n, size=shots, p=probs)`` gives from the same
-stream, without a binary search per shot.
+give the same stream on any platform, and the same counts wherever the
+distribution is the same: one numpy build and one CPU dispatch. Across
+dispatch the distribution can move in its last ulps, so counts can differ
+only where a sorted uniform falls within rounding of a CDF edge. The
+generator is recorded in run traces as ``numpy-pcg64``. The stream is used
+for exactly one draw (``sample_tally``): ``random(shots)`` uniforms, sorted
+and counted against the CDF of the clipped, normalized distribution. That
+is the tally ``np.bincount`` of ``choice(2^n, size=shots, p=probs)`` gives
+from the same stream, without a binary search per shot.
 
 A single run owns its state and is single-threaded; independent runs can
 execute concurrently.
@@ -78,8 +81,9 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import PARAMETRIC, Circuit, CouplingMap, serialize
+from .circuit import PARAMETRIC, Circuit, serialize
 from .errors import CapacityError, RoutingError
+from .graph import Graph
 from .records import read_record, record_fields
 
 MAX_QUBITS = 20
@@ -120,11 +124,12 @@ class NoiseModel:
 @dataclass(frozen=True)
 class BackendProfile:
     """A simulated hardware endpoint. The default ``NoiseModel`` (all
-    zeros) means ideal; absent coupling means all-to-all connectivity."""
+    zeros) means ideal; ``coupling`` is a graph on the physical qubits
+    whose edges a cx may act on, None meaning all-to-all."""
 
     name: str
     noise: NoiseModel = NoiseModel()
-    coupling: CouplingMap | None = None
+    coupling: Graph | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -513,10 +518,12 @@ def outcome_probabilities(c: Circuit, noise: NoiseModel = NoiseModel()) -> np.nd
     return compile_kernel(c, noise, slots).probabilities(angles)
 
 
-def check_coupling(c: Circuit, coupling: CouplingMap) -> None:
-    """RoutingError unless every cx of the circuit is allowed by the map."""
+def check_coupling(c: Circuit, coupling: Graph) -> None:
+    """RoutingError unless every cx of the circuit acts on an edge of the
+    coupling graph."""
+    allowed = set(coupling.edges)
     for g in c.gates:
-        if g.name == "cx" and not coupling.allows(*g.qubits):
+        if g.name == "cx" and (min(g.qubits), max(g.qubits)) not in allowed:
             raise RoutingError(f"cx{g.qubits} violates the coupling map; transpile before run_shots")
 
 
@@ -534,10 +541,10 @@ def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> np.ndarray:
 
 def backend_from_dict(d: dict) -> BackendProfile:
     """One profile entry: the ``BackendProfile`` and ``NoiseModel`` fields
-    by name, except that ``coupling`` lists physical-qubit pairs and
-    ``num_physical`` (at least, and by default, one past the largest qubit
-    in them) sizes the coupling map. A wrong value type or one of these
-    rules broken raises ValueError naming the key."""
+    by name, except that ``coupling`` lists the coupling graph's edges (a
+    pair listed twice is one edge) and ``num_physical`` (at least, and by
+    default, one past the largest qubit in them) is its node count. A wrong
+    value type, a broken rule or a bad pair raises ValueError naming the key."""
     noise_fields = record_fields(NoiseModel)
     schema = {**record_fields(BackendProfile), **noise_fields,
               "coupling": (tuple[tuple[int, int], ...], None), "num_physical": (int, None)}
@@ -551,8 +558,11 @@ def backend_from_dict(d: dict) -> BackendProfile:
     if num is not None and (pairs is None or num <= max(map(max, pairs))):
         raise ValueError(f"backend profile key 'num_physical' sizes a 'coupling' and must exceed "
                          f"its every qubit, got {num}")
-    coupling = None if pairs is None else CouplingMap.from_edges(
-        max(map(max, pairs)) + 1 if num is None else num, pairs)
+    try:
+        coupling = None if pairs is None else Graph.make(
+            max(map(max, pairs)) + 1 if num is None else num, {(min(p), max(p)) for p in pairs})
+    except ValueError as exc:
+        raise ValueError(f"backend profile key 'coupling' is not a graph: {exc}") from None
     return BackendProfile(noise=noise, coupling=coupling, **kwargs)
 
 

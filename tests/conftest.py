@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from splitcut.circuit import CouplingMap
 from splitcut.graph import FIXED_BENCHMARKS, Graph, benchmark_graph, cut_values_vector
 from splitcut.simulator import BackendProfile, NoiseModel
 
@@ -47,13 +46,18 @@ def random_params(rng: np.random.Generator, p: int):
     )
 
 
-def random_coupling(rng: np.random.Generator, m: int) -> CouplingMap:
-    """A random connected coupling map on m physical qubits: a random
+def line(n: int) -> Graph:
+    """The coupling graph of n physical qubits in a line."""
+    return Graph(n, tuple((q, q + 1) for q in range(n - 1)))
+
+
+def random_coupling(rng: np.random.Generator, m: int) -> Graph:
+    """A random connected coupling graph on m physical qubits: a random
     spanning tree plus a few extra pairs."""
     order = [int(q) for q in rng.permutation(m)]
     pairs = [(order[i], order[int(rng.integers(i))]) for i in range(1, m)]
     pairs += [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.2]
-    return CouplingMap.from_edges(m, pairs)
+    return Graph.make(m, {(min(a, b), max(a, b)) for a, b in pairs})
 
 
 def relabel(g: Graph, perm, n: int | None = None) -> Graph:

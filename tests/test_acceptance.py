@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from splitcut.adversary import cross_provider_merge, effort, extract_graph
-from splitcut.circuit import CouplingMap, build_qaoa, serialize, transpile
+from splitcut.circuit import build_qaoa, serialize, transpile
 from splitcut.graph import FIXED_BENCHMARKS, benchmark_graph, cut_value, max_cut_bruteforce
 from splitcut.harness import ExperimentSpec, run_experiment
 from splitcut.obfuscation import (
@@ -19,7 +19,7 @@ from splitcut.obfuscation import (
     make_split_plan, optimize, prune,
 )
 
-from conftest import random_params
+from conftest import line, random_params
 from test_graph import enumerate_maxcut_reference, random_graph
 
 SEEDS = tuple(range(10))
@@ -227,7 +227,7 @@ def test_criterion_8_reverse_engineering_round_trip(ideal_backend, ideal_backend
                 plain = build_qaoa(g, params)
                 rep = extract_graph(serialize(plain))
                 assert rep.recovered_graph == g and rep.unmatched_gates == 0
-                routed = transpile(plain, CouplingMap.line(g.n))
+                routed = transpile(plain, line(g.n))
                 rep = extract_graph(serialize(routed.circuit))
                 assert rep.recovered_graph == g and rep.unmatched_gates == 0
                 trips += 2

@@ -10,12 +10,12 @@ from splitcut.adversary import (
     effort,
     extract_graph,
 )
-from splitcut.circuit import Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, rz, serialize, transpile
+from splitcut.circuit import Circuit, ParamVector, build_qaoa, cx, h, rz, serialize, transpile
 from splitcut.errors import CapacityError
 from splitcut.graph import Graph, benchmark_graph
 from splitcut.obfuscation import make_split_plan, prune
 
-from conftest import random_coupling, random_params, relabel
+from conftest import line, random_coupling, random_params, relabel
 from test_graph import random_graph
 
 
@@ -31,7 +31,7 @@ class TestExtract:
     def test_routed_k4_recovers_through_swaps(self):
         g = benchmark_graph("complete4_with_diagonals")
         c = build_qaoa(g, ParamVector((0.4,), (0.2,)))
-        routed = transpile(c, CouplingMap.line(4))
+        routed = transpile(c, line(4))
         assert routed.swap_count >= 1
         report = extract_graph(serialize(routed.circuit))
         assert report.recovered_graph == g
@@ -58,7 +58,7 @@ class TestExtract:
             for p in (1, 2, 3):
                 c = build_qaoa(g, random_params(rng, p))
                 assert extract_graph(serialize(c)).recovered_graph == g
-                routed = transpile(c, CouplingMap.line(g.n))
+                routed = transpile(c, line(g.n))
                 rep = extract_graph(serialize(routed.circuit))
                 assert rep.recovered_graph == g
                 assert rep.unmatched_gates == 0

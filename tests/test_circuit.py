@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from splitcut.circuit import (
     Circuit,
-    CouplingMap,
     Gate,
     ParamVector,
     build_qaoa,
@@ -25,7 +24,7 @@ from splitcut.errors import CircuitParseError, RoutingError
 from splitcut.graph import Graph, benchmark_graph
 from splitcut.simulator import run_statevector
 
-from conftest import random_params
+from conftest import line, random_params
 
 
 def expected_gate_count(g, p):
@@ -195,15 +194,14 @@ class TestTranspile:
     def test_conformant_circuit_unchanged(self):
         g = benchmark_graph("cycle4")
         c = build_qaoa(g, ParamVector((0.3,), (0.2,)))
-        coupling = CouplingMap.from_edges(4, g.edges)
-        routed = transpile(c, coupling)
+        routed = transpile(c, g)
         assert routed.circuit == c
         assert routed.swap_count == 0
         assert routed.final_layout == (0, 1, 2, 3)
 
     def test_distant_cx_inserts_swap_block(self):
         c = Circuit(4, (cx(0, 3),))
-        routed = transpile(c, CouplingMap.line(4))
+        routed = transpile(c, line(4))
         assert routed.swap_count >= 1
         names = [g.name for g in routed.circuit.gates]
         assert names.count("cx") == 3 * routed.swap_count + 1
@@ -213,7 +211,7 @@ class TestTranspile:
                 assert abs(a - b) == 1
 
     def test_swap_emitted_as_three_cx_pattern(self):
-        routed = transpile(Circuit(3, (cx(0, 2),)), CouplingMap.line(3))
+        routed = transpile(Circuit(3, (cx(0, 2),)), line(3))
         gates = routed.circuit.gates
         assert [g.name for g in gates[:3]] == ["cx", "cx", "cx"]
         a, b = gates[0].qubits
@@ -225,7 +223,7 @@ class TestTranspile:
         g = benchmark_graph("cycle4")
         for _ in range(5):
             c = build_qaoa(g, random_params(rng, 1))
-            routed = transpile(c, CouplingMap.line(4))
+            routed = transpile(c, line(4))
             original = run_statevector(c)
             moved = run_statevector(routed.circuit)
             assert states_match_up_to_permutation(original, moved, 4)
@@ -235,7 +233,7 @@ class TestTranspile:
         for g in benchmarks.values():
             for _ in range(5):
                 c = build_qaoa(g, random_params(rng, 1))
-                routed = transpile(c, CouplingMap.line(g.n))
+                routed = transpile(c, line(g.n))
                 original = run_statevector(c)
                 moved = run_statevector(routed.circuit)
                 # final_layout[l] = physical qubit of logical l
@@ -246,18 +244,23 @@ class TestTranspile:
     def test_every_output_cx_is_allowed(self, benchmarks):
         rng = np.random.default_rng(9)
         for g in benchmarks.values():
-            coupling = CouplingMap.line(g.n)
+            coupling = line(g.n)
             c = build_qaoa(g, random_params(rng, 2))
             routed = transpile(c, coupling)
             for gate in routed.circuit.gates:
                 if gate.name == "cx":
-                    assert coupling.allows(*gate.qubits)
+                    assert tuple(sorted(gate.qubits)) in coupling.edges
+
+    def test_path_ties_take_the_lowest_neighbour(self):
+        # on a 4-ring, 0 reaches 2 through 1 or 3; the search tries 1 first
+        routed = transpile(Circuit(4, (cx(0, 2),)), benchmark_graph("cycle4"))
+        assert [g.qubits for g in routed.circuit.gates] == [(0, 1), (1, 0), (0, 1), (1, 2)]
 
     def test_too_small_map_rejected(self):
         with pytest.raises(RoutingError):
-            transpile(Circuit(4, (cx(0, 3),)), CouplingMap.line(3))
+            transpile(Circuit(4, (cx(0, 3),)), line(3))
 
     def test_disconnected_map_rejected(self):
-        coupling = CouplingMap.from_edges(4, [(0, 1), (2, 3)])
+        coupling = Graph.make(4, [(0, 1), (2, 3)])
         with pytest.raises(RoutingError):
             transpile(Circuit(4, (cx(0, 3),)), coupling)

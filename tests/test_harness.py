@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -279,37 +280,46 @@ class TestRunExperiment:
         assert [r["nodes"] for r in reports] == [7, 8]
 
     def test_release_gate_runs_before_any_dispatch(self, tmp_path, monkeypatch, capsys):
-        # an extractor that sees the whole graph in every flavor must stop
-        # each split cell before a single evaluation leaves the client
+        # an extractor that sees the whole graph in every flavor, or one
+        # that drops one edge from every report, must stop each split cell
+        # before a single evaluation leaves the client
         from splitcut import harness
         from splitcut.adversary import ExtractionReport
         from splitcut.obfuscation import CompiledFlavor
 
         g = benchmark_graph("cycle4")
-        extracted, dispatched = [], []
+        dispatched = []
         real_expectation = CompiledFlavor.expectation
 
-        def leaky_extract(text):
-            extracted.append(text)
+        def whole(text):
             return ExtractionReport(g, 0, tuple(range(g.n)), 0)
+
+        def lossy(text):
+            report = extract_graph(text)
+            seen = report.recovered_graph
+            kept = Graph(seen.n, tuple(e for e in seen.edges if e != g.edges[0]))
+            return dataclasses.replace(report, recovered_graph=kept)
 
         def spy_expectation(self, x, shots):
             dispatched.append(self.flavor.backend.name)
             return real_expectation(self, x, shots)
 
-        monkeypatch.setattr(harness, "extract_graph", leaky_extract)
         monkeypatch.setattr(CompiledFlavor, "expectation", spy_expectation)
         spec_dict = dict(SMALL_SPEC, arms=["split"], iterations=4, shots=64)
-        result = run_experiment(ExperimentSpec.from_dict(spec_dict))
-        assert [(f["seed"], f["kind"]) for f in result.failures] == [(0, "invariant"), (1, "invariant")]
-        assert "not a strict subset" in result.failures[0]["error"]
-        assert not result.ok and result.rows[0]["n_seeds"] == 0
-        assert len(extracted) == 2 * len(spec_dict["seeds"])  # each flavor's text, once per seed
-        config, out = tmp_path / "spec.json", tmp_path / "out"
+        config = tmp_path / "spec.json"
         config.write_text(json.dumps(spec_dict))
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
-        assert [f["kind"] for f in json.loads((out / "failures.json").read_text())] == ["invariant"] * 2
-        assert not (out / "circuits").exists() and not (out / "adversary.json").exists()
+        for leak, error in ((whole, "not a strict subset"), (lossy, "does not cover the full graph")):
+            extracted = []
+            monkeypatch.setattr(harness, "extract_graph", lambda text: extracted.append(text) or leak(text))
+            result = run_experiment(ExperimentSpec.from_dict(spec_dict))
+            assert [(f["seed"], f["kind"]) for f in result.failures] == [(0, "invariant"), (1, "invariant")]
+            assert error in result.failures[0]["error"]
+            assert not result.ok and result.rows[0]["n_seeds"] == 0
+            assert len(extracted) == 2 * len(spec_dict["seeds"])  # each flavor's text, once per seed
+            out = tmp_path / leak.__name__
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+            assert [f["kind"] for f in json.loads((out / "failures.json").read_text())] == ["invariant"] * 2
+            assert not (out / "circuits").exists() and not (out / "adversary.json").exists()
         assert dispatched == []
 
     def test_failed_first_seed_writes_no_first_seed_artifacts(self, tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from splitcut.circuit import CouplingMap, ParamVector, build_qaoa, parse, serialize, transpile
-from splitcut.errors import MetricError, PlanError
+from splitcut.circuit import ParamVector, build_qaoa, parse, serialize, transpile
+from splitcut.errors import CapacityError, MetricError, PlanError
 from splitcut.graph import Graph, benchmark_graph, cut_values_vector, max_cut_bruteforce
 from splitcut.obfuscation import (
     PrunedFlavor,
@@ -26,7 +26,8 @@ from splitcut.obfuscation import (
 from splitcut.simulator import BackendProfile, NoiseModel, outcome_probabilities, run_shots
 
 from conftest import (
-    expectation_full_cost, qaoa_p1_cut, random_coupling, random_params, relabel, remap_counts,
+    expectation_full_cost, line, qaoa_p1_cut, random_coupling, random_params, relabel,
+    remap_counts,
 )
 from test_graph import random_graph
 
@@ -38,7 +39,7 @@ def unpruned(backend):
 
 @pytest.fixture(scope="module")
 def line6_backend():
-    return BackendProfile("line1", coupling=CouplingMap.line(6), seed=31)
+    return BackendProfile("line1", coupling=line(6), seed=31)
 
 
 def compiled(g, flavors, p=1):
@@ -140,6 +141,15 @@ class TestPlans:
         with pytest.raises(PlanError):
             make_split_plan(g, 2, 1, [ideal_backend], seed=0)
 
+    def test_make_split_plan_needs_two_flavors(self, ideal_backend):
+        with pytest.raises(PlanError, match="k >= 2"):
+            make_split_plan(benchmark_graph("cycle4"), 1, 1, [ideal_backend], seed=0)
+
+    def test_make_split_plan_gives_up_on_the_union_rule(self, ideal_backend, ideal_backend_2):
+        # any two of cycle3's 2-edge sets share an edge, so no draw passes
+        with pytest.raises(PlanError, match="union rule"):
+            make_split_plan(benchmark_graph("cycle3"), 2, 2, [ideal_backend, ideal_backend_2], seed=0)
+
 
 class TestApproximationRatio:
     def test_exact_unit(self):
@@ -225,7 +235,7 @@ class TestCompiledFlavor:
             return TranspiledCircuit(c, tuple(range(c.num_qubits)), 0)
 
         monkeypatch.setattr(obfuscation, "transpile", no_routing)
-        flavor = PrunedFlavor((), BackendProfile("line", coupling=CouplingMap.line(4)))
+        flavor = PrunedFlavor((), BackendProfile("line", coupling=line(4)))
         with pytest.raises(RoutingError):
             compile_flavor(benchmark_graph("complete4_with_diagonals"), flavor, 1)
 
@@ -256,7 +266,7 @@ class TestCompiledFlavor:
     def test_sampler_matches_exact_distribution_of_its_wire_text(self, routed, noise):
         # "routed" runs on a line with one spare qubit
         g = benchmark_graph("graph6")
-        b = BackendProfile("b", noise, CouplingMap.line(g.n + 1) if routed else None, seed=21)
+        b = BackendProfile("b", noise, line(g.n + 1) if routed else None, seed=21)
         cf = compile_flavor(g, PrunedFlavor((g.edges[-1],), b), 2)
         params = random_params(np.random.default_rng(5), 2)
         x = params.gammas + params.betas
@@ -278,7 +288,7 @@ class TestExactOptimum:
         # Hadamard-basis step
         rng = np.random.default_rng(16)
         for g in [*benchmarks.values(), benchmark_graph("cycle(7)"), benchmark_graph("cycle(8)")]:
-            for b in (ideal_backend, BackendProfile("line", coupling=CouplingMap.line(g.n))):
+            for b in (ideal_backend, BackendProfile("line", coupling=line(g.n))):
                 for removed in [()] + [(e,) for e in g.edges]:
                     cf = compile_flavor(g, PrunedFlavor(removed, b), 1)
                     for gamma, beta in rng.uniform(-math.pi, math.pi, size=(5, 2)):
@@ -454,7 +464,9 @@ class TestOptimize:
         for lines, message in (([unequal, second, last], "equal length"),
                                ([entry, second, non_finite], "finite"),
                                ([entry, non_finite_entry, last], "finite"),
-                               ([entry, unknown, last], "note")):
+                               ([entry, unknown, last], "note"),
+                               ([], "summary record"),
+                               ([entry, second], "summary record")):
             with pytest.raises(ValueError, match=message):
                 RunTrace.from_jsonl("\n".join(json.dumps(line) for line in lines))
 
@@ -468,11 +480,22 @@ class TestOptimize:
         # cmax is read off the cut vector that scores the shots; "routed"
         # runs on a line with one spare qubit, which cuts nothing
         for g in benchmarks.values():
-            b = BackendProfile("b", coupling=CouplingMap.line(g.n + 1) if routed else None, seed=3)
+            b = BackendProfile("b", coupling=line(g.n + 1) if routed else None, seed=3)
             flavors = compiled(g, unpruned(b))
             assert flavors[0].routed.circuit.num_qubits == g.n + routed
             trace = optimize(flavors, **self.knobs(iterations=1, shots=16))
             assert trace.cmax == max_cut_bruteforce(g)[0]
+
+    @pytest.mark.parametrize("name,coupling", [("cycle(21)", None), ("cycle3", line(21))],
+                             ids=["unrouted", "routed"])
+    def test_too_wide_raises_before_the_cut_vector(self, monkeypatch, name, coupling):
+        # compile_kernel owns the width limit: no 2^n cut vector is built first
+        calls = []
+        monkeypatch.setattr("splitcut.obfuscation.cut_values_vector", lambda g: calls.append(g.n))
+        b = BackendProfile("b", coupling=coupling, seed=3)
+        with pytest.raises(CapacityError):
+            optimize(compiled(benchmark_graph(name), unpruned(b)), **self.knobs())
+        assert calls == []
 
     @pytest.mark.parametrize("graph,backend,knobs,digest", [
         pytest.param("graph6", "ideal_backend", {},
@@ -507,7 +530,7 @@ class TestOptimize:
             assert _mean(values) == float(np.mean(values))
 
     def test_transpiles_for_coupled_backend(self):
-        backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
+        backend = BackendProfile("line", coupling=line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
         trace = optimize(compiled(g, unpruned(backend)), **self.knobs(iterations=4))
         assert len(trace.entries) == 4
@@ -515,7 +538,7 @@ class TestOptimize:
     def test_routed_run_reaches_unrouted_quality(self):
         # a wrong physical->logical remap would scramble the cost signal and
         # pin the AR near the uniform floor (0.75 for this graph)
-        backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=4)
+        backend = BackendProfile("line", coupling=line(4), seed=4)
         g = benchmark_graph("complete4_with_diagonals")
         trace = optimize(compiled(g, unpruned(backend)), **self.knobs(iterations=30, shots=2048, seed=0))
         assert trace.final_ar >= 0.85

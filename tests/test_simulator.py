@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from splitcut.circuit import (
-    Circuit, CouplingMap, ParamVector, build_qaoa, cx, h, measure_all, parse, rx, rz, serialize,
+    Circuit, ParamVector, build_qaoa, cx, h, measure_all, parse, rx, rz, serialize,
     transpile,
 )
 from splitcut.errors import CapacityError, RoutingError
-from splitcut.graph import benchmark_graph, cut_values_vector
+from splitcut.graph import Graph, benchmark_graph, cut_values_vector
 from splitcut.obfuscation import PrunedFlavor, compile_flavor
 from splitcut.simulator import (
     BackendProfile,
@@ -27,7 +27,7 @@ from splitcut.simulator import (
     shot_rng,
 )
 
-from conftest import counts, expectation_full_cost, random_params, relabel, remap_counts
+from conftest import counts, expectation_full_cost, line, random_params, relabel, remap_counts
 
 BELL = Circuit(2, (h(0), cx(0, 1), measure_all()))
 
@@ -135,7 +135,7 @@ class TestStatevector:
             params = random_params(rng, 2)
             c = build_qaoa(g, params)
             shuffled = build_qaoa(relabel(g, rng.permutation(g.n)), params)
-            routed = transpile(shuffled, CouplingMap.line(g.n)).circuit
+            routed = transpile(shuffled, line(g.n)).circuit
             for circ in (c, routed):
                 assert np.abs(run_statevector(circ) - _dense_statevector(circ)).max() < 1e-12
 
@@ -173,7 +173,7 @@ class TestStatevector:
         # X strings X strings: one phase step and one Hadamard-basis step
         # per layer, each holding one row
         for g in benchmarks.values():
-            b = BackendProfile("b", coupling=CouplingMap.line(g.n) if routed else None)
+            b = BackendProfile("b", coupling=line(g.n) if routed else None)
             for p in (1, 2, 3):
                 kernel = compile_flavor(g, PrunedFlavor((), b), p).kernel
                 kinds = ["phase" if how is None else "hadamard" if isinstance(how, np.ndarray)
@@ -326,12 +326,12 @@ class TestRunShots:
         assert means[0.05] <= means[0.0]
 
     def test_conformance_enforced_when_coupling_present(self):
-        backend = BackendProfile("line", coupling=CouplingMap.line(4), seed=0)
+        backend = BackendProfile("line", coupling=line(4), seed=0)
         with pytest.raises(RoutingError):
             run_shots(Circuit(4, (cx(0, 3),)), backend, 16)
 
     def test_conformant_circuit_accepted_with_coupling(self):
-        backend = BackendProfile("line", coupling=CouplingMap.line(2), seed=0)
+        backend = BackendProfile("line", coupling=line(2), seed=0)
         assert run_shots(BELL, backend, 64).sum() == 64
 
     def test_shots_must_be_positive(self, ideal_backend):
@@ -355,12 +355,12 @@ class TestRunShots:
     def test_routed_counts_pinned(self):
         # graph6 minus one edge routed onto a 6-qubit line (8 SWAPs): the
         # draw of the wire text that leaves the client
-        line = BackendProfile("line6", coupling=CouplingMap.line(6), seed=13)
+        line6 = BackendProfile("line6", coupling=line(6), seed=13)
         g = benchmark_graph("graph6")
-        flavor = compile_flavor(g, PrunedFlavor((g.edges[2],), line), 2)
+        flavor = compile_flavor(g, PrunedFlavor((g.edges[2],), line6), 2)
         x = (0.4, 0.9, 0.6, 0.3)
         assert flavor.routed.swap_count == 8
-        assert counts(run_shots(parse(flavor.wire_text(x)), line, 64)) == {
+        assert counts(run_shots(parse(flavor.wire_text(x)), line6, 64)) == {
             "000000": 6, "000010": 3, "000111": 14, "001000": 2, "001010": 1, "001101": 2,
             "010000": 2, "010001": 1, "011111": 4, "100000": 1, "101011": 1, "101111": 1,
             "110011": 1, "110100": 5, "110111": 1, "111000": 9, "111011": 3, "111101": 1,
@@ -445,7 +445,7 @@ class TestExactDistribution:
         rng = np.random.default_rng(10 * p + g.n)
         params = random_params(rng, p)
         routed = transpile(build_qaoa(relabel(g, rng.permutation(g.n)), params),
-                           CouplingMap.line(g.n))
+                           line(g.n))
         assert routed.swap_count > 0
         noise = load_backend_profiles()[backend].noise
         probs = outcome_probabilities(routed.circuit, noise)
@@ -535,15 +535,19 @@ class TestBackendConfig:
             "name": "x", "p1": 0.001, "p2": 0.01, "readout_flip": 0.0,
             "coupling": [[0, 1], [1, 2]], "seed": 9,
         })
-        assert b.coupling.num_physical == 3
+        assert b.coupling.n == 3
         assert b.noise.p1 == 0.001
         sized = backend_from_dict({"name": "x", "coupling": [[0, 1]], "num_physical": 4})
-        assert sized.coupling == CouplingMap.from_edges(4, [(0, 1)])
+        assert sized.coupling == Graph.make(4, [(0, 1)])
+        twice = backend_from_dict({"name": "x", "coupling": [[1, 2], [0, 1], [2, 1]]})
+        assert twice.coupling == b.coupling  # a pair listed twice is one edge
 
     @pytest.mark.parametrize("fields, key", [
         ({"coupling": []}, "'coupling'"),  # used to load as all-to-all
         ({"num_physical": 4}, "'num_physical'"),  # used to be ignored
         ({"coupling": [[0, 1]], "num_physical": 1}, "'num_physical'"),
+        ({"coupling": [[0, 1], [1, 1]]}, "'coupling'"),  # a self-loop
+        ({"coupling": [[-1, 0], [0, 1]]}, "'coupling'"),  # a negative qubit
     ])
     def test_backend_from_dict_rejects_misread_coupling(self, fields, key):
         with pytest.raises(ValueError, match=key):
