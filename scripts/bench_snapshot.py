@@ -18,12 +18,15 @@ It records, for the checkout the script sits in:
   profile (``perfbench/line6_backends.json``), in seconds and in ms per
   evaluation (median of a few runs in this process). Each run compiles its
   flavor afresh, so the time covers the build, the route and the kernel as
-  well as the evaluations.
-  The runs go under perfbench's ``speed.SpeedSampler``: ``s`` and
-  ``ms_per_eval`` are wall time less the probes inside the run, and
-  ``reference_s`` and ``ms_per_eval_reference`` the same converted to
-  idle-machine seconds as ``perfbench/run.py`` converts cell times, which
-  is the pair to compare across hosts;
+  well as the evaluations. ``compile_ms`` is that compile alone
+  (``compile_flavor`` plus the flavor's kernel and cut vector), the fixed
+  cost a cell pays per flavor before its first evaluation.
+  The runs go under perfbench's ``speed.SpeedSampler``: ``s``,
+  ``ms_per_eval`` and ``compile_ms`` are wall time less the probes inside
+  the run, and ``reference_s``, ``ms_per_eval_reference`` and
+  ``compile_ms_reference`` the same converted to idle-machine seconds as
+  ``perfbench/run.py`` converts cell times, which are the ones to compare
+  across hosts;
 - the Tier-1 test suite's wall time and pass count (``PYTHONPATH=src
   python -m pytest -q --continue-on-collection-errors``).
 - ``src_lines``, the total ``wc -l`` of ``src/splitcut/*.py``: the
@@ -86,9 +89,11 @@ OPTIMIZE_RUNS = {"ideal1": (None, "spsa"), "hw1": (None, "spsa"),
                  "line1": (BENCH / "line6_backends.json", "nelder_mead")}
 
 
-def time_optimize(backend_name: str, sampler) -> tuple[list, object]:
+def time_optimize(backend_name: str, sampler) -> tuple[list, list, object]:
     """OPTIMIZE_REPEATS runs under the running ``sampler``: each run's
-    (start, end, wall time less the probes inside it), and the last trace."""
+    (start, end, wall time less the probes inside it), the same for the
+    run's compile (``compile_flavor`` plus its kernel and cut vector), and
+    the last trace."""
     from splitcut.graph import benchmark_graph
     from splitcut.obfuscation import PrunedFlavor, compile_flavor, optimize
     from splitcut.simulator import load_backend_profiles
@@ -96,13 +101,17 @@ def time_optimize(backend_name: str, sampler) -> tuple[list, object]:
     profiles, optimizer = OPTIMIZE_RUNS[backend_name]
     g = benchmark_graph("graph6")
     flavor = PrunedFlavor((), load_backend_profiles(profiles)[backend_name])
-    runs, trace = [], None
+    runs, compiles, trace = [], [], None
     for _ in range(OPTIMIZE_REPEATS):
         probed, t0 = sampler.probe_total, perf_counter()
-        trace = optimize((compile_flavor(g, flavor, 2),), optimizer=optimizer, seed=0)
-        t1 = perf_counter()
-        runs.append((t0, t1, t1 - t0 - (sampler.probe_total - probed)))
-    return runs, trace
+        compiled = compile_flavor(g, flavor, 2)
+        _ = compiled.cut  # builds the kernel too; optimize would build both on first use
+        t1, compile_probed = perf_counter(), sampler.probe_total - probed
+        trace = optimize((compiled,), optimizer=optimizer, seed=0)
+        t2 = perf_counter()
+        compiles.append((t0, t1, t1 - t0 - compile_probed))
+        runs.append((t0, t2, t2 - t0 - (sampler.probe_total - probed)))
+    return runs, compiles, trace
 
 
 def optimize_graph6_p2() -> dict:
@@ -115,13 +124,15 @@ def optimize_graph6_p2() -> dict:
         timed = {b: time_optimize(b, sampler) for b in OPTIMIZE_RUNS}
         sleep(WINDOW_PAD_S)
     out = {}
-    for b, (runs, trace) in timed.items():
+    for b, (runs, compiles, trace) in timed.items():
         s = median(wall for _, _, wall in runs)
         ref = median(sampler.reference_s(*run) for run in runs)
         out[b] = {"backend": b, "optimizer": OPTIMIZE_RUNS[b][1], "s": s, "s_first": runs[0][2],
                   "reference_s": ref, "evaluations": trace.evaluations,
                   "ms_per_eval": 1e3 * s / trace.evaluations,
                   "ms_per_eval_reference": 1e3 * ref / trace.evaluations,
+                  "compile_ms": 1e3 * median(wall for _, _, wall in compiles),
+                  "compile_ms_reference": 1e3 * median(sampler.reference_s(*c) for c in compiles),
                   "final_ar": trace.final_ar}
     return out
 
@@ -177,8 +188,8 @@ def main(argv=None) -> int:
     out["optimize_graph6_p2"] = optimize_graph6_p2()
     for b, m in out["optimize_graph6_p2"].items():
         print(f"optimize graph6 p=2 {b} {m['optimizer']}: {m['s']:.3f} s, "
-              f"{m['ms_per_eval']:.3f} ms/eval, {m['ms_per_eval_reference']:.3f} reference ms/eval",
-              file=sys.stderr)
+              f"{m['ms_per_eval']:.3f} ms/eval, {m['ms_per_eval_reference']:.3f} reference ms/eval, "
+              f"{m['compile_ms']:.3f} ms compile", file=sys.stderr)
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -4,7 +4,9 @@ adversary's partial-knowledge check as a release gate ahead of any dispatch.
 
 Cells run sequentially in spec order; every cell derives its own RNG streams
 from the cell seed, so runs with identical specs reproduce outputs
-byte-for-byte. Cells are independent and could be fanned out across workers
+byte-for-byte on one numpy build and one CPU dispatch (across dispatch a
+noiseless distribution can move in its last ulps; see the ``simulator``
+docstring). Cells are independent and could be fanned out across workers
 as long as aggregation keeps spec order.
 """
 from __future__ import annotations

@@ -20,27 +20,40 @@ class Spsa:
     with a Rademacher perturbation; exactly two objective evaluations per
     step. Noise-robust, so it is the default for shot-sampled objectives.
     The gains are fixed class constants, so the schedule is public.
+
+    The optimizer owns ``rng`` and draws nothing else from it: its
+    perturbations are an i.i.d. stream that does not depend on the
+    objective, so it draws the signs of 64 steps at once,
+    ``rng.integers(0, 2, size=(64, n))``, the same stream as 64 draws of n
+    signs. A step does its 2p-vector arithmetic on Python floats in
+    numpy's operation order, so every point and ``x`` are the per-step
+    numpy result bit for bit.
     """
 
     EVALS_PER_STEP = 2
+    _BLOCK = 64  # steps whose signs one draw holds
     a, c, A, alpha, gamma = 0.4, 0.1, 5.0, 0.602, 0.101
 
     def __init__(self, x0, rng: np.random.Generator):
         self.x = np.asarray(x0, dtype=float).copy()
         self.rng = rng
         self.k = 0
+        self._signs: list[list[int]] = []  # this block's rows, drawn at its first step
 
     def step(self, objective) -> list[tuple[np.ndarray, float]]:
-        ak = self.a / (self.A + self.k + 1) ** self.alpha
-        ck = self.c / (self.k + 1) ** self.gamma
-        delta = self.rng.integers(0, 2, size=self.x.shape) * 2 - 1
-        shift = ck * delta
-        x_plus = self.x + shift
-        x_minus = self.x - shift
+        k = self.k
+        ak = self.a / (self.A + k + 1) ** self.alpha
+        ck = self.c / (k + 1) ** self.gamma
+        if k % self._BLOCK == 0:
+            self._signs = (self.rng.integers(0, 2, size=(self._BLOCK, len(self.x))) * 2 - 1).tolist()
+        delta = self._signs[k % self._BLOCK]
+        x = self.x.tolist()
+        x_plus = np.array([xi + ck * d for xi, d in zip(x, delta)])
+        x_minus = np.array([xi - ck * d for xi, d in zip(x, delta)])
         f_plus = float(objective(x_plus))
         f_minus = float(objective(x_minus))
-        grad = (f_plus - f_minus) / (2.0 * ck) * delta
-        self.x = self.x + ak * grad
+        g = (f_plus - f_minus) / (2.0 * ck)
+        self.x = np.array([xi + ak * (g * d) for xi, d in zip(x, delta)])
         self.k += 1
         return [(x_plus, f_plus), (x_minus, f_minus)]
 

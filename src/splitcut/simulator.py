@@ -15,7 +15,8 @@ compile time:
 - Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), held
   flat. The h and cx gates are Cliffords, which map Pauli strings to Pauli
   strings (Aaronson & Gottesman, PRA 70, 052328, 2004). So the start state
-  is the circuit's Clifford product on |0...0>, and each rx/rz becomes a
+  is the circuit's Clifford product on |0...0>, each h and cx applied in
+  place to slice views of the flat state, and each rx/rz becomes a
   rotation about its Pauli conjugated through every later h and cx (as in
   Bravyi & Gosset, PRL 116, 250501, 2016). A run of rotations with no X
   part is diagonal, so it is one phase step, as fast QAOA simulators apply
@@ -27,8 +28,10 @@ compile time:
   layer, is one phase step in the Hadamard basis, H^n times the phase
   times H^n, with its rows built over the X bits; on wider states the two
   dense H^n products cost more than the rotations, so each is its own step
-  there, as is every rotation with both an X and a Z part. The
-  distribution is |psi|^2.
+  there, as is every rotation with both an X and a Z part. Every phase
+  step's rows come from one Walsh-Hadamard transform of the rotations'
+  signs, each placed at its Pauli's Z (or X) bits; before the scaling they
+  hold small integers, so they are exact. The distribution is |psi|^2.
 - Gate noise is the depolarizing channel: after each gate, each touched
   qubit goes through rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z),
   with p = p1 for 1-qubit gates and p2 for cx. It is evolved exactly in the
@@ -76,6 +79,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -257,16 +261,20 @@ _TRANSFER = {key: _rotation_parts(*parts) if len(parts) == 2 else _transfer(part
              for key, parts in _gate_table().items()}
 
 
-def _gate_parts(name: str, qubits: tuple[int, ...], block: tuple[int, ...],
-                noise: NoiseModel) -> np.ndarray:
-    """The gate on the block's qubits followed by depolarizing on its
-    qubits, as a stack of transfer matrices: (3, D, D) around a rotation,
-    one per angle coefficient, and (1, D, D) for a fixed gate, with
-    D = 4^len(block)."""
+@functools.lru_cache(maxsize=256)
+def _gate_parts(name: str, touched: tuple[bool, ...], first: bool, noise: NoiseModel) -> np.ndarray:
+    """The gate on a block followed by depolarizing on its qubits, as a
+    read-only stack of transfer matrices: (3, D, D) around a rotation, one
+    per angle coefficient, and (1, D, D) for a fixed gate, with
+    D = 4^len(touched). ``touched[i]`` says whether the gate acts on the
+    block's qubit i and ``first`` whether the gate's first qubit is the
+    block's first. Computed once per key and shared by every block."""
     d = 1.0 - 4.0 * (noise.p2 if name == "cx" else noise.p1) / 3.0
-    scale = [np.array([1.0, d, d, d]) if q in qubits else np.ones(4) for q in block]
-    diag = scale[0] if len(block) == 1 else np.outer(scale[0], scale[1]).ravel()
-    return diag[:, None] * _TRANSFER[name, len(block), qubits[0] == block[0]]
+    scale = [np.array([1.0, d, d, d]) if t else np.ones(4) for t in touched]
+    diag = scale[0] if len(touched) == 1 else np.outer(scale[0], scale[1]).ravel()
+    parts = diag[:, None] * _TRANSFER[name, len(touched), first]
+    parts.flags.writeable = False
+    return parts
 
 
 def _blocks(skeleton) -> list[tuple[tuple[int, ...], list]]:
@@ -382,12 +390,28 @@ def _hadamard(n: int) -> np.ndarray:
     return mat
 
 
+def _walsh(c: np.ndarray, n: int) -> None:
+    # The columns of the (2^n, m) array c through the unnormalized
+    # Walsh-Hadamard transform, in place: entry b becomes
+    # sum_u c[u] (-1)^(b.u), one butterfly per index bit. Small integers
+    # stay exact.
+    for q in range(n):
+        t = c.reshape(2**q, 2, -1)
+        a, b = t[:, 0], t[:, 1]
+        diff = a - b
+        a += b
+        b[...] = diff
+
+
 def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
     # Rotation j's Pauli (-1)^s X^x Z^z, conjugated through the Cliffords
     # seen so far, is held bit-sliced: bit j of xs[q], zs[q] and sign is its
     # x_q, z_q and s. h and cx keep X^x Z^z Hermitian, so no factor i arises.
     xs, zs, sign, rotations = [0] * n, [0] * n, 0, 0
-    start = np.eye(1, 2**n, dtype=complex).reshape((2,) * n)  # |0...0>
+    start = np.zeros(2**n, dtype=complex)
+    start[0] = 1.0  # |0...0>
+    t = start.reshape((2,) * n)  # a view: each gate below rewrites the flat state in place
+    every = [slice(None)] * n
     for name, qubits in skeleton:
         q = qubits[-1]
         if name in PARAMETRIC:
@@ -396,50 +420,68 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
         elif name == "h":  # X <-> Z, and X Z -> Z X = -X Z
             sign ^= xs[q] & zs[q]
             xs[q], zs[q] = zs[q], xs[q]
-            a, b = np.moveaxis(start, q, 0)
-            start = np.stack((a + b, a - b), axis=q) * _SQRT2_INV
+            pair = start.reshape(2**q, 2, -1)
+            a, b = pair[:, 0], pair[:, 1]
+            total = a + b
+            np.subtract(a, b, out=b)
+            np.multiply(total, _SQRT2_INV, out=a)
+            b *= _SQRT2_INV
         else:  # cx(c, q): X_c -> X_c X_q and Z_q -> Z_c Z_q; q flips where c is 1
             c = qubits[0]
             xs[q], zs[c] = xs[q] ^ xs[c], zs[c] ^ zs[q]
-            start[(slice(None),) * c + (1,)] = np.flip(start, q)[(slice(None),) * c + (1,)]
-    # (-1)^(b_q ^ x_q) along axis q, for each x_q.
-    signs = [[np.array([1.0, -1.0]).reshape((1,) * q + (2,) + (1,) * (n - q - 1)) * f
-              for f in (1.0, -1.0)] for q in range(n)]
+            sel = every.copy()
+            sel[c] = 1
+            rows = tuple(sel)
+            sel[q] = slice(None, None, -1)
+            t[rows] = t[tuple(sel)]  # numpy copies the source, which overlaps the target
+    x_any, z_any = functools.reduce(operator.or_, xs, 0), functools.reduce(operator.or_, zs, 0)
 
     def basis_of(j):  # where rotation j is one of a phase step's rows: "z", "x" or None
-        if not any(x >> j & 1 for x in xs):
+        if not x_any >> j & 1:
             return "z"
-        if n <= _HADAMARD_QUBITS and not any(z >> j & 1 for z in zs):
+        if n <= _HADAMARD_QUBITS and not z_any >> j & 1:
             return "x"
         return None
 
+    # A run of rotations (-1)^s Z^u, or (-1)^s X^u conjugated by H^n to
+    # (-1)^s Z^u, is the phase exp(-i/2 sum_j theta_j (-1)^s (-1)^(u.b)):
+    # one flat row per parameter, summed over its rotations and scaled by
+    # -i/2. coeffs has one column per (run, parameter) holding the sum of
+    # (-1)^s at each u, so one Walsh-Hadamard transform gives every run's
+    # rows. The rows hold small integers, so they and the scaling are exact.
+    runs = [(basis, list(run)) for basis, run in itertools.groupby(range(rotations), basis_of)]
+    params = [list(dict.fromkeys(slots[j] for j in run)) if basis else [] for basis, run in runs]
+    offsets = list(itertools.accumulate(map(len, params), initial=0))
+    coeffs = np.zeros((2**n, offsets[-1]))
+    for (basis, run), ks, at in zip(runs, params, offsets):
+        if basis:
+            bits = zs if basis == "z" else xs
+            for j in run:  # u is the rotation's Z (or X) bits as a flat index
+                u = sum(1 << n - 1 - q for q in range(n) if bits[q] >> j & 1)
+                coeffs[u, at + ks.index(slots[j])] += -1.0 if sign >> j & 1 else 1.0
+    _walsh(coeffs, n)
     steps = []
-    for basis, run in itertools.groupby(range(rotations), basis_of):
-        if basis is None:
-            for j in run:
-                w = math.prod((signs[q][xs[q] >> j & 1] for q in range(n) if zs[q] >> j & 1),
-                              start=1j if sign >> j & 1 else -1j)
-                steps.append((slots[j], tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
-                                              for q in range(n)), w))
+    for (basis, run), ks, at in zip(runs, params, offsets):
+        if basis:
+            steps.append((np.array(ks), None if basis == "z" else _hadamard(n),
+                          -0.5j * coeffs[:, at:at + len(ks)]))
             continue
-        # A run of rotations (-1)^s Z^u, or (-1)^s X^u conjugated by H^n to
-        # (-1)^s Z^u, is the phase exp(-i/2 sum_j theta_j (-1)^s (-1)^(u.b)):
-        # one flat row per parameter, summed over its rotations and scaled
-        # by -i/2. The rows hold small integers, so the scaling is exact.
-        bits, rows = zs if basis == "z" else xs, {}
         for j in run:
-            row = math.prod((signs[q][0] for q in range(n) if bits[q] >> j & 1),
-                            start=-1.0 if sign >> j & 1 else 1.0)
-            rows[slots[j]] = rows.get(slots[j], np.zeros((2,) * n)) + row
-        w = -0.5j * np.stack(list(rows.values()), axis=-1).reshape(2**n, -1)
-        steps.append((np.array(list(rows)), None if basis == "z" else _hadamard(n), w))
-    return Kernel(n, noise, start.reshape(-1), tuple(steps))
+            # (-1)^(b_q ^ x_q) along each axis q in z
+            w = math.prod((np.array([-1.0, 1.0] if xs[q] >> j & 1 else [1.0, -1.0]).reshape(
+                (1,) * q + (2,) + (1,) * (n - q - 1)) for q in range(n) if zs[q] >> j & 1),
+                start=1j if sign >> j & 1 else -1j)
+            steps.append((slots[j], tuple(slice(None, None, -1) if xs[q] >> j & 1 else slice(None)
+                                          for q in range(n)), w))
+    return Kernel(n, noise, start, tuple(steps))
 
 
 def compile_kernel(c: Circuit, noise: NoiseModel, slots) -> Kernel:
     """The circuit's skeleton compiled on the noise model, rotation j (in
     gate order) reading parameter ``slots[j]``. Without gate noise the start
-    state is flat, with one step per run of diagonal rotations, its
+    state is flat, each h and cx applied in place to slice views of it, and
+    every phase step's rows come from one Walsh-Hadamard transform of the
+    rotations' signs, with one step per run of diagonal rotations, its
     parameters, None and one flat row for each, scaled by -i/2 (a complex
     row of 2^n amplitudes: 16 MiB at 20 qubits); on up to
     ``_HADAMARD_QUBITS`` qubits one per run of X-only rotations, its
@@ -472,7 +514,7 @@ def compile_kernel(c: Circuit, noise: NoiseModel, slots) -> Kernel:
         dim = 4 ** len(block)
         mat = np.eye(dim)[None]
         for name, qubits, _ in gates:
-            part = _gate_parts(name, qubits, block, noise)
+            part = _gate_parts(name, tuple(q in qubits for q in block), qubits[0] == block[0], noise)
             mat = (part[None] @ mat[:, None]).reshape(-1, dim, dim)  # parts indexed (earlier, later)
         ks = [slots[j] for _, _, j in gates if j is not None]
         if ks or stepped.intersection(block):

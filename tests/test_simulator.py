@@ -103,6 +103,36 @@ def clifford_rotation_circuits(draw):
     return Circuit(n, tuple(gates))
 
 
+def _pinned_circuit() -> Circuit:
+    """40 h/cx/rx/rz gates on 5 qubits from a fixed stream: rotations
+    conjugated into X and Z parts at once, with signs."""
+    rng = np.random.default_rng(28)
+    gates = []
+    for op, a, b in zip(rng.integers(0, 4, size=40), rng.integers(0, 5, size=40),
+                        rng.integers(1, 5, size=40)):
+        a, b = int(a), int(b)
+        gates.append([h(a), rx(a, 0.5), rz(a, 0.5), cx(a, (a + b) % 5)][int(op)])
+    return Circuit(5, tuple(gates))
+
+
+def _kernel_digest(kernel) -> str:
+    # sha256 over every array a compiled kernel holds, in order, and the
+    # repr of every other value in its steps and groups
+    digest = hashlib.sha256()
+
+    def add(*values):
+        for x in values:
+            digest.update(x.tobytes() if isinstance(x, np.ndarray) else repr(x).encode())
+
+    add(kernel.start)
+    for step in kernel.steps:
+        add(*step)
+    for key, (parts, ks) in sorted((kernel.groups or {}).items()):
+        add(key, parts, ks)
+    add(*(kernel.readout or ()))
+    return digest.hexdigest()
+
+
 class TestStatevector:
     def test_single_hadamard(self):
         state = run_statevector(Circuit(1, (h(0),)))
@@ -189,6 +219,43 @@ class TestStatevector:
                  for name, g in benchmarks.items()}
         assert steps == {"cycle3": 8, "cycle4": 10, "complete4_with_diagonals": 14,
                          "graph5": 14, "graph6": 18}
+
+    @pytest.mark.parametrize("circuit,backend,digest", [
+        pytest.param(("graph6", 1), "ideal1",
+                     "6bf2eb064c89f2a0b9e569683f15b3297a7c7e8c71b515e079f1cf22293182b0", id="graph6-p1-ideal1"),
+        pytest.param(("graph6", 2), "ideal1",
+                     "83f8e9653979206a2eea036ca79d07e98b9a344dac664cc9b390e0f565189b3f", id="graph6-p2-ideal1"),
+        pytest.param(("graph6", 1), "hw1",
+                     "c822298d7241785787da619aa019a600dc47cd17fa5adf1adde3f148b10d0f73", id="graph6-p1-hw1"),
+        pytest.param(("graph6", 2), "hw1",
+                     "b71909b778a3a195b6c37394f9473e0e027522c29ece71c6c1b62c81e3bf38c2", id="graph6-p2-hw1"),
+        pytest.param(("graph6", 2), "hw2",
+                     "3b6a36f1ff6c67992d20c76ec1c417a880ca8b75d58761f7e527ff4a194c1daa", id="graph6-p2-hw2"),
+        pytest.param(("graph6", 1), "line6",
+                     "45474ccd9fef9fbfd7bf87704991bc12bb49192817913274148024f5c185b93f", id="graph6-p1-line6"),
+        pytest.param(("graph6", 2), "line6",
+                     "5698e118f88e69c71e7912c39b8bd453a323e4cac07449977868dae42b09cf65", id="graph6-p2-line6"),
+        # 8 qubits: each mixer rx is its own single-rotation step
+        pytest.param(("cycle(8)", 1), "ideal1",
+                     "46a752dfd1f3c382a8023fb1a6bfd40c210d6836a7bb9049ce2300d5d45e2cda", id="cycle8-p1-ideal1"),
+        pytest.param("random", "ideal1",
+                     "5d8c963347a8d735206973950d50bc32a660a225af3a7e312c175bd0dc42b8d7", id="random-ideal1"),
+        pytest.param("random", "hw1",
+                     "44886c64f6be76f70b8fa472b5a8318d71d0352638596ce166536e215a2bade3", id="random-hw1"),
+    ])
+    def test_compiled_kernels_are_pinned(self, circuit, backend, digest):
+        # every array a kernel holds (the start state, each step's rows or
+        # transfer matrix, each group's parts, the readout) as first compiled,
+        # so a faster compile may not move one bit
+        if circuit == "random":
+            c = _pinned_circuit()
+            kernel = compile_kernel(c, load_backend_profiles()[backend].noise,
+                                    list(range(sum(g.angle is not None for g in c.gates))))
+        else:
+            profiles = {**load_backend_profiles(), "line6": BackendProfile("line6", coupling=line(6))}
+            name, p = circuit
+            kernel = compile_flavor(benchmark_graph(name), PrunedFlavor((), profiles[backend]), p).kernel
+        assert _kernel_digest(kernel) == digest
 
     @pytest.mark.parametrize("name", ["cycle4", "graph5"])
     @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.01, 0.03, 0.02)])
