@@ -4,9 +4,9 @@ each provider of a two-flavor split sees and why only collusion completes
 the picture.
 """
 from splitcut.adversary import cross_provider_merge, effort, extract_graph
-from splitcut.circuit import ParamVector, build_qaoa, serialize, transpile
 from splitcut.graph import Graph, benchmark_graph
-from splitcut.obfuscation import prune
+from splitcut.obfuscation import PrunedFlavor, compile_flavor
+from splitcut.simulator import BackendProfile
 
 
 def show(title, report):
@@ -17,18 +17,19 @@ def show(title, report):
 
 def main():
     g = benchmark_graph("cycle4")
-    params = ParamVector((0.42,), (0.31,))
+    x = [0.42, 0.31]  # gamma, beta at p=1
+    line = BackendProfile("line", coupling=Graph(4, ((0, 1), (1, 2), (2, 3))))
+    ideal = BackendProfile("ideal")
 
     print("== full circuit on a line-coupled device ==")
-    routed = transpile(build_qaoa(g, params), Graph(4, ((0, 1), (1, 2), (2, 3))))
-    wire = serialize(routed.circuit)
+    wire = compile_flavor(g, PrunedFlavor((), line), 1).wire_text(x)
     print("\n".join(wire.splitlines()[:6]) + "\n...")
     show("recovered", extract_graph(wire))
 
     print("\n== two pruned flavors ==")
     reports = []
     for edge in [(0, 3), (0, 1)]:
-        flavor_wire = serialize(build_qaoa(prune(g, [edge]), params))
+        flavor_wire = compile_flavor(g, PrunedFlavor((edge,), ideal), 1).wire_text(x)
         report = extract_graph(flavor_wire)
         reports.append(report)
         show(f"provider seeing circuit minus {edge}", report)

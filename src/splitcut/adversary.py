@@ -84,7 +84,7 @@ def extract_graph(text: str) -> ExtractionReport:
         unmatched += 1
         i += 1
     return ExtractionReport(
-        recovered_graph=Graph.make(c.num_qubits, sorted(edges)),
+        recovered_graph=Graph.make(c.num_qubits, edges),
         swap_count=swaps,
         final_mapping=tuple(p2l),
         unmatched_gates=unmatched,
@@ -97,13 +97,10 @@ class EffortEstimate:
 
     n: int
     observed_edges: int
+    total_pairs: int  # n(n-1)/2
     candidate_edges: int
     worst_case_trials: int
     min_guesses: int
-
-    @property
-    def total_pairs(self) -> int:
-        return self.n * (self.n - 1) // 2
 
     def to_dict(self) -> dict:
         return {
@@ -140,6 +137,7 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
     return EffortEstimate(
         n=n,
         observed_edges=observed_edges,
+        total_pairs=total,
         candidate_edges=candidates,
         worst_case_trials=2 ** candidates,
         min_guesses=1 if candidates >= 1 else 0,
@@ -161,4 +159,4 @@ def cross_provider_merge(graphs: list[Graph]) -> Graph:
     merged: set[tuple[int, int]] = set()
     for g in graphs:
         merged |= set(g.edges)
-    return Graph.make(max(g.n for g in graphs), sorted(merged))
+    return Graph.make(max(g.n for g in graphs), merged)

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CircuitParseError, RoutingError
-from .graph import Graph
+from .graph import Graph, text_lines
 
 GATE_ARITY = {"h": 1, "rx": 1, "rz": 1, "cx": 2, "measure": 0}
 PARAMETRIC = frozenset({"rx", "rz"})
@@ -243,12 +243,7 @@ def parse(text: str) -> Circuit:
     num_qubits = None
     gates: list[Gate] = []
     saw_measure = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        op, args = fields[0], fields[1:]
+    for lineno, (op, *args) in text_lines(text):
         if num_qubits is None:
             if op != "qubits" or len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
                 raise CircuitParseError(lineno, "expected `qubits <n>` header")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,14 +109,20 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` of each line that holds more than a ``#``
+    comment, numbered from 1 and split on whitespace: the line grammar of
+    the graph format and of the circuit wire format."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
+
+
 def graph_from_text(text: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in text_lines(text):
         if fields[0] == "n":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")

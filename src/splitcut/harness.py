@@ -120,8 +120,8 @@ class ExperimentSpec:
 
 def resolve_graph(name: str) -> tuple[str, Graph]:
     """``(label, graph)`` for a graph file path (labelled by its stem) or a
-    benchmark id."""
-    if os.path.exists(name):
+    benchmark id; a directory is not a graph file."""
+    if os.path.isfile(name):
         return Path(name).stem, load_graph(name)
     return name, benchmark_graph(name)
 
@@ -180,7 +180,6 @@ def _spec_label(spec: ExperimentSpec, arm: str, split) -> str:
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
-    graph_label: str
     rows: list[dict]
     traces: dict[tuple[str, int, int], RunTrace]
     overhead: dict  # the {"baseline", "arms"} report of compute_overhead
@@ -283,12 +282,15 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     them is dispatched, once per distinct compiled split; a violation is
     recorded as an "invariant" failure of each cell that would send it.
     Any other failing cell marks its row rather than aborting the sweep.
-    The overhead report counts the first seed's traced evaluations.
+    The overhead report counts the first seed's traced evaluations. out_dir
+    is created before the first cell runs, so an unusable one fails first.
     """
     label, g = resolve_graph(spec.graph)
     split, arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
     if set(spec.arms) - {"original"}:
         arm_flavors("pruned_only", spec.seeds[0], 1)  # the overhead baseline, before any cell runs
+    if out_dir is not None:
+        (Path(out_dir) / "traces").mkdir(parents=True, exist_ok=True)
 
     rows: list[dict] = []
     traces: dict[tuple[str, int, int], RunTrace] = {}
@@ -320,10 +322,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             )))
 
     report = compute_overhead(spec, arm_flavors, traces)
-    result = ExperimentResult(
-        spec=spec, graph_label=label, rows=rows, traces=traces,
-        overhead=report, failures=failures,
-    )
+    result = ExperimentResult(spec=spec, rows=rows, traces=traces, overhead=report, failures=failures)
     if out_dir is not None:
         _write_outputs(result, arm_flavors, gate, out_dir)
     return result
@@ -344,23 +343,11 @@ def _fmt(x):
     return "nan" if np.isnan(x) else f"{x:.6f}"
 
 
-def read_results(path) -> list[dict]:
-    """Read a results CSV back into typed rows."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        schema = record_fields(ResultRow)
-        return [asdict(ResultRow(**{key: hint(rec[key]) for key, (hint, _) in schema.items()}))
-                for rec in reader]
-
-
 def _write_outputs(result: ExperimentResult, arm_flavors, gate, out_dir) -> None:
     """Write the run's files. Each (arm, p) whose first seed completed also
     gets that seed's wire texts at its best parameters in circuits/ and, for
     a split arm, the release gate's extraction reports in adversary.json."""
     out = Path(out_dir)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
 
     def write(name: str, text: str) -> None:
         (out / name).write_text(text, encoding="utf-8", newline="\n")

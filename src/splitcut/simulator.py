@@ -382,9 +382,8 @@ class Kernel:
 @functools.cache
 def _hadamard(n: int) -> np.ndarray:
     # H^n as one complex matrix, its own inverse: (-1)^(a.b) / 2^(n/2).
-    mat = np.ones((1, 1), dtype=complex)
-    for _ in range(n):
-        mat = _kron(mat, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    mat = np.eye(2**n, dtype=complex)
+    _walsh(mat, n)
     mat *= 2.0 ** (-0.5 * n)
     mat.flags.writeable = False
     return mat

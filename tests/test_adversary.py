@@ -156,6 +156,8 @@ class TestEffort:
             effort(4, 7)
         with pytest.raises(ValueError):
             effort(4, -1)
+        with pytest.raises(ValueError, match="need at least one node"):
+            effort(0, 0)
 
     def test_count_too_wide_to_print_rejected(self):
         # 2^19900 has 5991 digits, over Python's default 4300-digit limit

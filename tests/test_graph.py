@@ -14,6 +14,7 @@ from splitcut.graph import (
     graph_from_text,
     graph_to_text,
     max_cut_bruteforce,
+    text_lines,
 )
 
 
@@ -155,6 +156,8 @@ class TestBenchmarks:
             benchmark_graph("pentagon")
         with pytest.raises(ValueError):
             benchmark_graph("cycle(2)")
+        with pytest.raises(ValueError, match=r"complete\(n\) requires n >= 2"):
+            benchmark_graph("complete(1)")
 
 
 class TestTextFormat:
@@ -165,6 +168,12 @@ class TestTextFormat:
     def test_comments_and_blank_lines(self):
         text = "# a square\n\nn 4\ne 0 1  # first\ne 1 2\ne 2 3\ne 0 3\n"
         assert graph_from_text(text) == benchmark_graph("cycle4")
+
+    def test_line_grammar(self):
+        # the one reader of both text formats: comments and blank lines
+        # dropped, whitespace split, lines numbered from 1
+        text = "# a square\n\n  n 4 # count\ne 0\t1\n   # \nqubits 2"
+        assert list(text_lines(text)) == [(3, ["n", "4"]), (4, ["e", "0", "1"]), (6, ["qubits", "2"])]
 
     def test_writer_is_canonical(self):
         text = graph_to_text(Graph.make(3, [(2, 1), (1, 0)]))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -12,8 +13,8 @@ from splitcut.harness import (
     CSV_HEADER,
     ExperimentSpec,
     overhead,
-    read_results,
     resolve_backends,
+    resolve_graph,
     run_experiment,
 )
 from splitcut.obfuscation import PrunedFlavor, compile_flavor, make_split_plan
@@ -110,13 +111,14 @@ class TestRunExperiment:
             # width never betrays the pruning
             assert flavor_text.splitlines()[0] == "qubits 4"
 
-    def test_csv_round_trips_through_bundled_reader(self, small_result):
+    def test_csv_round_trips_through_csv_module(self, small_result):
         result, out = small_result
-        rows = read_results(out / "results.csv")
+        with open(out / "results.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == len(result.rows)
         for read, orig in zip(rows, result.rows):
             assert read["arm"] == orig["arm"]
-            assert read["mean_ar"] == pytest.approx(orig["mean_ar"], abs=1e-6)
+            assert float(read["mean_ar"]) == pytest.approx(orig["mean_ar"], abs=1e-6)
 
     def test_csv_header_schema(self, small_result):
         _, out = small_result
@@ -168,15 +170,14 @@ class TestRunExperiment:
             dict(SMALL_SPEC, graph=str(path), arms=["original"], seeds=[0])
         )
         result = run_experiment(spec)
-        assert result.graph_label == "ring"
+        assert result.rows[0]["graph"] == "ring"
         assert result.rows[0]["n_seeds"] == 1
 
     def test_invariant_failures_poison_ok_cell_failures_do_not(self, small_result):
         from splitcut.harness import ExperimentResult
 
         result, _ = small_result
-        base = dict(spec=result.spec, graph_label="x", rows=[], traces={},
-                    overhead=result.overhead)
+        base = dict(spec=result.spec, rows=[], traces={}, overhead=result.overhead)
         cell = ExperimentResult(**base, failures=[
             {"arm": "split", "p": 1, "seed": 0, "kind": "cell", "error": "boom"}])
         assert cell.ok
@@ -415,6 +416,17 @@ class TestCli:
         # a file and a benchmark id resolve through one rule
         assert main(["graph", "show", "cycle4"]) == 0
         assert capsys.readouterr().out == printed
+        # without --out the graph file goes to stdout
+        assert main(["graph", "gen", "--id", "cycle4"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_a_directory_does_not_hide_a_benchmark_id(self, tmp_path, monkeypatch, capsys):
+        # `run --out graph6` makes such a directory; it used to be opened as a graph file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "graph6").mkdir()
+        assert resolve_graph("graph6") == ("graph6", benchmark_graph("graph6"))
+        assert main(["graph", "show", "graph6"]) == 0
+        assert "nodes: 6" in capsys.readouterr().out
 
     def test_adversary_effort_command(self, capsys):
         assert main(["adversary", "effort", "--nodes", "10", "--observed", "9"]) == 0
@@ -543,6 +555,8 @@ class TestCli:
                  (["run", "--config", str(negative_backend_seed)], "'seed'"),
                  # 2^19900 has more digits than Python converts to text
                  (["adversary", "effort", "--nodes", "200", "--observed", "0"], "n=200"),
+                 (["adversary", "effort", "--nodes", "0", "--observed", "0"], "at least one node"),
+                 (["graph", "gen", "--id", "complete(1)"], "n >= 2"),
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
                  (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
                  # an empty --p used to run the spec's own layer counts
@@ -630,6 +644,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "splitcut: edges_per_flavor must be in [1, 3] for this graph\n"
         assert cells == [] and captured.out == "" and not out.exists()
+
+    def test_out_that_is_a_file_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # the output directory used to be created after every cell had run
+        from splitcut import harness
+
+        cells = []
+
+        def no_optimize(*args, **knobs):
+            cells.append(args)
+            raise RuntimeError("a cell ran")
+
+        monkeypatch.setattr(harness, "optimize", no_optimize)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(SMALL_SPEC))
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("splitcut: ") and captured.err.count("\n") == 1
+        assert cells == [] and captured.out == ""
 
     @pytest.mark.parametrize("graph", ["cycle4", "one_edge"])
     def test_original_only_spec_plans_no_split(self, tmp_path, capsys, graph):
