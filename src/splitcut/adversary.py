@@ -95,22 +95,12 @@ def extract_graph(text: str) -> ExtractionReport:
 class EffortEstimate:
     """Search-space bounds for completing an observed graph to the original."""
 
-    n: int
+    nodes: int
     observed_edges: int
     total_pairs: int  # n(n-1)/2
     candidate_edges: int
     worst_case_trials: int
     min_guesses: int
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.n,
-            "observed_edges": self.observed_edges,
-            "total_pairs": self.total_pairs,
-            "candidate_edges": self.candidate_edges,
-            "worst_case_trials": self.worst_case_trials,
-            "min_guesses": self.min_guesses,
-        }
 
 
 def effort(n: int, observed_edges: int) -> EffortEstimate:
@@ -135,7 +125,7 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
         raise CapacityError(f"effort for n={n}: 2^{candidates} worst-case trials have "
                             f"{digits} digits, over the {limit}-digit limit")
     return EffortEstimate(
-        n=n,
+        nodes=n,
         observed_edges=observed_edges,
         total_pairs=total,
         candidate_edges=candidates,

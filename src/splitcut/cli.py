@@ -4,7 +4,7 @@ Subcommands: graph gen|show, run, adversary extract|effort|merge,
 overhead. Experiment subcommands read one JSON spec file; the exit code is
 1 iff an invariant assertion failed during the run or a row completed no
 seed. Bad input (a missing file, malformed JSON, a missing key, a rejected
-value, a first seed that cannot be planned) prints one
+value, a first seed that cannot be planned or routed) prints one
 ``splitcut: <message>`` line on stderr and exits with code 2.
 """
 from __future__ import annotations
@@ -83,13 +83,13 @@ def _cmd_adversary(args) -> int:
         payload = report.to_dict()
         candidates = g.n * (g.n - 1) // 2 - len(g.edges)
         with suppress(CapacityError):  # too many digits to print; the recovered graph still stands
-            payload["effort"] = effort(g.n, len(g.edges)).to_dict()
+            payload["effort"] = dataclasses.asdict(effort(g.n, len(g.edges)))
         trials = payload.get("effort", {}).get("worst_case_trials", f"2^{candidates}")
         payload["summary"] = (f"recovered {len(g.edges)} edges on {g.n} nodes through "
                               f"{report.swap_count} swaps; {candidates} candidate edges leave "
                               f"{trials} worst-case completions")
     elif args.action == "effort":
-        payload = effort(args.nodes, args.observed).to_dict()
+        payload = dataclasses.asdict(effort(args.nodes, args.observed))
     else:
         graphs = [report_graph(json.loads(Path(path).read_text(encoding="utf-8")))
                   for path in args.reports]

@@ -161,6 +161,10 @@ def save_graph(g: Graph, path) -> None:
 # -- benchmarks ----------------------------------------------------------
 
 
+def is_benchmark_id(name: str) -> bool:
+    return name in FIXED_BENCHMARKS or _PARAMETRIC.match(name) is not None
+
+
 def benchmark_graph(graph_id: str) -> Graph:
     """Named benchmark graph.
 
@@ -169,13 +173,13 @@ def benchmark_graph(graph_id: str) -> Graph:
     forms: ``cycle(n)`` is the n-node ring (n >= 3), ``complete(n)`` is K_n
     (n >= 2).
     """
+    if not is_benchmark_id(graph_id):
+        raise ValueError(f"unknown benchmark graph id: {graph_id!r}")
     if graph_id in FIXED_BENCHMARKS:
         text = resources.files("splitcut.data").joinpath(f"{graph_id}.graph").read_text()
         return graph_from_text(text)
-    m = _PARAMETRIC.match(graph_id)
-    if m is None:
-        raise ValueError(f"unknown benchmark graph id: {graph_id!r}")
-    kind, n = m.group(1), int(m.group(2))
+    kind, digits = _PARAMETRIC.match(graph_id).groups()
+    n = int(digits)
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle(n) requires n >= 3")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import cross_provider_merge, extract_graph
-from .graph import Graph, benchmark_graph, load_graph
+from .graph import Graph, benchmark_graph, is_benchmark_id, load_graph
 from .obfuscation import (
     OPTIMIZERS,
     CompiledFlavor,
@@ -123,6 +123,8 @@ def resolve_graph(name: str) -> tuple[str, Graph]:
     benchmark id; a directory is not a graph file."""
     if os.path.isfile(name):
         return Path(name).stem, load_graph(name)
+    if not is_benchmark_id(name):
+        raise ValueError(f"no graph file or benchmark id named {name!r}")
     return name, benchmark_graph(name)
 
 
@@ -282,13 +284,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     them is dispatched, once per distinct compiled split; a violation is
     recorded as an "invariant" failure of each cell that would send it.
     Any other failing cell marks its row rather than aborting the sweep.
-    The overhead report counts the first seed's traced evaluations. out_dir
-    is created before the first cell runs, so an unusable one fails first.
+    The overhead report counts the first seed's traced evaluations; its
+    flavors and out_dir are made before any cell, so a bad one fails first.
     """
     label, g = resolve_graph(spec.graph)
     split, arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
-    if set(spec.arms) - {"original"}:
-        arm_flavors("pruned_only", spec.seeds[0], 1)  # the overhead baseline, before any cell runs
+    compute_overhead(spec, arm_flavors)
     if out_dir is not None:
         (Path(out_dir) / "traces").mkdir(parents=True, exist_ok=True)
 

@@ -582,26 +582,21 @@ def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> np.ndarray:
 
 def backend_from_dict(d: dict) -> BackendProfile:
     """One profile entry: the ``BackendProfile`` and ``NoiseModel`` fields
-    by name, except that ``coupling`` lists the coupling graph's edges (a
-    pair listed twice is one edge) and ``num_physical`` (at least, and by
-    default, one past the largest qubit in them) is its node count. A wrong
-    value type, a broken rule or a bad pair raises ValueError naming the key."""
+    by name, except that ``coupling`` lists the edges of the coupling graph,
+    whose nodes run to the largest qubit in them (a pair listed twice is one
+    edge). A wrong value type, a broken rule or a bad pair raises ValueError
+    naming the key."""
     noise_fields = record_fields(NoiseModel)
-    schema = {**record_fields(BackendProfile), **noise_fields,
-              "coupling": (tuple[tuple[int, int], ...], None), "num_physical": (int, None)}
+    schema = {**record_fields(BackendProfile), **noise_fields, "coupling": (tuple[tuple[int, int], ...], None)}
     del schema["noise"]
     kwargs = read_record(d, "backend profile", schema)
     noise = NoiseModel(**{k: kwargs.pop(k) for k in noise_fields if k in kwargs})
     pairs = kwargs.pop("coupling", None)
-    num = kwargs.pop("num_physical", None)
     if pairs == ():
         raise ValueError("backend profile key 'coupling' lists no pair; null means all-to-all")
-    if num is not None and (pairs is None or num <= max(map(max, pairs))):
-        raise ValueError(f"backend profile key 'num_physical' sizes a 'coupling' and must exceed "
-                         f"its every qubit, got {num}")
     try:
-        coupling = None if pairs is None else Graph.make(
-            max(map(max, pairs)) + 1 if num is None else num, {(min(p), max(p)) for p in pairs})
+        coupling = None if pairs is None else Graph.make(max(map(max, pairs)) + 1,
+                                                         {(min(p), max(p)) for p in pairs})
     except ValueError as exc:
         raise ValueError(f"backend profile key 'coupling' is not a graph: {exc}") from None
     return BackendProfile(noise=noise, coupling=coupling, **kwargs)

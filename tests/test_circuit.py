@@ -56,6 +56,8 @@ class TestBuildQaoa:
     def test_edgeless_graph_is_mixer_only(self):
         c = build_qaoa(Graph(3, ()), ParamVector((0.1,), (0.2,)))
         assert all(gate.name not in ("cx", "rz") for gate in c.gates)
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            build_qaoa(Graph(1, ()), ParamVector((0.1,), (0.2,)))
 
     def test_two_qubit_count_doubles_with_p(self, benchmarks):
         for g in benchmarks.values():
@@ -87,6 +89,8 @@ class TestCircuitType:
     def test_qubit_bounds_checked(self):
         with pytest.raises(ValueError):
             Circuit(2, (h(2),))
+        with pytest.raises(ValueError, match="at least one qubit"):
+            Circuit(0, ())
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -97,6 +101,8 @@ class TestCircuitType:
             Gate("h", (0,), 0.5)
         with pytest.raises(ValueError):
             Gate("toffoli", (0, 1, 2))
+        with pytest.raises(ValueError, match="cx takes 2 qubit"):
+            Gate("cx", (0,))
 
     def test_depth(self):
         c = Circuit(2, (h(0), h(1), cx(0, 1), rz(1, 0.1), measure_all()))

@@ -56,6 +56,8 @@ class TestCutValue:
         g = benchmark_graph("cycle4")
         with pytest.raises(ValueError):
             cut_value(g, "010")
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            cut_value(benchmark_graph("cycle3"), "012")
 
     def test_accepts_strings_and_sequences(self):
         g = benchmark_graph("cycle4")
@@ -118,6 +120,8 @@ class TestGraphType:
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
             Graph.make(3, [(0, 3)])
+        with pytest.raises(ValueError, match="node count must be positive"):
+            Graph(0, ())
 
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(ValueError):

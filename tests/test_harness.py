@@ -540,6 +540,10 @@ class TestCli:
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
         small_spec.write_text(json.dumps(SMALL_SPEC))
+        # a missing graph file used to be reported as an unknown benchmark id
+        missing_graph = str(tmp_path / "missing.graph")
+        mistyped_graph = tmp_path / "mistyped_graph.json"
+        mistyped_graph.write_text(json.dumps(dict(SMALL_SPEC, graph=missing_graph)))
         cases = [(["run", "--config", str(tmp_path / "missing.json")], ""),
                  (["run", "--config", str(bad_json)], ""),
                  (["overhead", "--config", str(no_graph)], "'graph'"),
@@ -557,6 +561,10 @@ class TestCli:
                  (["adversary", "effort", "--nodes", "200", "--observed", "0"], "n=200"),
                  (["adversary", "effort", "--nodes", "0", "--observed", "0"], "at least one node"),
                  (["graph", "gen", "--id", "complete(1)"], "n >= 2"),
+                 (["graph", "gen", "--id", "missing.graph"], "unknown benchmark graph id: 'missing.graph'"),
+                 (["graph", "show", "cycle(2)"], "cycle(n) requires n >= 3"),
+                 (["graph", "show", missing_graph], f"no graph file or benchmark id named {missing_graph!r}"),
+                 (["run", "--config", str(mistyped_graph)], "no graph file or benchmark id named"),
                  (["run", "--config", str(small_spec), "--p", "1,1"], "'p_layers'"),
                  (["run", "--config", str(small_spec), "--p", "0"], "'p_layers'"),
                  # an empty --p used to run the spec's own layer counts
@@ -636,14 +644,24 @@ class TestCli:
             raise RuntimeError("a cell ran")
 
         monkeypatch.setattr(harness, "optimize", no_optimize)
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"graph": "cycle4", "arms": ["original", "split"],
-                                      "edges_per_flavor": 4, "seeds": [0], "iterations": 4}))
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "splitcut: edges_per_flavor must be in [1, 3] for this graph\n"
-        assert cells == [] and captured.out == "" and not out.exists()
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([{"name": "big", "seed": 5},
+                                        {"name": "small", "coupling": [[0, 1], [1, 2], [2, 3]], "seed": 6}]))
+        specs = [({"graph": "cycle4", "arms": ["original", "split"], "edges_per_flavor": 4, "seeds": [0],
+                   "iterations": 4}, "edges_per_flavor must be in [1, 3] for this graph"),
+                 # the split's second backend cannot route graph6; this used to be found
+                 # only after every original cell had run, and their results were lost
+                 ({"graph": "graph6", "arms": ["original", "split"], "seeds": [0, 1, 2],
+                   "backends": ["big", "small"], "profiles_file": str(profiles)},
+                  "coupling map has 4 qubits, circuit needs 6")]
+        for i, (spec, error) in enumerate(specs):
+            config = tmp_path / f"spec{i}.json"
+            config.write_text(json.dumps(spec))
+            out = tmp_path / f"out{i}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"splitcut: {error}\n"
+            assert cells == [] and captured.out == "" and not out.exists()
 
     def test_out_that_is_a_file_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
         # the output directory used to be created after every cell had run

@@ -12,7 +12,7 @@ from splitcut.circuit import (
     transpile,
 )
 from splitcut.errors import CapacityError, RoutingError
-from splitcut.graph import Graph, benchmark_graph, cut_values_vector
+from splitcut.graph import benchmark_graph, cut_values_vector
 from splitcut.obfuscation import PrunedFlavor, compile_flavor
 from splitcut.simulator import (
     BackendProfile,
@@ -604,14 +604,12 @@ class TestBackendConfig:
         })
         assert b.coupling.n == 3
         assert b.noise.p1 == 0.001
-        sized = backend_from_dict({"name": "x", "coupling": [[0, 1]], "num_physical": 4})
-        assert sized.coupling == Graph.make(4, [(0, 1)])
         twice = backend_from_dict({"name": "x", "coupling": [[1, 2], [0, 1], [2, 1]]})
         assert twice.coupling == b.coupling  # a pair listed twice is one edge
 
     @pytest.mark.parametrize("fields, key", [
         ({"coupling": []}, "'coupling'"),  # used to load as all-to-all
-        ({"num_physical": 4}, "'num_physical'"),  # used to be ignored
+        ({"num_physical": 4}, "'num_physical'"),  # not a profile key
         ({"coupling": [[0, 1]], "num_physical": 1}, "'num_physical'"),
         ({"coupling": [[0, 1], [1, 1]]}, "'coupling'"),  # a self-loop
         ({"coupling": [[-1, 0], [0, 1]]}, "'coupling'"),  # a negative qubit
