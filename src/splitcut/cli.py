@@ -4,7 +4,7 @@ Subcommands: graph gen|show, run, adversary extract|effort|merge,
 overhead. Experiment subcommands read one JSON spec file; the exit code is
 1 iff an invariant assertion failed during the run or a row completed no
 seed. Bad input (a missing file, malformed JSON, a missing key, a rejected
-value, a first seed that cannot be planned or routed) prints one
+value, a first seed that cannot be planned, routed or simulated) prints one
 ``splitcut: <message>`` line on stderr and exits with code 2.
 """
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .obfuscation import (
     CompiledFlavor,
     PrunedFlavor,
     RunTrace,
+    approximation_ratio,
     check_split,
     compile_flavor,
     make_split_plan,
@@ -46,7 +47,7 @@ class ResultRow:
 
     graph: str
     spec: str
-    sim: str  # "noisy" if any flavor ran on a noisy backend, else "ideal"
+    sim: str  # "noisy" if any backend the arm dispatches to is noisy, else "ideal"
     arm: str
     p: int
     mean_ar: float
@@ -141,11 +142,10 @@ def _plan_seed(seed: int) -> int:
 
 
 def _flavor_table(g: Graph, spec: ExperimentSpec, backends):
-    """``(split, arm_flavors)``. ``split(seed)`` is the seed's split, a tuple
-    of flavors: the spec's ``removed_sets``, built and checked once per run,
-    or a random split planned once per seed. ``arm_flavors(arm, seed, p)`` is
-    the compiled flavors an arm dispatches for one seed -- the unpruned
-    circuit, the split's first flavor, or the whole split. Each (flavor, p)
+    """``arm_flavors(arm, seed, p)``: the compiled flavors an arm dispatches
+    for one seed -- the unpruned circuit, the split's first flavor, or the
+    whole split. The split is the spec's ``removed_sets``, built and checked
+    once per run, or a random split planned once per seed. Each (flavor, p)
     is compiled once, so every reader of a run gets the same artifacts."""
     compiled = cache(lambda f, p: compile_flavor(g, f, p))
 
@@ -157,26 +157,22 @@ def _flavor_table(g: Graph, spec: ExperimentSpec, backends):
             return flavors
         return make_split_plan(g, spec.k, spec.edges_per_flavor, backends[: spec.k], seed=_plan_seed(seed))
 
-    def split(seed: int) -> tuple[PrunedFlavor, ...]:
-        return plan(seed if spec.removed_sets is None else None)
-
     def arm_flavors(arm: str, seed: int, p: int) -> tuple[CompiledFlavor, ...]:
         if arm == "original":
             flavors = (PrunedFlavor((), backends[0]),)
         else:
-            flavors = split(seed)[: 1 if arm == "pruned_only" else None]
+            flavors = plan(seed if spec.removed_sets is None else None)[: 1 if arm == "pruned_only" else None]
         return tuple(compiled(f, p) for f in flavors)
 
-    return split, arm_flavors
+    return arm_flavors
 
 
-def _spec_label(spec: ExperimentSpec, arm: str, split) -> str:
+def _spec_label(spec: ExperimentSpec, arm: str, flavors: tuple[CompiledFlavor, ...]) -> str:
     if arm == "original":
         return "-"
-    k = spec.k if arm == "split" else 1
     if spec.removed_sets is None:
-        return f"rand:{k}x{spec.edges_per_flavor}"
-    return "-".join("+".join(f"{u}.{v}" for u, v in f.removed_edges) for f in split(spec.seeds[0])[:k])
+        return f"rand:{len(flavors)}x{spec.edges_per_flavor}"
+    return "-".join("+".join(f"{u}.{v}" for u, v in f.flavor.removed_edges) for f in flavors)
 
 
 @dataclass
@@ -256,7 +252,7 @@ def compute_overhead(
 def overhead(spec: ExperimentSpec) -> dict:
     """Static overhead report for a spec (no optimization runs)."""
     _, g = resolve_graph(spec.graph)
-    return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec))[1])
+    return compute_overhead(spec, _flavor_table(g, spec, resolve_backends(spec)))
 
 
 def _check_partial_knowledge(flavors) -> list[dict]:
@@ -280,16 +276,22 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """Execute every (arm, p, seed) cell, aggregate the result table, and
     write results.csv / traces / overhead.json when out_dir is given.
 
-    A split cell's compiled flavors pass the release gate before any of
-    them is dispatched, once per distinct compiled split; a violation is
-    recorded as an "invariant" failure of each cell that would send it.
-    Any other failing cell marks its row rather than aborting the sweep.
-    The overhead report counts the first seed's traced evaluations; its
-    flavors and out_dir are made before any cell, so a bad one fails first.
+    The first seed's flavors, kernels and cut vectors are built before
+    out_dir and any cell, so a spec no cell could evaluate fails first; the
+    rows' spec and sim columns and the written circuits read them. A split
+    cell's flavors pass the release gate before any is dispatched, once per
+    distinct compiled split; a violation is an "invariant" failure of each
+    cell that would send it. Any other failing cell marks its row rather
+    than aborting the sweep. The overhead report is computed once, after
+    the cells, counting the first seed's traced evaluations.
     """
     label, g = resolve_graph(spec.graph)
-    split, arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
-    compute_overhead(spec, arm_flavors)
+    arm_flavors = _flavor_table(g, spec, resolve_backends(spec))
+    first = {(arm, p): arm_flavors(arm, spec.seeds[0], p) for arm in spec.arms for p in spec.p_layers}
+    for flavors in first.values():  # a circuit too wide to simulate, or an edgeless graph, fails here
+        for f in flavors:
+            approximation_ratio(0.0, int(f.cut.max()))
+    # The report's p=1 baseline is not pre-built: a p=1 circuit prefixes each deeper one; SWAPs keep to a component.
     if out_dir is not None:
         (Path(out_dir) / "traces").mkdir(parents=True, exist_ok=True)
 
@@ -300,13 +302,11 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
 
     for arm in spec.arms:
         for p in spec.p_layers:
-            noisy = False  # any dispatched flavor ran on a noisy backend
             for seed in spec.seeds:
                 try:
                     flavors = arm_flavors(arm, seed, p)
                     if len(flavors) > 1:
                         gate(flavors)
-                    noisy = noisy or any(f.flavor.backend.is_noisy for f in flavors)
                     traces[(arm, p, seed)] = optimize(flavors, optimizer=spec.optimizer,
                                                       iterations=spec.iterations, shots=spec.shots, seed=seed)
                 except Exception as exc:  # record, keep sweeping; an AssertionError poisons the run
@@ -314,18 +314,17 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
                     failures.append({"arm": arm, "p": p, "seed": seed, "kind": kind, "error": str(exc)})
             finals = [traces[(arm, p, seed)].final_ar for seed in spec.seeds if (arm, p, seed) in traces]
             mean = float(np.mean(finals)) if finals else float("nan")
-            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-            if not finals:
-                std = float("nan")
+            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0 if finals else float("nan")
+            noisy = any(f.flavor.backend.is_noisy for f in first[arm, p])  # every seed dispatches to these backends
             rows.append(asdict(ResultRow(
-                graph=label, spec=_spec_label(spec, arm, split), sim="noisy" if noisy else "ideal",
+                graph=label, spec=_spec_label(spec, arm, first[arm, p]), sim="noisy" if noisy else "ideal",
                 arm=arm, p=p, mean_ar=mean, std_ar=std, n_seeds=len(finals),
             )))
 
     report = compute_overhead(spec, arm_flavors, traces)
     result = ExperimentResult(spec=spec, rows=rows, traces=traces, overhead=report, failures=failures)
     if out_dir is not None:
-        _write_outputs(result, arm_flavors, gate, out_dir)
+        _write_outputs(result, first, gate, out_dir)
     return result
 
 
@@ -344,10 +343,10 @@ def _fmt(x):
     return "nan" if np.isnan(x) else f"{x:.6f}"
 
 
-def _write_outputs(result: ExperimentResult, arm_flavors, gate, out_dir) -> None:
+def _write_outputs(result: ExperimentResult, first, gate, out_dir) -> None:
     """Write the run's files. Each (arm, p) whose first seed completed also
-    gets that seed's wire texts at its best parameters in circuits/ and, for
-    a split arm, the release gate's extraction reports in adversary.json."""
+    gets the wire texts of ``first[arm, p]`` at its best parameters in circuits/
+    and, for a split arm, the release gate's extraction reports in adversary.json."""
     out = Path(out_dir)
 
     def write(name: str, text: str) -> None:
@@ -357,7 +356,7 @@ def _write_outputs(result: ExperimentResult, arm_flavors, gate, out_dir) -> None
     for (arm, p, seed), trace in result.traces.items():
         write(f"traces/{arm}_p{p}_seed{seed}.jsonl", trace.to_jsonl())
         if seed == result.spec.seeds[0]:
-            flavors = arm_flavors(arm, seed, p)
+            flavors = first[arm, p]
             (out / "circuits").mkdir(exist_ok=True)
             for i, f in enumerate(flavors):
                 name = f"{arm}_p{p}_flavor{i}" if len(flavors) > 1 else f"{arm}_p{p}"

@@ -202,6 +202,35 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert [r["sim"] for r in result.rows] == ["ideal", "ideal"]
 
+    def test_sim_column_reads_backends_when_every_seed_fails_the_gate(self, monkeypatch):
+        # the row names the backends its cells would have dispatched to,
+        # even when the release gate stops every one of them
+        from splitcut import harness
+        from splitcut.adversary import ExtractionReport
+
+        g = benchmark_graph("cycle4")
+        monkeypatch.setattr(harness, "extract_graph", lambda text: ExtractionReport(g, 0, tuple(range(g.n)), 0))
+        spec = ExperimentSpec.from_dict(dict(
+            SMALL_SPEC, arms=["split"], backends=["hw1", "hw2"], seeds=[0, 1], iterations=4, shots=64,
+        ))
+        result = run_experiment(spec)
+        assert [(r["sim"], r["n_seeds"]) for r in result.rows] == [("noisy", 0)]
+        assert {f["kind"] for f in result.failures} == {"invariant"}
+
+    def test_overhead_report_is_computed_once_per_run(self, tmp_path, monkeypatch):
+        from splitcut import harness
+
+        calls, real = [], harness.compute_overhead
+
+        def counting_overhead(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "compute_overhead", counting_overhead)
+        spec = ExperimentSpec.from_dict(dict(SMALL_SPEC, p_layers=[1, 2], iterations=4, shots=64))
+        assert run_experiment(spec, out_dir=tmp_path).ok
+        assert len(calls) == 1
+
     def test_plans_each_seed_and_compiles_each_flavor_once(self, tmp_path, monkeypatch):
         # the optimizer, the written circuits, the release gate and the
         # overhead report all read one table of compiled flavors
@@ -625,10 +654,16 @@ class TestCli:
             assert "Traceback" not in err
             assert named in err
 
-    def test_run_exits_1_when_a_row_completes_no_seed(self, tmp_path, capsys):
+    def test_run_exits_1_when_a_row_completes_no_seed(self, tmp_path, capsys, monkeypatch):
+        from splitcut import harness
+
+        def failing_optimize(*args, **knobs):
+            raise RuntimeError("the backend went away")
+
+        monkeypatch.setattr(harness, "optimize", failing_optimize)
         config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"graph": "cycle(11)", "arms": ["original"],
-                                      "backends": ["hw1", "hw2"], "seeds": [0], "iterations": 2}))
+        config.write_text(json.dumps({"graph": "cycle4", "arms": ["original"], "backends": ["ideal1"],
+                                      "seeds": [0], "iterations": 2}))
         assert main(["run", "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert "(0 seeds)" in captured.out
@@ -647,13 +682,22 @@ class TestCli:
         profiles = tmp_path / "profiles.json"
         profiles.write_text(json.dumps([{"name": "big", "seed": 5},
                                         {"name": "small", "coupling": [[0, 1], [1, 2], [2, 3]], "seed": 6}]))
+        edgeless = tmp_path / "edgeless.graph"
+        edgeless.write_text("n 3\n")
         specs = [({"graph": "cycle4", "arms": ["original", "split"], "edges_per_flavor": 4, "seeds": [0],
                    "iterations": 4}, "edges_per_flavor must be in [1, 3] for this graph"),
                  # the split's second backend cannot route graph6; this used to be found
                  # only after every original cell had run, and their results were lost
                  ({"graph": "graph6", "arms": ["original", "split"], "seeds": [0, 1, 2],
                    "backends": ["big", "small"], "profiles_file": str(profiles)},
-                  "coupling map has 4 qubits, circuit needs 6")]
+                  "coupling map has 4 qubits, circuit needs 6"),
+                 # no cell could evaluate these; each used to fail every cell and exit 1
+                 ({"graph": "cycle(21)", "arms": ["original", "split"], "seeds": [0, 1], "iterations": 4},
+                  "a statevector is simulated up to 20 qubits, got 21"),
+                 ({"graph": "cycle(11)", "arms": ["original", "split"], "backends": ["hw1", "hw2"],
+                   "seeds": [0, 1], "iterations": 4}, "gate noise is simulated up to 10 qubits, got 11"),
+                 ({"graph": str(edgeless), "arms": ["original"], "seeds": [0, 1], "iterations": 4},
+                  "cmax must be >= 1; the ratio is undefined on edgeless graphs")]
         for i, (spec, error) in enumerate(specs):
             config = tmp_path / f"spec{i}.json"
             config.write_text(json.dumps(spec))
