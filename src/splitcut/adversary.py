@@ -103,6 +103,18 @@ class EffortEstimate:
     min_guesses: int
 
 
+def candidate_edges(n: int, observed_edges: int) -> int:
+    """The node pairs of an n-node graph that ``observed_edges`` seen edges
+    leave unknown: n(n-1)/2 - observed_edges. ValueError for an empty graph
+    or an edge count it cannot hold."""
+    total = n * (n - 1) // 2
+    if n < 1:
+        raise ValueError("need at least one node")
+    if not 0 <= observed_edges <= total:
+        raise ValueError(f"observed_edges must be in [0, {total}], got {observed_edges}")
+    return total - observed_edges
+
+
 def effort(n: int, observed_edges: int) -> EffortEstimate:
     """Worst-case reconstruction effort for an n-node graph of which
     ``observed_edges`` edges were seen.
@@ -113,12 +125,7 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
     digits than Python converts to text (``sys.get_int_max_str_digits()``)
     raises CapacityError before it is computed.
     """
-    total = n * (n - 1) // 2
-    if n < 1:
-        raise ValueError("need at least one node")
-    if not 0 <= observed_edges <= total:
-        raise ValueError(f"observed_edges must be in [0, {total}], got {observed_edges}")
-    candidates = total - observed_edges
+    candidates = candidate_edges(n, observed_edges)
     digits = int(candidates * math.log10(2)) + 1
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
@@ -127,7 +134,7 @@ def effort(n: int, observed_edges: int) -> EffortEstimate:
     return EffortEstimate(
         nodes=n,
         observed_edges=observed_edges,
-        total_pairs=total,
+        total_pairs=candidates + observed_edges,
         candidate_edges=candidates,
         worst_case_trials=2 ** candidates,
         min_guesses=1 if candidates >= 1 else 0,

@@ -16,7 +16,7 @@ import sys
 from contextlib import suppress
 from pathlib import Path
 
-from .adversary import cross_provider_merge, effort, extract_graph, report_graph
+from .adversary import candidate_edges, cross_provider_merge, effort, extract_graph, report_graph
 from .errors import CapacityError
 from .graph import benchmark_graph, graph_to_text, max_cut_bruteforce, save_graph
 from .harness import ExperimentSpec, overhead, resolve_graph, run_experiment
@@ -81,7 +81,7 @@ def _cmd_adversary(args) -> int:
         report = extract_graph(Path(args.circuit).read_text(encoding="utf-8"))
         g = report.recovered_graph
         payload = report.to_dict()
-        candidates = g.n * (g.n - 1) // 2 - len(g.edges)
+        candidates = candidate_edges(g.n, len(g.edges))
         with suppress(CapacityError):  # too many digits to print; the recovered graph still stands
             payload["effort"] = dataclasses.asdict(effort(g.n, len(g.edges)))
         trials = payload.get("effort", {}).get("worst_case_trials", f"2^{candidates}")

@@ -6,6 +6,7 @@ thread-safe; ``Graph`` is immutable.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -165,19 +166,23 @@ def is_benchmark_id(name: str) -> bool:
     return name in FIXED_BENCHMARKS or _PARAMETRIC.match(name) is not None
 
 
+@functools.cache
+def _fixed_benchmark(graph_id: str) -> Graph:
+    return graph_from_text(resources.files("splitcut.data").joinpath(f"{graph_id}.graph").read_text())
+
+
 def benchmark_graph(graph_id: str) -> Graph:
     """Named benchmark graph.
 
-    Fixed instances (``cycle3`` .. ``graph6``) are read from checked-in data
-    files so every experiment references one recorded edge list. Parametric
-    forms: ``cycle(n)`` is the n-node ring (n >= 3), ``complete(n)`` is K_n
-    (n >= 2).
+    Fixed instances (``cycle3`` .. ``graph6``) are read once per process
+    from checked-in data files, so every experiment references one recorded
+    edge list. Parametric forms: ``cycle(n)`` is the n-node ring (n >= 3),
+    ``complete(n)`` is K_n (n >= 2).
     """
     if not is_benchmark_id(graph_id):
         raise ValueError(f"unknown benchmark graph id: {graph_id!r}")
     if graph_id in FIXED_BENCHMARKS:
-        text = resources.files("splitcut.data").joinpath(f"{graph_id}.graph").read_text()
-        return graph_from_text(text)
+        return _fixed_benchmark(graph_id)
     kind, digits = _PARAMETRIC.match(graph_id).groups()
     n = int(digits)
     if kind == "cycle":

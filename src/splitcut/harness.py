@@ -350,7 +350,8 @@ def _write_outputs(result: ExperimentResult, first, gate, out_dir) -> None:
     out = Path(out_dir)
 
     def write(name: str, text: str) -> None:
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
+        with open(out / name, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
     adversary_reports = {}
     for (arm, p, seed), trace in result.traces.items():

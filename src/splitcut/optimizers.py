@@ -61,49 +61,60 @@ class Spsa:
 class NelderMead:
     """Classic simplex search (reflection/expansion/contraction/shrink).
 
-    The simplex is one (n + 1, n) array: x0, then x0 offset by ``STEP``
-    along each axis, in axis order. The first step only evaluates it, so
-    those evaluations land on iteration 0's objective, and until then ``x``
-    is x0. Tied values keep vertex order (a stable sort) on every CPU.
+    The simplex is n + 1 vertices: x0, then x0 offset by ``STEP`` along
+    each axis, in axis order. The first step only evaluates it, so those
+    evaluations land on iteration 0's objective, and until then ``x`` is
+    x0. Tied values keep vertex order (a stable sort) on every CPU.
     Intended for ideal backends; simplex values measured on earlier
-    iterations' objectives are reused as-is. Every point a step returns,
-    and ``x``, is an array of its own: a later step overwrites simplex rows
-    in place.
+    iterations' objectives are reused as-is.
+
+    The vertices are lists of Python floats, stepped in numpy's operation
+    order: the centroid sums the other rows in sorted order from the first
+    one, then divides by n, as ``mean(axis=0)`` does. So, on finite values,
+    every point and ``x`` are those of the same search on one (n + 1, n)
+    float64 array bit for bit. Every point a step returns, and ``x``, is a
+    fresh float64 array.
     """
 
     STEP = 0.3
 
     def __init__(self, x0):
-        x0 = np.asarray(x0, dtype=float)
-        self.simplex = np.repeat(x0[None], len(x0) + 1, axis=0)
+        x0 = np.asarray(x0, dtype=float).tolist()
+        self.simplex = [list(x0) for _ in range(len(x0) + 1)]
         for i in range(len(x0)):  # only coordinate i: adding 0.0 would turn -0.0 into +0.0
-            self.simplex[i + 1, i] += self.STEP
-        self.values = np.empty(0)  # one per vertex from the first step on
+            self.simplex[i + 1][i] += self.STEP
+        self.values: list[float] = []  # one per vertex from the first step on
 
     @property
     def x(self) -> np.ndarray:
-        return self.simplex[int(self.values.argmax()) if len(self.values) else 0].copy()
+        values = self.values
+        return np.array(self.simplex[values.index(max(values)) if values else 0])
 
     def step(self, objective) -> list[tuple[np.ndarray, float]]:
         evals: list[tuple[np.ndarray, float]] = []
 
-        def f(x) -> float:
-            v = float(objective(x))
-            evals.append((x, v))
+        def f(x: list[float]) -> float:
+            point = np.array(x)
+            v = float(objective(point))
+            evals.append((point, v))
             return v
 
         simplex, values = self.simplex, self.values
-        if not len(values):
-            self.values = np.array([f(p) for p in simplex.copy()])
+        if not values:
+            self.values = [f(v) for v in simplex]
             return evals
-        order = values.argsort(kind="stable")  # ascending: worst first under maximization
-        worst, second_worst, best = order[[0, 1, -1]].tolist()
-        centroid = simplex[order[1:]].mean(axis=0)
-        away = centroid - simplex[worst]
-        reflected = centroid + away
+        order = np.array(values).argsort(kind="stable").tolist()  # ascending: worst first under maximization
+        worst, second_worst, best = order[0], order[1], order[-1]
+        centroid = simplex[order[1]]
+        for i in order[2:]:
+            centroid = [c + v for c, v in zip(centroid, simplex[i])]
+        centroid = [c / (len(order) - 1) for c in centroid]
+        w = simplex[worst]
+        away = [c - v for c, v in zip(centroid, w)]
+        reflected = [c + a for c, a in zip(centroid, away)]
         f_r = f(reflected)
         if f_r > values[best]:
-            expanded = centroid + 2.0 * away
+            expanded = [c + 2.0 * a for c, a in zip(centroid, away)]
             f_e = f(expanded)
             if f_e > f_r:
                 simplex[worst], values[worst] = expanded, f_e
@@ -112,13 +123,14 @@ class NelderMead:
         elif f_r > values[second_worst]:
             simplex[worst], values[worst] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (simplex[worst] - centroid)
+            contracted = [c + 0.5 * (v - c) for c, v in zip(centroid, w)]
             f_c = f(contracted)
             if f_c > values[worst]:
                 simplex[worst], values[worst] = contracted, f_c
             else:
-                shrunk = simplex[best] + 0.5 * (simplex - simplex[best])
+                b = simplex[best]
                 for i in range(len(simplex)):
                     if i != best:  # best + 0.0 would turn -0.0 into +0.0
-                        simplex[i], values[i] = shrunk[i], f(shrunk[i])
+                        simplex[i] = [bj + 0.5 * (v - bj) for bj, v in zip(b, simplex[i])]
+                        values[i] = f(simplex[i])
         return evals

@@ -178,10 +178,11 @@ def sample_tally(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.
     """Tally of ``shots`` outcomes drawn from ``probs``, clipped at 0 and
     normalized: ``np.bincount(rng.choice(len(probs), size=shots, p=...))``
     from the same stream, counted from the sorted uniforms. A non-finite
-    entry or no positive mass raises ValueError."""
+    entry, a sum too large for a float, or no positive mass raises
+    ValueError: NaN and +inf reach the clipped sum, -inf the minimum."""
     p = np.maximum(probs, 0.0)
     total = p.sum()
-    if not (np.isfinite(probs).all() and total > 0.0):
+    if not (0.0 < total < math.inf and probs.min() > -math.inf):
         raise ValueError("outcome probabilities must be finite with positive mass")
     # choice's CDF after a leading 0: outcome k is drawn by the uniforms in
     # [cdf[k], cdf[k + 1]).
@@ -604,13 +605,19 @@ def backend_from_dict(d: dict) -> BackendProfile:
 
 def load_backend_profiles(path=None) -> dict[str, BackendProfile]:
     """Profiles from a JSON config; the bundled defaults when path is None.
-    The file is read on every call and each distinct text parsed once."""
+    A config file is read on every call, the bundled one once per process,
+    and each distinct text is parsed once."""
     if path is None:
-        text = resources.files("splitcut.data").joinpath("backends.json").read_text()
+        text = _bundled_profiles()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     return dict(_parse_profiles(text))
+
+
+@functools.cache
+def _bundled_profiles() -> str:
+    return resources.files("splitcut.data").joinpath("backends.json").read_text()
 
 
 @functools.lru_cache(maxsize=16)

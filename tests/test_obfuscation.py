@@ -451,6 +451,48 @@ class TestOptimize:
         # the reader edits its field dicts, so a second read must see them whole
         assert RunTrace.from_jsonl(trace.to_jsonl()) == RunTrace.from_jsonl(trace.to_jsonl()) == trace
 
+    # signed zeros, subnormals, the extremes and the non-finite values json
+    # spells its own way; ints past 2^53; names json must escape
+    _edge_floats = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                         1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1e16, 1e-7]),
+    )
+    _big_ints = st.one_of(st.integers(0, 60), st.integers(2**53 - 2, 2**64), st.integers(-2**70, 2**70))
+    _names = st.one_of(st.text(), st.sampled_from(['a"b', "a\\b", "\x00\x1f\x7f", "é ü", " ",
+                                                   "\ud800", "😀", ""]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_trace_writer_spells_what_json_dumps_spells(self, data):
+        from splitcut.obfuscation import RunTrace, TraceEntry
+
+        p = data.draw(st.integers(1, 3))
+        angles = st.lists(self._edge_floats, min_size=p, max_size=p).map(tuple)
+        entries = tuple(TraceEntry(
+            iteration=data.draw(self._big_ints), backend=data.draw(self._names),
+            flavor=data.draw(self._big_ints), evaluations=data.draw(self._big_ints),
+            gammas=data.draw(angles), betas=data.draw(angles),
+            expectation=data.draw(self._edge_floats), ar=data.draw(self._edge_floats),
+        ) for _ in range(data.draw(st.integers(0, 4))))
+        trace = RunTrace(entries=entries, best_gammas=data.draw(angles), best_betas=data.draw(angles),
+                         best_observed_expectation=data.draw(self._edge_floats),
+                         best_observed_ar=data.draw(self._edge_floats),
+                         final_expectation=data.draw(self._edge_floats),
+                         final_ar=data.draw(self._edge_floats), cmax=data.draw(self._big_ints),
+                         evaluations=data.draw(self._big_ints), shots=data.draw(self._big_ints))
+        # the reference: the encoder's text of each record, keys sorted
+        summary = {f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "entries"}
+        expected = [json.dumps({f.name: getattr(e, f.name) for f in fields(e)}, sort_keys=True)
+                    for e in entries]
+        expected.append(json.dumps({"summary": summary}, sort_keys=True))
+        assert trace.to_jsonl() == "\n".join(expected) + "\n"
+        floats = [v for e in entries for v in (e.ar, e.expectation, *e.gammas, *e.betas)]
+        floats += [*trace.best_gammas, *trace.best_betas, trace.best_observed_expectation,
+                   trace.best_observed_ar, trace.final_expectation, trace.final_ar]
+        if all(math.isfinite(v) for v in floats):
+            assert RunTrace.from_jsonl(trace.to_jsonl()) == trace
+
     def test_trace_reader_rejects_bad_records(self, ideal_backend):
         from splitcut.obfuscation import RunTrace
 

@@ -48,11 +48,12 @@ def test_nelder_mead_initial_simplex_then_moves():
         total += len(opt.step(bowl))
     assert bowl(opt.x) > 4.99
     assert total >= 60  # at least one evaluation per iteration
-    # later steps overwrite simplex rows in place, not the points handed out
+    # the points handed out and x share no storage with the simplex
+    x = opt.x
+    for vertex in opt.simplex:
+        vertex[:] = [0.0] * len(vertex)
     assert [x.tolist() for x, _ in first] == [[0.5, -0.25], [0.5 + NelderMead.STEP, -0.25],
                                               [0.5, -0.25 + NelderMead.STEP]]
-    x = opt.x
-    opt.simplex[:] = 0.0
     assert bowl(x) > 4.99
 
 

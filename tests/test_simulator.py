@@ -642,3 +642,11 @@ class TestBackendConfig:
             first.clear()
             first["x"] = BackendProfile("x")
             assert set(load()) == names
+
+    def test_a_profiles_file_is_read_on_every_call(self, tmp_path):
+        # only the bundled profiles are read once per process
+        path = tmp_path / "profiles.json"
+        path.write_text('[{"name": "a", "seed": 1}]')
+        assert set(load_backend_profiles(path)) == {"a"}
+        path.write_text('[{"name": "b", "seed": 1}]')
+        assert set(load_backend_profiles(path)) == {"b"}
