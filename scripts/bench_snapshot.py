@@ -26,7 +26,9 @@ It records, for the checkout the script sits in:
   the run, and ``reference_s``, ``ms_per_eval_reference`` and
   ``compile_ms_reference`` the same converted to idle-machine seconds as
   ``perfbench/run.py`` converts cell times, which are the ones to compare
-  across hosts;
+  across hosts. ``ms_per_eval_reference_runs`` and
+  ``compile_ms_reference_runs`` hold every repeat's value behind those two
+  medians, which move by tens of percent between runs on a shared host;
 - the Tier-1 test suite's wall time and pass count (``PYTHONPATH=src
   python -m pytest -q --continue-on-collection-errors``).
 - ``src_lines``, the total ``wc -l`` of ``src/splitcut/*.py``: the
@@ -126,13 +128,15 @@ def optimize_graph6_p2() -> dict:
     out = {}
     for b, (runs, compiles, trace) in timed.items():
         s = median(wall for _, _, wall in runs)
-        ref = median(sampler.reference_s(*run) for run in runs)
+        eval_refs = [1e3 * sampler.reference_s(*run) / trace.evaluations for run in runs]
+        compile_refs = [1e3 * sampler.reference_s(*c) for c in compiles]
         out[b] = {"backend": b, "optimizer": OPTIMIZE_RUNS[b][1], "s": s, "s_first": runs[0][2],
-                  "reference_s": ref, "evaluations": trace.evaluations,
+                  "reference_s": median(sampler.reference_s(*run) for run in runs),
+                  "evaluations": trace.evaluations,
                   "ms_per_eval": 1e3 * s / trace.evaluations,
-                  "ms_per_eval_reference": 1e3 * ref / trace.evaluations,
+                  "ms_per_eval_reference": median(eval_refs), "ms_per_eval_reference_runs": eval_refs,
                   "compile_ms": 1e3 * median(wall for _, _, wall in compiles),
-                  "compile_ms_reference": 1e3 * median(sampler.reference_s(*c) for c in compiles),
+                  "compile_ms_reference": median(compile_refs), "compile_ms_reference_runs": compile_refs,
                   "final_ar": trace.final_ar}
     return out
 

@@ -245,7 +245,7 @@ def parse(text: str) -> Circuit:
     saw_measure = False
     for lineno, (op, *args) in text_lines(text):
         if num_qubits is None:
-            if op != "qubits" or len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            if op != "qubits" or len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise CircuitParseError(lineno, "expected `qubits <n>` header")
             num_qubits = int(args[0])
             continue

@@ -127,7 +127,7 @@ def graph_from_text(text: str) -> Graph:
         if fields[0] == "n":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise GraphFormatError(f"line {lineno}: expected `n <count>`")
             n = int(fields[1])
         elif fields[0] == "e":

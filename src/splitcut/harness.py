@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -41,21 +41,9 @@ from .simulator import BackendProfile, load_backend_profiles
 ARMS = ("original", "pruned_only", "split")
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One line of results.csv: an arm at one layer count, over the seeds."""
-
-    graph: str
-    spec: str
-    sim: str  # "noisy" if any backend the arm dispatches to is noisy, else "ideal"
-    arm: str
-    p: int
-    mean_ar: float
-    std_ar: float
-    n_seeds: int
-
-
-CSV_HEADER = tuple(f.name for f in fields(ResultRow))
+# One line of results.csv per (arm, p), over the seeds; sim is "noisy" if any
+# backend the arm dispatches to is noisy, else "ideal".
+CSV_HEADER = ("graph", "spec", "sim", "arm", "p", "mean_ar", "std_ar", "n_seeds")
 
 
 @dataclass(frozen=True)
@@ -80,7 +68,7 @@ class ExperimentSpec:
             raise ValueError(f"experiment spec key 'arms' must hold one or more of {list(ARMS)}, "
                              f"got {list(self.arms)}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"experiment spec key 'optimizer' must be 'spsa' or 'nelder_mead', "
+            raise ValueError(f"experiment spec key 'optimizer' must be one of {list(OPTIMIZERS)}, "
                              f"got {self.optimizer!r}")
         if self.shots < 1:
             raise ValueError(f"experiment spec key 'shots' must be >= 1, got {self.shots}")
@@ -316,10 +304,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             mean = float(np.mean(finals)) if finals else float("nan")
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0 if finals else float("nan")
             noisy = any(f.flavor.backend.is_noisy for f in first[arm, p])  # every seed dispatches to these backends
-            rows.append(asdict(ResultRow(
-                graph=label, spec=_spec_label(spec, arm, first[arm, p]), sim="noisy" if noisy else "ideal",
-                arm=arm, p=p, mean_ar=mean, std_ar=std, n_seeds=len(finals),
-            )))
+            rows.append({"graph": label, "spec": _spec_label(spec, arm, first[arm, p]),
+                         "sim": "noisy" if noisy else "ideal", "arm": arm, "p": p,
+                         "mean_ar": mean, "std_ar": std, "n_seeds": len(finals)})
 
     report = compute_overhead(spec, arm_flavors, traces)
     result = ExperimentResult(spec=spec, rows=rows, traces=traces, overhead=report, failures=failures)

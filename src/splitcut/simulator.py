@@ -15,8 +15,8 @@ compile time:
 - Without gate noise it is the 2^n amplitudes (up to ``MAX_QUBITS``), held
   flat. The h and cx gates are Cliffords, which map Pauli strings to Pauli
   strings (Aaronson & Gottesman, PRA 70, 052328, 2004). So the start state
-  is the circuit's Clifford product on |0...0>, each h and cx applied in
-  place to slice views of the flat state, and each rx/rz becomes a
+  is the circuit's Clifford product on |0...0>, an h ``_walsh``'s butterfly
+  scaled by 1/sqrt(2) and a cx one reversed-slice copy; each rx/rz becomes a
   rotation about its Pauli conjugated through every later h and cx (as in
   Bravyi & Gosset, PRL 116, 250501, 2016). A run of rotations with no X
   part is diagonal, so it is one phase step, as fast QAOA simulators apply
@@ -396,11 +396,17 @@ def _walsh(c: np.ndarray, n: int) -> None:
     # sum_u c[u] (-1)^(b.u), one butterfly per index bit. Small integers
     # stay exact.
     for q in range(n):
-        t = c.reshape(2**q, 2, -1)
-        a, b = t[:, 0], t[:, 1]
-        diff = a - b
-        a += b
-        b[...] = diff
+        _butterfly(c, q)
+
+
+def _butterfly(c: np.ndarray, q: int) -> None:
+    # Index bit q of c (counted from the most significant of the 2^n rows)
+    # through an unnormalized Hadamard, in place: (a, b) -> (a + b, a - b).
+    t = c.reshape(2**q, 2, -1)
+    a, b = t[:, 0], t[:, 1]
+    diff = a - b
+    a += b
+    b[...] = diff
 
 
 def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
@@ -411,7 +417,6 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
     start = np.zeros(2**n, dtype=complex)
     start[0] = 1.0  # |0...0>
     t = start.reshape((2,) * n)  # a view: each gate below rewrites the flat state in place
-    every = [slice(None)] * n
     for name, qubits in skeleton:
         q = qubits[-1]
         if name in PARAMETRIC:
@@ -420,20 +425,13 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
         elif name == "h":  # X <-> Z, and X Z -> Z X = -X Z
             sign ^= xs[q] & zs[q]
             xs[q], zs[q] = zs[q], xs[q]
-            pair = start.reshape(2**q, 2, -1)
-            a, b = pair[:, 0], pair[:, 1]
-            total = a + b
-            np.subtract(a, b, out=b)
-            np.multiply(total, _SQRT2_INV, out=a)
-            b *= _SQRT2_INV
+            _butterfly(start, q)
+            start *= _SQRT2_INV
         else:  # cx(c, q): X_c -> X_c X_q and Z_q -> Z_c Z_q; q flips where c is 1
             c = qubits[0]
             xs[q], zs[c] = xs[q] ^ xs[c], zs[c] ^ zs[q]
-            sel = every.copy()
-            sel[c] = 1
-            rows = tuple(sel)
-            sel[q] = slice(None, None, -1)
-            t[rows] = t[tuple(sel)]  # numpy copies the source, which overlaps the target
+            ones = t[(slice(None),) * c + (1,)]  # where c is 1; q is its axis q - (q > c)
+            ones[...] = ones[(slice(None),) * (q - (q > c)) + (slice(None, None, -1),)]  # numpy copies the overlap
     x_any, z_any = functools.reduce(operator.or_, xs, 0), functools.reduce(operator.or_, zs, 0)
 
     def basis_of(j):  # where rotation j is one of a phase step's rows: "z", "x" or None
@@ -479,12 +477,12 @@ def _frame_kernel(n: int, noise: NoiseModel, skeleton, slots) -> Kernel:
 def compile_kernel(c: Circuit, noise: NoiseModel, slots) -> Kernel:
     """The circuit's skeleton compiled on the noise model, rotation j (in
     gate order) reading parameter ``slots[j]``. Without gate noise the start
-    state is flat, each h and cx applied in place to slice views of it, and
-    every phase step's rows come from one Walsh-Hadamard transform of the
-    rotations' signs, with one step per run of diagonal rotations, its
-    parameters, None and one flat row for each, scaled by -i/2 (a complex
-    row of 2^n amplitudes: 16 MiB at 20 qubits); on up to
-    ``_HADAMARD_QUBITS`` qubits one per run of X-only rotations, its
+    state is flat, an h ``_walsh``'s butterfly scaled by 1/sqrt(2) and a cx
+    one reversed-slice copy, and every phase step's rows come from one
+    Walsh-Hadamard transform of the rotations' signs, with one step per run
+    of diagonal rotations, its parameters, None and one flat row for each,
+    scaled by -i/2 (a complex row of 2^n amplitudes: 16 MiB at 20 qubits);
+    on up to ``_HADAMARD_QUBITS`` qubits one per run of X-only rotations, its
     parameters, H^n and one such row for each; and one per other rotation,
     its parameter, axis flips and w. With it, one step per block
     (``_blocks``) but the fixed ones that no earlier step touches, which

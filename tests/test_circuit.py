@@ -172,6 +172,7 @@ class TestSerialization:
         ("qubits 2\ncx 0\n", 2),  # wrong argument count
         ("qubits 2\nh x\n", 2),   # bad qubit index
         ("", 1),                   # empty text
+        ("qubits ²\n", 1),         # a digit int() does not read
     ])
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(CircuitParseError) as err:

@@ -186,6 +186,7 @@ class TestTextFormat:
     @pytest.mark.parametrize("bad", [
         "e 0 1\n",            # edge before header
         "n x\n",              # non-integer count
+        "n ²\n",              # a digit int() does not read
         "n 3\nv 0 1\n",       # unknown record
         "n 3\ne 0\n",         # missing endpoint
         "n 3\ne 0 5\n",       # endpoint out of range

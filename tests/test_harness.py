@@ -569,6 +569,9 @@ class TestCli:
         short_split.write_text(json.dumps(dict(SMALL_SPEC, arms=["split"], iterations=1)))
         small_spec = tmp_path / "small_spec.json"
         small_spec.write_text(json.dumps(SMALL_SPEC))
+        # a header count of a digit int() does not read used to exit 2 naming no line
+        superscript = tmp_path / "superscript.txt"
+        superscript.write_text("qubits \u00b2\nmeasure\n", encoding="utf-8")
         # a missing graph file used to be reported as an unknown benchmark id
         missing_graph = str(tmp_path / "missing.graph")
         mistyped_graph = tmp_path / "mistyped_graph.json"
@@ -583,6 +586,7 @@ class TestCli:
                  (["overhead", "--config", str(profile_list)], ""),
                  (["overhead", "--config", str(profile_object)], ""),
                  (["adversary", "extract", "--circuit", str(bad_json)], ""),
+                 (["adversary", "extract", "--circuit", str(superscript)], "line 1"),
                  (["run", "--config", str(negative_seed)], "'seeds'"),
                  (["run", "--config", str(small_spec), "--seed", "-3"], "'seeds'"),
                  (["run", "--config", str(negative_backend_seed)], "'seed'"),

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -27,9 +28,29 @@ def test_every_script_imports_and_has_main():
 
 
 def test_adversary_demo_recovers_the_graph_by_collusion(capsys):
-    # run, not only imported: it takes milliseconds, the other scripts seconds to minutes
+    # run, not only imported, as are the two scripts below that take under a
+    # second; bench_snapshot.py takes a quarter of an hour and is only imported
     _load(SCRIPTS / "adversary_demo.py").main()
     assert "full graph recovered: True" in capsys.readouterr().out
+
+
+def test_landscape_study_reproduces_readme_criterion_3_table(capsys):
+    _load(SCRIPTS / "landscape_study.py").main()
+    out = capsys.readouterr().out
+    printed = {name: (a, b, gap) for name, a, b, gap in re.findall(
+        r"^== (\S+):.*A\(original\)=(\S+)$(?s:.*?)^   gaps:.*B\(mean over edges\)=(\S+)  A-B=(\S+)$",
+        out, flags=re.M)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.findall(r"^\| (\w+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", readme, flags=re.M)
+    assert len(table) == 5 and set(printed) == {name for name, *_ in table}
+    for name, *cells in table:  # the script's A, B and A - B at the digits the table prints
+        assert [f"{float(v):.{len(c.split('.')[1])}f}" for v, c in zip(printed[name], cells)] == cells, name
+
+
+def test_run_trends_quick_completes_every_cell(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_trends.py", "--quick", "--out", str(tmp_path)])
+    assert _load(SCRIPTS / "run_trends.py").main() == 0
+    assert "(0 failed cells)" in capsys.readouterr().out
 
 
 def test_every_splitcut_name_perfbench_and_the_scripts_import_exists():
