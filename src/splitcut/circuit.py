@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CircuitParseError, RoutingError
-from .graph import Graph, text_lines
+from .graph import MAX_NODES, Graph, text_lines
 
 GATE_ARITY = {"h": 1, "rx": 1, "rz": 1, "cx": 2, "measure": 0}
 PARAMETRIC = frozenset({"rx", "rz"})
@@ -248,6 +248,8 @@ def parse(text: str) -> Circuit:
             if op != "qubits" or len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise CircuitParseError(lineno, "expected `qubits <n>` header")
             num_qubits = int(args[0])
+            if num_qubits > MAX_NODES:
+                raise CircuitParseError(lineno, f"qubit count limited to {MAX_NODES}, got {num_qubits}")
             continue
         if op == "qubits":
             raise CircuitParseError(lineno, "duplicate header")

@@ -19,6 +19,8 @@ from .errors import CapacityError
 Edge = tuple[int, int]
 
 BRUTEFORCE_MAX_NODES = 24
+# Far past the simulators' 20 qubits: a larger count read from text is a typed error, not a list filling memory.
+MAX_NODES = 1 << 16
 
 # Named benchmark instances shipped as data files (see data/*.graph).
 FIXED_BENCHMARKS = ("cycle3", "cycle4", "complete4_with_diagonals", "graph5", "graph6")
@@ -45,6 +47,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be positive, got {self.n}")
+        if self.n > MAX_NODES:
+            raise CapacityError(f"node count limited to {MAX_NODES}, got {self.n}")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
@@ -185,6 +189,8 @@ def benchmark_graph(graph_id: str) -> Graph:
         return _fixed_benchmark(graph_id)
     kind, digits = _PARAMETRIC.match(graph_id).groups()
     n = int(digits)
+    if n > MAX_NODES:
+        raise CapacityError(f"{kind}(n) limited to n <= {MAX_NODES}, got {n}")
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle(n) requires n >= 3")

@@ -21,7 +21,6 @@ from .circuit import ParamVector, TranspiledCircuit, build_qaoa, transpile, wire
 from .errors import MetricError, PlanError
 from .graph import Edge, Graph, cut_values_vector
 from .optimizers import NelderMead, Spsa
-from .records import read_record, record_fields
 from .simulator import (
     RNG_ALGORITHM,
     BackendProfile,
@@ -184,23 +183,6 @@ class RunTrace:
         summary = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "entries"}
         lines.append(json.dumps({"summary": summary}, sort_keys=True))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "RunTrace":
-        """Read ``to_jsonl`` output back; ValueError names any unknown,
-        missing or mistyped key."""
-        *entries, last = [json.loads(line) for line in text.splitlines() if line.strip()] or [None]
-        if not isinstance(last, dict) or set(last) != {"summary"}:
-            raise ValueError("trace text must end with a summary record")
-        entry_fields = record_fields(TraceEntry)
-        summary_fields = record_fields(cls)
-        del summary_fields["entries"]
-        entries = tuple(TraceEntry(**read_record(e, "trace entry", entry_fields)) for e in entries)
-        summary = read_record(last["summary"], "trace summary", summary_fields)
-        angles = [(e.gammas, e.betas) for e in entries] + [(summary["best_gammas"], summary["best_betas"])]
-        for gammas, betas in angles:  # optimize's steps stay finite; text from outside is checked here
-            ParamVector(gammas, betas)  # rejects unequal-length or non-finite angles
-        return cls(entries=entries, **summary)
 
 
 def approximation_ratio(expectation: float, cmax: int) -> float:

@@ -1,5 +1,5 @@
 """Typed reading of the JSON records the client keeps: experiment specs,
-backend profiles, run traces and extraction reports.
+backend profiles and extraction reports.
 
 A record's dataclass is the one declaration of its keys, types and
 defaults: ``read_record`` checks a decoded JSON object against its fields

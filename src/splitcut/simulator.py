@@ -564,7 +564,7 @@ def check_coupling(c: Circuit, coupling: Graph) -> None:
     allowed = set(coupling.edges)
     for g in c.gates:
         if g.name == "cx" and (min(g.qubits), max(g.qubits)) not in allowed:
-            raise RoutingError(f"cx{g.qubits} violates the coupling map; transpile before run_shots")
+            raise RoutingError(f"cx{g.qubits} violates the coupling map")
 
 
 def run_shots(c: Circuit, backend: BackendProfile, shots: int) -> np.ndarray:

@@ -173,11 +173,15 @@ class TestSerialization:
         ("qubits 2\nh x\n", 2),   # bad qubit index
         ("", 1),                   # empty text
         ("qubits ²\n", 1),         # a digit int() does not read
+        ("# wide\nqubits 65537\n", 2),  # past graph.MAX_NODES
     ])
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(CircuitParseError) as err:
             parse(text)
         assert err.value.line == line
+
+    def test_header_reads_up_to_the_node_cap(self):
+        assert parse("qubits 65536\n").num_qubits == 1 << 16
 
     def test_angles_survive_17_digit_round_trip(self):
         angle = 0.1234567890123456789 * math.pi

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from splitcut.errors import CapacityError
 from splitcut.graph import (
+    MAX_NODES,
     Graph,
     GraphFormatError,
     benchmark_graph,
@@ -122,6 +123,9 @@ class TestGraphType:
             Graph.make(3, [(0, 3)])
         with pytest.raises(ValueError, match="node count must be positive"):
             Graph(0, ())
+        assert Graph(1 << 16, ()).n == MAX_NODES
+        with pytest.raises(CapacityError, match="node count limited to 65536"):
+            Graph(MAX_NODES + 1, ())
 
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(ValueError):

@@ -576,7 +576,24 @@ class TestCli:
         missing_graph = str(tmp_path / "missing.graph")
         mistyped_graph = tmp_path / "mistyped_graph.json"
         mistyped_graph.write_text(json.dumps(dict(SMALL_SPEC, graph=missing_graph)))
-        cases = [(["run", "--config", str(tmp_path / "missing.json")], ""),
+        # a count just past graph.MAX_NODES; the first, third and fourth used
+        # to exit 0, and a count near 10^13 grew a list until memory ran out
+        wide_circuit = tmp_path / "wide.txt"
+        wide_circuit.write_text("qubits 65537\nh 0\nmeasure\n")
+        wide_profile = tmp_path / "wide_profile.json"
+        wide_profile.write_text(json.dumps([{"name": "x", "coupling": [[0, 1], [1, 2], [2, 3], [3, 65536]]}]))
+        wide_coupling = tmp_path / "wide_coupling.json"
+        wide_coupling.write_text(json.dumps(dict(SMALL_SPEC, profiles_file=str(wide_profile),
+                                                 arms=["original"], backends=["x"])))
+        wide_graph = tmp_path / "wide.graph"
+        wide_graph.write_text("n 65537\ne 0 1\n")
+        wide_spec = tmp_path / "wide_spec.json"
+        wide_spec.write_text(json.dumps(dict(SMALL_SPEC, graph=str(wide_graph))))
+        cases = [(["adversary", "extract", "--circuit", str(wide_circuit)], "line 1"),
+                 (["run", "--config", str(wide_coupling)], "'coupling'"),
+                 (["overhead", "--config", str(wide_spec)], "65537"),
+                 (["graph", "gen", "--id", "cycle(65537)"], "65537"),
+                 (["run", "--config", str(tmp_path / "missing.json")], ""),
                  (["run", "--config", str(bad_json)], ""),
                  (["overhead", "--config", str(no_graph)], "'graph'"),
                  (["run", "--config", str(bad_arm), "--p", "1,2"], "'arms'"),
