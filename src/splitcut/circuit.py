@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CircuitParseError, RoutingError
-from .graph import MAX_NODES, Graph, text_lines
+from .graph import Graph, read_count, text_lines
 
 GATE_ARITY = {"h": 1, "rx": 1, "rz": 1, "cx": 2, "measure": 0}
 PARAMETRIC = frozenset({"rx", "rz"})
@@ -217,7 +217,6 @@ def transpile(c: Circuit, coupling: Graph) -> TranspiledCircuit:
 
 # -- text wire format ------------------------------------------------------
 #
-# `qubits <n>` header, one lowercase op per line, LF endings, `#` comments.
 # Angles carry 17 significant digits so serialize/parse round-trips exactly.
 
 
@@ -240,48 +239,37 @@ def serialize(c: Circuit) -> str:
 
 
 def parse(text: str) -> Circuit:
+    """The circuit of a `qubits <n>` header (n >= 1) and one gate per line,
+    each count and index read by :func:`graph.read_count` and each angle by
+    ``float``; CircuitParseError names the first malformed line."""
     num_qubits = None
     gates: list[Gate] = []
-    saw_measure = False
-    for lineno, (op, *args) in text_lines(text):
-        if num_qubits is None:
-            if op != "qubits" or len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
-                raise CircuitParseError(lineno, "expected `qubits <n>` header")
-            num_qubits = int(args[0])
-            if num_qubits > MAX_NODES:
-                raise CircuitParseError(lineno, f"qubit count limited to {MAX_NODES}, got {num_qubits}")
-            continue
-        if op == "qubits":
-            raise CircuitParseError(lineno, "duplicate header")
-        arity = GATE_ARITY.get(op)
-        if arity is None:
-            raise CircuitParseError(lineno, f"unknown opcode {op!r}")
-        if saw_measure:
-            raise CircuitParseError(lineno, "gate after measure")
-        wants_angle = op in PARAMETRIC
-        if len(args) != arity + (1 if wants_angle else 0):
-            raise CircuitParseError(lineno, f"wrong argument count for {op}")
-        qubits = []
-        for a in args[:arity]:
-            try:
-                q = int(a)
-            except ValueError:
-                raise CircuitParseError(lineno, f"bad qubit index {a!r}") from None
-            if not 0 <= q < num_qubits:
-                raise CircuitParseError(lineno, f"qubit index {q} out of range")
-            qubits.append(q)
-        angle = None
-        if wants_angle:
-            try:
-                angle = float(args[-1])
-            except ValueError:
-                raise CircuitParseError(lineno, f"bad angle {args[-1]!r}") from None
-        try:
-            gates.append(Gate(op, tuple(qubits), angle))
-        except ValueError as exc:
-            raise CircuitParseError(lineno, str(exc)) from None
-        if op == "measure":
-            saw_measure = True
+    qubit_of: dict[str, int] = {}  # index token -> qubit: each distinct token is read and checked once
+    try:
+        for lineno, (op, *args) in text_lines(text):
+            if num_qubits is None:
+                num_qubits = read_count(args[0]) if op == "qubits" and len(args) == 1 else 0
+                if num_qubits < 1:
+                    raise ValueError("expected `qubits <n>` header with n >= 1")
+                continue
+            arity = GATE_ARITY.get(op)
+            if arity is None:
+                raise ValueError("duplicate header" if op == "qubits" else f"unknown opcode {op!r}")
+            if gates and gates[-1].name == "measure":
+                raise ValueError("gate after measure")
+            if len(args) != arity + (op in PARAMETRIC):
+                raise ValueError(f"wrong argument count for {op}")
+            qubits = []
+            for a in args[:arity]:
+                q = qubit_of.get(a)
+                if q is None:
+                    q = qubit_of[a] = read_count(a)
+                    if q >= num_qubits:
+                        raise ValueError(f"qubit index {q} out of range")
+                qubits.append(q)
+            gates.append(Gate(op, tuple(qubits), float(args[-1]) if op in PARAMETRIC else None))
+    except ValueError as exc:
+        raise CircuitParseError(lineno, str(exc)) from None
     if num_qubits is None:
         raise CircuitParseError(1, "empty circuit text")
     return Circuit(num_qubits, tuple(gates))

@@ -18,17 +18,17 @@ from pathlib import Path
 
 from .adversary import candidate_edges, cross_provider_merge, effort, extract_graph, report_graph
 from .errors import CapacityError
-from .graph import benchmark_graph, graph_to_text, max_cut_bruteforce, save_graph
+from .graph import benchmark_graph, graph_to_text, max_cut_bruteforce
 from .harness import ExperimentSpec, overhead, resolve_graph, run_experiment
 
 
 def _cmd_graph(args) -> int:
     if args.action == "gen":
-        g = benchmark_graph(args.id)
+        text = graph_to_text(benchmark_graph(args.id))
         if args.out:
-            save_graph(g, args.out)
+            Path(args.out).write_bytes(text.encode())
         else:
-            sys.stdout.write(graph_to_text(g))
+            sys.stdout.write(text)
         return 0
     _, g = resolve_graph(args.file)
     cmax, witness = max_cut_bruteforce(g)

@@ -7,6 +7,7 @@ thread-safe; ``Graph`` is immutable.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -25,7 +26,7 @@ MAX_NODES = 1 << 16
 # Named benchmark instances shipped as data files (see data/*.graph).
 FIXED_BENCHMARKS = ("cycle3", "cycle4", "complete4_with_diagonals", "graph5", "graph6")
 
-_PARAMETRIC = re.compile(r"^(cycle|complete)\((\d+)\)$")
+_PARAMETRIC = re.compile(r"(cycle|complete)\(([0-9]+)\)")
 
 
 class GraphFormatError(ValueError):
@@ -105,8 +106,6 @@ def max_cut_bruteforce(g: Graph) -> tuple[int, str]:
 
 
 # -- text format ---------------------------------------------------------
-#
-# Line-oriented: `n <count>` header, one `e <u> <v>` per edge, `#` comments.
 
 
 def graph_to_text(g: Graph) -> str:
@@ -124,33 +123,39 @@ def text_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, fields
 
 
+def read_count(token: str) -> int:
+    """A count or index of either text format: ASCII digits only, leading
+    zeros allowed, at most ``MAX_NODES``. ValueError for any other token;
+    CapacityError past the cap, naming a long count by its digit count."""
+    if not (token.isdigit() and token.isascii()):
+        raise ValueError(f"expected ASCII digits, got {token!r}")
+    digits = token.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_NODES)) or int(digits) > MAX_NODES:
+        got = digits if len(digits) < 20 else f"{len(digits)} digits"
+        raise CapacityError(f"count limited to {MAX_NODES}, got {got}")
+    return int(digits)
+
+
 def graph_from_text(text: str) -> Graph:
+    """The graph of an `n <count>` header and one `e <u> <v>` line per edge,
+    each number read by :func:`read_count`; GraphFormatError names a
+    malformed line as `line N:`."""
     n = None
     edges: list[tuple[int, int]] = []
-    for lineno, fields in text_lines(text):
-        if fields[0] == "n":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 2 or not fields[1].isdecimal():
-                raise GraphFormatError(f"line {lineno}: expected `n <count>`")
-            n = int(fields[1])
-        elif fields[0] == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            if len(fields) != 3:
-                raise GraphFormatError(f"line {lineno}: expected `e <u> <v>`")
-            try:
-                edges.append((int(fields[1]), int(fields[2])))
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown record `{fields[0]}`")
-    if n is None:
-        raise GraphFormatError("missing `n <count>` header")
     try:
+        for lineno, fields in text_lines(text):
+            if n is None and fields[0] == "n" and len(fields) == 2:
+                n = read_count(fields[1])
+            elif n is not None and fields[0] == "e" and len(fields) == 3:
+                edges.append((read_count(fields[1]), read_count(fields[2])))
+            else:
+                raise ValueError("expected the `n <count>` header" if n is None else "expected `e <u> <v>`")
+        lineno = None  # what remains concerns the whole graph
+        if n is None:
+            raise ValueError("missing `n <count>` header")
         return Graph.make(n, edges)
     except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+        raise GraphFormatError(str(exc) if lineno is None else f"line {lineno}: {exc}") from None
 
 
 def load_graph(path) -> Graph:
@@ -158,16 +163,11 @@ def load_graph(path) -> Graph:
         return graph_from_text(fh.read())
 
 
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(graph_to_text(g))
-
-
 # -- benchmarks ----------------------------------------------------------
 
 
 def is_benchmark_id(name: str) -> bool:
-    return name in FIXED_BENCHMARKS or _PARAMETRIC.match(name) is not None
+    return name in FIXED_BENCHMARKS or _PARAMETRIC.fullmatch(name) is not None
 
 
 @functools.cache
@@ -181,20 +181,18 @@ def benchmark_graph(graph_id: str) -> Graph:
     Fixed instances (``cycle3`` .. ``graph6``) are read once per process
     from checked-in data files, so every experiment references one recorded
     edge list. Parametric forms: ``cycle(n)`` is the n-node ring (n >= 3),
-    ``complete(n)`` is K_n (n >= 2).
+    ``complete(n)`` is K_n (2 <= n <= 362, at most ``MAX_NODES`` edges).
     """
     if not is_benchmark_id(graph_id):
         raise ValueError(f"unknown benchmark graph id: {graph_id!r}")
     if graph_id in FIXED_BENCHMARKS:
         return _fixed_benchmark(graph_id)
-    kind, digits = _PARAMETRIC.match(graph_id).groups()
-    n = int(digits)
-    if n > MAX_NODES:
-        raise CapacityError(f"{kind}(n) limited to n <= {MAX_NODES}, got {n}")
-    if kind == "cycle":
-        if n < 3:
-            raise ValueError("cycle(n) requires n >= 3")
-        return Graph.make(n, [(i, (i + 1) % n) for i in range(n)])
-    if n < 2:
-        raise ValueError("complete(n) requires n >= 2")
-    return Graph.make(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    kind, digits = _PARAMETRIC.fullmatch(graph_id).groups()
+    n = read_count(digits)
+    least, size = (3, n) if kind == "cycle" else (2, n * (n - 1) // 2)
+    if n < least:
+        raise ValueError(f"{kind}(n) requires n >= {least}")
+    if size > MAX_NODES:
+        raise CapacityError(f"{kind}(n) limited to {MAX_NODES} edges, got {size}")
+    ring = ((i, (i + 1) % n) for i in range(n))
+    return Graph.make(n, ring if kind == "cycle" else itertools.combinations(range(n), 2))

@@ -174,6 +174,11 @@ class TestSerialization:
         ("", 1),                   # empty text
         ("qubits ²\n", 1),         # a digit int() does not read
         ("# wide\nqubits 65537\n", 2),  # past graph.MAX_NODES
+        # counts and indices int() reads but the format does not: each used to parse
+        ("qubits " + "9" * 5000 + "\n", 1),  # too long for int(): used to name no line
+        ("qubits 2\nh +1\n", 2),
+        ("qubits 11\nh 1_0\n", 2),
+        ("qubits \u0662\nh 0\n", 1),  # an Arabic-Indic digit two
     ])
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(CircuitParseError) as err:
@@ -182,6 +187,7 @@ class TestSerialization:
 
     def test_header_reads_up_to_the_node_cap(self):
         assert parse("qubits 65536\n").num_qubits == 1 << 16
+        assert parse("qubits 065536\nh 00\n").gates == (h(0),)  # leading zeros are read
 
     def test_angles_survive_17_digit_round_trip(self):
         angle = 0.1234567890123456789 * math.pi

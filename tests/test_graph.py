@@ -15,6 +15,7 @@ from splitcut.graph import (
     graph_from_text,
     graph_to_text,
     max_cut_bruteforce,
+    read_count,
     text_lines,
 )
 
@@ -166,6 +167,16 @@ class TestBenchmarks:
             benchmark_graph("cycle(2)")
         with pytest.raises(ValueError, match=r"complete\(n\) requires n >= 2"):
             benchmark_graph("complete(1)")
+        with pytest.raises(ValueError):
+            benchmark_graph("cycle(\u0665)")  # an Arabic-Indic digit five used to read as 5
+        with pytest.raises(ValueError):
+            benchmark_graph("cycle(5)\n")  # `$` used to match before the newline
+
+    def test_an_id_expands_to_at_most_max_nodes_edges(self):
+        assert len(benchmark_graph("complete(362)").edges) == 65341
+        with pytest.raises(CapacityError, match="limited to 65536 edges"):
+            benchmark_graph("complete(363)")
+        assert benchmark_graph("cycle(65536)").n == MAX_NODES
 
 
 class TestTextFormat:
@@ -183,6 +194,17 @@ class TestTextFormat:
         text = "# a square\n\n  n 4 # count\ne 0\t1\n   # \nqubits 2"
         assert list(text_lines(text)) == [(3, ["n", "4"]), (4, ["e", "0", "1"]), (6, ["qubits", "2"])]
 
+    def test_count_reader_takes_ascii_digits_up_to_the_cap(self):
+        assert read_count("065536") == MAX_NODES
+        assert read_count("0") == 0
+        for bad in ("", "+1", "-1", "1_0", "\u0662", "\u00b2", " 1", "1.0"):
+            with pytest.raises(ValueError, match="ASCII digits"):
+                read_count(bad)
+        with pytest.raises(CapacityError, match="65536, got 65537"):
+            read_count("65537")
+        with pytest.raises(CapacityError, match="got 5000 digits"):
+            read_count("0" * 10 + "9" * 5000)
+
     def test_writer_is_canonical(self):
         text = graph_to_text(Graph.make(3, [(2, 1), (1, 0)]))
         assert text == "n 3\ne 0 1\ne 1 2\n"
@@ -197,6 +219,11 @@ class TestTextFormat:
         "",                    # empty
         "n 3\nn 3\n",         # duplicate header
         "n 3\ne 0 x\n",       # non-integer endpoint
+        # counts and endpoints int() reads but the format does not: each used to parse
+        "n " + "9" * 5000 + "\n",  # too long for int(): used to name no line
+        "n 4\ne +0 3\n",
+        "n 11\ne 0 1_0\n",
+        "n \u0664\ne 0 1\n",  # an Arabic-Indic digit four
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(GraphFormatError):

@@ -589,10 +589,25 @@ class TestCli:
         wide_graph.write_text("n 65537\ne 0 1\n")
         wide_spec = tmp_path / "wide_spec.json"
         wide_spec.write_text(json.dumps(dict(SMALL_SPEC, graph=str(wide_graph))))
+        # a count too long for int() used to print Python's digit-limit message, naming no line
+        nines = "9" * 5000
+        long_circuit = tmp_path / "long.txt"
+        long_circuit.write_text(f"qubits {nines}\nmeasure\n")
+        long_graph = tmp_path / "long.graph"
+        long_graph.write_text(f"n {nines}\n")
+        # the widest report used to reach the node cap through report_graph untested
+        wide_report = tmp_path / "wide_report.json"
+        wide_report.write_text(json.dumps({"nodes": 65537, "edges": []}))
         cases = [(["adversary", "extract", "--circuit", str(wide_circuit)], "line 1"),
                  (["run", "--config", str(wide_coupling)], "'coupling'"),
                  (["overhead", "--config", str(wide_spec)], "65537"),
                  (["graph", "gen", "--id", "cycle(65537)"], "65537"),
+                 (["adversary", "extract", "--circuit", str(long_circuit)], "line 1"),
+                 (["graph", "show", str(long_graph)], "line 1"),
+                 (["graph", "gen", "--id", f"cycle({nines})"], "65536"),
+                 # complete(n) used to build any n, so complete(65536) filled memory with n^2/2 pairs
+                 (["graph", "gen", "--id", "complete(363)"], "65536 edges"),
+                 (["adversary", "merge", str(wide_report)], "65537"),
                  (["run", "--config", str(tmp_path / "missing.json")], ""),
                  (["run", "--config", str(bad_json)], ""),
                  (["overhead", "--config", str(no_graph)], "'graph'"),
@@ -672,7 +687,7 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("splitcut: ") and err.count("\n") == 1
-            assert "Traceback" not in err
+            assert "Traceback" not in err and "Exceeds the limit" not in err
             assert named in err
 
     def test_run_exits_1_when_a_row_completes_no_seed(self, tmp_path, capsys, monkeypatch):
